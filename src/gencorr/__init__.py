@@ -30,7 +30,7 @@ from .entropy import (
 from .classical_search import (
     LocalBasisSet,
     SearchConfig,
-    basis_from_params,
+    SearchResult,
     closest_classical_state,
     dephase,
     quantumness_in_basis,

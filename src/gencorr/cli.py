@@ -37,7 +37,6 @@ _CONFIG_KEYS = {
     "output": str,
     "starts": int,
     "max_evals": int,
-    "ftol": float,
     "rng_seed": int,
     "workers": int,
     "kappa": float,
@@ -74,7 +73,6 @@ def _merge_search(args, config: dict) -> SearchConfig:
     return SearchConfig(
         starts=pick(getattr(args, "starts", None), "starts", None),
         max_evals=pick(getattr(args, "max_evals", None), "max_evals", 2000),
-        ftol=pick(getattr(args, "ftol", None), "ftol", 1e-8),
         rng_seed=pick(getattr(args, "seed", None), "rng_seed", 0),
     )
 
@@ -184,7 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_search_flags(p):
         p.add_argument("--starts", type=int, default=None, help="optimizer restarts")
         p.add_argument("--max-evals", dest="max_evals", type=int, default=None)
-        p.add_argument("--ftol", type=float, default=None)
         p.add_argument("--seed", type=int, default=None, help="rng seed (or GENCORR_SEED)")
         p.add_argument("--config", default=None, help="key = value settings file")
 

@@ -85,6 +85,9 @@ class SweepSpec:
         if self.p_count is not None and self.p_count < 2:
             raise ValueError("p grid needs at least 2 points")
         object.__setattr__(self, "c_values", tuple(float(c) for c in self.c_values))
+        bad_c = [c for c in self.c_values if not 0.0 <= c <= 1.0]
+        if bad_c:
+            raise ValueError(f"c values must lie in [0, 1], got {bad_c}")
         object.__setattr__(self, "measures", tuple(self.measures))
 
     def resolved_p_count(self) -> int:

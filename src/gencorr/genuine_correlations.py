@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classical_search import MAX_CELL_DIM, SearchConfig, closest_classical_state
+from .classical_search import SearchConfig, closest_classical_state
 from .entropy import von_neumann_entropy
 from .linalg import DensityMatrix, partial_trace
 
@@ -210,39 +210,21 @@ def _check_k(n: int, k: int) -> None:
         raise ValueError(f"k must satisfy 2 <= k <= {n}, got {k}")
 
 
-def _supported_cuts(rho: DensityMatrix, symmetries) -> list[Bipartition]:
-    cuts = []
-    for cut in _pruned_cuts(rho.n, symmetries):
-        d1 = int(np.prod([rho.dims[i] for i in cut.mask]))
-        d2 = int(np.prod([rho.dims[i] for i in cut.complement]))
-        if d1 <= MAX_CELL_DIM and d2 <= MAX_CELL_DIM:
-            cuts.append(cut)
-    return cuts
-
-
 def genuine_quantum_Qn(
     rho: DensityMatrix, cfg: SearchConfig = SearchConfig(), symmetries=()
 ) -> CorrelationReport:
     """min over bipartite cuts of the distance to the cut-classical states.
 
     Each cut dephases in arbitrary orthonormal bases of the two grouped cells,
-    so the cut search space is wider than per-subsystem product bases.  Cuts
-    whose cells exceed the supported search dimension are skipped; if no cut
-    is searchable the state is out of reach and an error is raised.
+    so the cut search space is wider than per-subsystem product bases.
     """
     if rho.n < 2:
         raise ValueError("genuine quantum correlation needs at least two subsystems")
-    cuts = _supported_cuts(rho, symmetries)
-    if not cuts:
-        raise ValueError(
-            f"no bipartition of dims {rho.dims.dims} has both cells within the "
-            f"supported search dimension {MAX_CELL_DIM}"
-        )
     best = None
     witness = None
     evals = 0
     starts = 0
-    for cut in cuts:
+    for cut in _pruned_cuts(rho.n, symmetries):
         cell_dims = [
             int(np.prod([rho.dims[i] for i in cell])) for cell in cut.cells()
         ]

@@ -28,6 +28,7 @@ __all__ = [
     "hermitize",
     "permutation_indices",
     "permute_subsystems",
+    "random_unitary",
     "density",
     "state_to_json",
     "state_from_json",
@@ -176,9 +177,13 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def kron_all(mats) -> np.ndarray:
-    out = np.array([[1.0 + 0j]])
+    """Kronecker product of matrices, the first factor major (as np.kron)."""
+    out = np.ones((1, 1), dtype=complex)
     for m in mats:
-        out = np.kron(out, np.asarray(m, dtype=complex))
+        m = np.asarray(m, dtype=complex)
+        out = (out[:, None, :, None] * m[None, :, None, :]).reshape(
+            out.shape[0] * m.shape[0], out.shape[1] * m.shape[1]
+        )
     return out
 
 
@@ -265,6 +270,13 @@ def permute_subsystems(mat: np.ndarray, dims, perm) -> np.ndarray:
     """Reorder the subsystems of an operator via an exact index map."""
     idx = permutation_indices(dims, perm)
     return np.asarray(mat)[np.ix_(idx, idx)]
+
+
+def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed unitary via QR of a Ginibre matrix."""
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    q, r = np.linalg.qr(g)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def state_to_json(state: DensityMatrix | PureState) -> str:

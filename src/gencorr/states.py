@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .genuine_correlations import Bipartition
-from .linalg import DensityMatrix, PureState, hermitize
+from .linalg import DensityMatrix, PureState, hermitize, random_unitary
 
 __all__ = [
     "ghz",
@@ -74,13 +74,6 @@ def ppt_min_eigenvalue(rho: DensityMatrix, cut: Bipartition) -> float:
     t = np.transpose(t, axes)
     side = rho.dim
     return float(np.linalg.eigvalsh(hermitize(t.reshape(side, side))).min())
-
-
-def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR of a Ginibre matrix."""
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    q, r = np.linalg.qr(g)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def random_pure_state(dims, rng: np.random.Generator) -> PureState:

@@ -14,12 +14,12 @@ import numpy as np
 from gencorr import (
     Bipartition,
     DensityMatrix,
+    LocalBasisSet,
     SearchConfig,
     SweepSpec,
     closest_classical_state,
     dephase,
     detect_sudden_change,
-    basis_from_params,
     genuine_total_Ik,
     genuine_total_In,
     multipartite_quantum_Q,
@@ -43,6 +43,7 @@ from gencorr.states import (
     ghz,
     ppt_min_eigenvalue,
     random_density_matrix,
+    random_unitary,
     w4,
 )
 
@@ -228,7 +229,7 @@ def test_criterion_08_grid_oracle_equivalence():
     cases = [("singlet", psi_minus().to_density())]
     cases += [(f"werner c={c}", werner_state(c)) for c in (0.25, 0.5, 1.0)]
     for name, rho in cases:
-        _, _, q = closest_classical_state(rho, [(0,), (1,)], SearchConfig())
+        q = closest_classical_state(rho, [(0,), (1,)], SearchConfig()).q
         oracle = _grid_oracle_q(np.asarray(rho.mat))
         if abs(q - oracle) > 1e-4:
             failures.append(f"{name}: optimizer {q!r} vs grid oracle {oracle!r}")
@@ -297,7 +298,7 @@ def test_criterion_10_structural_invariant_suite():
 
     for _ in range(50):
         rho = random_density_matrix((2, 2), rng)
-        basis = basis_from_params(rng.uniform(0, np.pi, 4), [(0,), (1,)], rho.dims)
+        basis = LocalBasisSet([(0,), (1,)], [random_unitary(2, rng), random_unitary(2, rng)])
         once = dephase(rho, basis)
         dev = np.abs(np.asarray(dephase(once, basis).mat) - np.asarray(once.mat)).max()
         if dev > 1e-13:

@@ -6,16 +6,18 @@ from gencorr import (
     DensityMatrix,
     LocalBasisSet,
     SearchConfig,
-    basis_from_params,
+    all_bipartitions,
     closest_classical_state,
     dephase,
     quantumness_in_basis,
+    random_unitary,
     relative_entropy,
     tensor,
     von_neumann_entropy,
 )
-from gencorr.channels import psi_minus, werner_state
-from gencorr.classical_search import params_per_cell, qubit_basis_unitary
+from gencorr.channels import evolve_global, psi_minus, werner_state
+import gencorr.classical_search as cs
+from gencorr.classical_search import GRAD_TOL, _gradient
 from gencorr.entropy import shannon
 from gencorr.states import random_classical_state, random_density_matrix
 
@@ -65,7 +67,7 @@ def test_dephase_rejects_bad_partition(rng):
 def test_dephase_idempotent(seed):
     rng = np.random.default_rng(seed)
     rho = random_density_matrix((2, 2), rng)
-    basis = basis_from_params(rng.uniform(0, np.pi, 4), [(0,), (1,)], rho.dims)
+    basis = LocalBasisSet([(0,), (1,)], [random_unitary(2, rng), random_unitary(2, rng)])
     once = dephase(rho, basis)
     twice = dephase(once, basis)
     assert np.abs(twice.mat - once.mat).max() <= 1e-13
@@ -73,8 +75,8 @@ def test_dephase_idempotent(seed):
 
 def test_dephase_ignores_basis_column_phases(rng):
     rho = random_density_matrix((2, 2), rng)
-    u = qubit_basis_unitary(0.7, 1.3)
-    v = qubit_basis_unitary(2.1, 0.4)
+    u = random_unitary(2, rng)
+    v = random_unitary(2, rng)
     phased_u = u * np.exp(1j * np.array([0.3, -1.2]))
     phased_v = v * np.exp(1j * np.array([2.5, 0.9]))
     a = dephase(rho, LocalBasisSet([(0,), (1,)], [u, v]))
@@ -109,7 +111,7 @@ def test_quantumness_of_singlet():
 def test_quantumness_matches_relative_entropy_and_is_nonnegative(seed):
     rng = np.random.default_rng(seed)
     rho = random_density_matrix((2, 2), rng)
-    basis = basis_from_params(rng.uniform(0, np.pi, 4), [(0,), (1,)], rho.dims)
+    basis = LocalBasisSet([(0,), (1,)], [random_unitary(2, rng), random_unitary(2, rng)])
     val = quantumness_in_basis(rho, basis)
     assert val >= -1e-12
     assert abs(val - relative_entropy(rho, dephase(rho, basis))) <= 1e-9
@@ -121,21 +123,21 @@ def test_closest_classical_of_commuting_product_is_exact(rng):
     a = random_classical_state((2,), rng)
     b = random_classical_state((2,), rng)
     rho = DensityMatrix((2, 2), tensor(a.mat, b.mat))
-    chi, basis, q = closest_classical_state(rho, [(0,), (1,)], SearchConfig(starts=2))
-    assert q <= 1e-9
-    assert np.allclose(chi.mat, rho.mat, atol=1e-9)
+    res = closest_classical_state(rho, [(0,), (1,)], SearchConfig(starts=2))
+    assert res.q <= 1e-9
+    assert np.allclose(res.chi.mat, rho.mat, atol=1e-9)
 
 
 def test_closest_classical_of_singlet(fast_cfg):
-    chi, basis, q = closest_classical_state(psi_minus().to_density(), [(0,), (1,)], fast_cfg)
-    assert q == pytest.approx(1.0, abs=1e-6)
-    assert von_neumann_entropy(chi) == pytest.approx(1.0, abs=1e-6)
+    res = closest_classical_state(psi_minus().to_density(), [(0,), (1,)], fast_cfg)
+    assert res.q == pytest.approx(1.0, abs=1e-6)
+    assert von_neumann_entropy(res.chi) == pytest.approx(1.0, abs=1e-6)
 
 
 @pytest.mark.parametrize("c", [0.25, 0.5, 1.0])
 def test_closest_classical_matches_werner_closed_form(c, fast_cfg):
-    _, _, q = closest_classical_state(werner_state(c), [(0,), (1,)], fast_cfg)
-    assert q == pytest.approx(werner_q_closed_form(c), abs=1e-6)
+    res = closest_classical_state(werner_state(c), [(0,), (1,)], fast_cfg)
+    assert res.q == pytest.approx(werner_q_closed_form(c), abs=1e-6)
 
 
 def test_search_is_deterministic_for_fixed_seed():
@@ -152,28 +154,114 @@ def test_search_is_deterministic_for_fixed_seed():
 
 def test_search_value_invariant_under_local_unitaries(rng, fast_cfg):
     rho = werner_state(0.5)
-    u = np.kron(qubit_basis_unitary(0.9, 2.2), qubit_basis_unitary(1.7, 5.0))
+    u = np.kron(random_unitary(2, rng), random_unitary(2, rng))
     rotated = DensityMatrix((2, 2), u @ rho.mat @ u.conj().T)
-    _, _, q0 = closest_classical_state(rho, [(0,), (1,)], fast_cfg)
-    _, _, q1 = closest_classical_state(rotated, [(0,), (1,)], fast_cfg)
+    q0 = closest_classical_state(rho, [(0,), (1,)], fast_cfg).q
+    q1 = closest_classical_state(rotated, [(0,), (1,)], fast_cfg).q
     assert abs(q0 - q1) <= 1e-4
 
 
-def test_grouped_cell_search_uses_generator_parametrization(fast_cfg):
+def test_grouped_cell_search_diagonalizes_in_one_cell(fast_cfg):
     # grouping both qubits into one dimension-4 cell diagonalizes any state
     rho = werner_state(0.8)
     cfg = SearchConfig(starts=4, max_evals=1500, rng_seed=3)
-    chi, basis, q = closest_classical_state(rho, [(0, 1)], cfg)
-    assert basis.unitaries[0].shape == (4, 4)
-    assert q <= 1e-5
+    res = closest_classical_state(rho, [(0, 1)], cfg)
+    assert res.basis.unitaries[0].shape == (4, 4)
+    assert res.q <= 1e-5
 
 
-def test_unsupported_cell_dimension_raises(rng):
+def test_search_reaches_cells_of_dimension_eight(rng):
+    # one dimension-8 cell: q vanishes; a 2|8 cut of a random pure state: q is
+    # the entanglement entropy, attained in the Schmidt basis
     rho = random_density_matrix((2, 2, 2), rng)
-    with pytest.raises(ValueError):
-        closest_classical_state(rho, [(0, 1, 2)], SearchConfig(starts=1))
-    assert params_per_cell(2) == 2
-    assert params_per_cell(4) == 16
+    res = closest_classical_state(rho, [(0, 1, 2)], SearchConfig(starts=1))
+    assert res.basis.unitaries[0].shape == (8, 8)
+    assert res.q <= 1e-9
+    psi = random_density_matrix((2, 2, 2, 2), rng, rank=1)
+    res = closest_classical_state(psi, [(0,), (1, 2, 3)], SearchConfig(starts=2))
+    marginal = np.linalg.eigvalsh(np.einsum("abcb->ac", psi.mat.reshape(2, 8, 2, 8)))
+    assert res.q == pytest.approx(shannon(marginal), abs=1e-6)
+
+
+# --- the Riemannian gradient and the stationarity certificate ---
+
+def _expm_hermitian(x: np.ndarray, t: complex) -> np.ndarray:
+    w, v = np.linalg.eigh(x)
+    return (v * np.exp(t * w)) @ v.conj().T
+
+
+@pytest.mark.parametrize("cell", [0, 1])
+def test_gradient_matches_central_difference(cell, rng):
+    # cells (0,) and (1, 2): a qubit cell and a dimension-4 cell
+    rho = random_density_matrix((2, 2, 2), rng)
+    cells, cdims = [(0,), (1, 2)], [2, 4]
+    us = [random_unitary(d, rng) for d in cdims]
+    b = np.kron(us[0], us[1])
+    sigma = b.conj().T @ rho.mat @ b
+    grad, _ = _gradient(sigma, np.diagonal(sigma).real, cdims)
+    d = cdims[cell]
+    x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    x = (x + x.conj().T) / 2
+
+    def f(eta):
+        moved = list(us)
+        moved[cell] = us[cell] @ _expm_hermitian(x, -1j * eta)
+        return quantumness_in_basis(rho, LocalBasisSet(cells, moved))
+
+    h = 1e-5
+    slope = (f(h) - f(-h)) / (2 * h)
+    assert slope == pytest.approx(np.trace(x @ grad[cell]).real, rel=1e-6, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "c,p,kind",
+    [
+        (0.6546013133245124, 0.38662538804729474, "ad"),
+        # here an unguarded descent leaves outcomes at ~1e-12, where
+        # relative_entropy's support test returns inf
+        (0.989293854107047, 0.11882572844807984, "pd"),
+        (0.8453986866754876, 0.8811742715519202, "ad"),
+    ],
+)
+def test_search_value_is_the_relative_entropy_to_chi_on_balanced_cuts(c, p, kind):
+    rho = evolve_global(c, p, kind)
+    cfg = SearchConfig(starts=2, rng_seed=0)
+    for cut in all_bipartitions(4):
+        if len(cut.mask) == 2:
+            res = closest_classical_state(rho, cut.cells(), cfg)
+            assert abs(relative_entropy(rho, res.chi) - res.q) <= 1e-9
+
+
+@pytest.mark.parametrize("dims,cells", [((2, 2), [(0,), (1,)]), ((2, 2, 2), [(0,), (1, 2)])])
+def test_grad_norm_certifies_stationarity_on_full_rank_inputs(dims, cells):
+    # full-rank inputs have no vanishing outcomes, so the best start ends
+    # below GRAD_TOL within the budget, and grad_norm belongs to the returned basis
+    cfg = SearchConfig(starts=1)
+    for seed in range(8):
+        rho = random_density_matrix(dims, np.random.default_rng(seed))
+        res = closest_classical_state(rho, cells, cfg)
+        assert res.grad_norm < GRAD_TOL
+        b = np.kron(*res.basis.unitaries)
+        sigma = b.conj().T @ rho.mat @ b
+        cdims = [u.shape[0] for u in res.basis.unitaries]
+        _, norm = _gradient(sigma, np.diagonal(sigma).real, cdims)
+        assert norm == pytest.approx(res.grad_norm, rel=1e-6, abs=1e-12)
+
+
+@pytest.mark.parametrize("cells,cdims", [([(0,), (1,), (2,), (3,)], [2, 2, 2, 2]),
+                                         ([(0, 1), (2, 3)], [4, 4])])
+def test_search_spends_the_same_iterations_on_every_input(cells, cdims, monkeypatch):
+    # the budget is starts * min(n**2, max_evals) gradient evaluations, n the
+    # real parameter count, whatever the state
+    calls = []
+    monkeypatch.setattr(cs, "_gradient", lambda *a: calls.append(1) or _gradient(*a))
+    cfg = SearchConfig(starts=2, max_evals=300)
+    n = sum(d * d for d in cdims)
+    for rho in (evolve_global(0.9, 0.3, "ad"), evolve_global(0.6, 0.7, "pd"),
+                random_density_matrix((2, 2, 2, 2), np.random.default_rng(5))):
+        calls.clear()
+        closest_classical_state(rho, cells, cfg)
+        assert len(calls) == 2 * min(n * n, cfg.max_evals)
 
 
 def test_search_config_validation():

@@ -34,6 +34,12 @@ def test_sweep_spec_rejects_bad_channel():
         SweepSpec(channel="xy")
 
 
+@pytest.mark.parametrize("c", [1.5, -0.1, math.nan])
+def test_sweep_spec_rejects_c_outside_unit_interval(c):
+    with pytest.raises(ValueError):
+        SweepSpec("ad", (0.5, c))
+
+
 def test_grid_defaults_depend_on_measures():
     assert SweepSpec(channel="ad", measures=("I4",)).resolved_p_count() == 101
     assert SweepSpec(channel="ad", measures=("I4", "Q4")).resolved_p_count() == 41

@@ -215,19 +215,22 @@ def test_Qn_of_singlet(fast_cfg):
 
 
 def test_Qn_of_ghz4_over_grouped_cuts():
-    # every balanced cut groups GHZ4 into a maximally entangled ququart pair,
-    # whose pinching entropy is bounded below by 1 with equality in a Schmidt
-    # basis; the computational start hits that basis exactly
+    # every cut of the pure GHZ4 has entanglement entropy 1, which bounds the
+    # pinching entropy from below with equality in a Schmidt basis; the
+    # computational start hits that basis exactly
     cfg = SearchConfig(starts=2, max_evals=600, rng_seed=1)
     rep = genuine_quantum_Qn(ghz(4).to_density(), cfg)
     assert rep.value_bits == pytest.approx(1.0, abs=1e-6)
-    assert rep.witness.mask in ((0, 1), (0, 2), (0, 3))
+    assert rep.witness in all_bipartitions(4)
 
 
-def test_Qn_raises_when_no_cut_is_searchable(rng):
-    rho = random_density_matrix((2, 2, 2, 2, 2), rng, rank=2)
-    with pytest.raises(ValueError):
-        genuine_quantum_Qn(rho, SearchConfig(starts=1))
+def test_Qn_of_w4_is_attained_on_a_single_qubit_cut():
+    # pure state: each cut gives its entanglement entropy, H2(1/4) across the
+    # four 1|3 cuts and 1 across the three 2|2 cuts
+    rep = genuine_quantum_Qn(w4().to_density(), SearchConfig(starts=2, rng_seed=0))
+    h2 = -(0.25 * np.log2(0.25) + 0.75 * np.log2(0.75))
+    assert rep.value_bits == pytest.approx(h2, abs=1e-6)
+    assert 1 in (len(rep.witness.mask), len(rep.witness.complement))
 
 
 def test_Qk_ghz_triples_are_classical():

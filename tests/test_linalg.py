@@ -7,6 +7,7 @@ from gencorr import (
     DensityMatrix,
     PureState,
     eig_hermitian,
+    kron_all,
     matrix_log2_on_support,
     partial_trace,
     permute_subsystems,
@@ -51,6 +52,18 @@ def test_tensor_associative_exactly_on_dyadic_entries(seed):
     rng = np.random.default_rng(seed)
     a, b, c = (rng.integers(-8, 9, size=(2, 2)).astype(complex) / 16 for _ in range(3))
     assert np.array_equal(tensor(tensor(a, b), c), tensor(a, tensor(b, c)))
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_kron_all_equals_chained_np_kron_exactly(seed):
+    rng = np.random.default_rng(seed)
+    shapes = [tuple(rng.integers(1, 5, size=2)) for _ in range(rng.integers(1, 4))]
+    mats = [rng.normal(size=s) + 1j * rng.normal(size=s) for s in shapes]
+    ref = np.array([[1.0 + 0j]])
+    for m in mats:
+        ref = np.kron(ref, m)
+    assert np.array_equal(kron_all(mats), ref)
 
 
 # --- partial trace ---
