@@ -8,12 +8,14 @@ and the closest classical state chi.
 
 The search is a multi-start L-BFGS descent on the unitary group of each cell
 (Abrudan, Eriksson & Koivunen, IEEE TSP 56, 1134 (2008)), so one code path
-serves every cell dimension without a parametrization.  Its starts, its
-result and its cost are deterministic (see closest_classical_state).
+serves every cell dimension without a parametrization.  Its starts and its
+result are deterministic, however many starts run side by side (see
+closest_classical_state).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -43,11 +45,13 @@ __all__ = [
 
 GRAD_TOL = 1e-7  # a start stops once the gradient norm falls below this
 _ARMIJO = 1e-4  # sufficient-decrease fraction of the first-order prediction
-_ETA0 = 1.0  # first trial step of each line search
 _MEMORY = 8  # curvature pairs kept for the L-BFGS direction
 # A start also stops when the line search has shrunk the step until its
 # predicted decrease eta*<G, D> is below the rounding error of the objective.
 _STALL = 1e-15
+_FLOOR = 1e-300  # outcomes are floored here, so that log2 stays finite
+# Starts advanced together as stacked lanes.  The result never depends on it.
+_LANES = 8
 
 
 @dataclass(frozen=True)
@@ -146,10 +150,12 @@ def quantumness_in_basis(rho: DensityMatrix, basis: LocalBasisSet) -> float:
 class SearchResult(NamedTuple):
     """Outcome of closest_classical_state.
 
-    q = S(rho||chi) at the best start; evals counts objective evaluations over
-    all starts.  grad_norm, the gradient norm at the returned basis, certifies
-    stationarity: it is below GRAD_TOL unless that start stopped otherwise (see
-    _descend), as is typical where outcomes of a rank-deficient rho vanish.
+    q = S(rho||chi) at the best start; evals counts objective evaluations and
+    starts the starts that count toward the iteration budget.  grad_norm, the
+    gradient norm at the returned basis, certifies stationarity: it is below
+    GRAD_TOL unless that start stopped otherwise (see closest_classical_state),
+    as is typical where outcomes of a rank-deficient rho vanish.  No field
+    depends on how many starts ran side by side as lanes.
     """
 
     chi: DensityMatrix
@@ -157,111 +163,367 @@ class SearchResult(NamedTuple):
     q: float
     evals: int
     grad_norm: float
+    starts: int
 
 
-def _gradient(sigma: np.ndarray, p: np.ndarray, cdims) -> tuple[list[np.ndarray], float]:
+def _gradient(sigma: np.ndarray, p: np.ndarray, cdims) -> tuple[list[np.ndarray], np.ndarray]:
     """Per-cell G_i = Tr_(other cells) -i[sigma, diag(log2 p)], and |(G_1, ..., G_m)|.
 
     Moving U_i to U_i exp(-i eta X) changes the objective at rate Tr(X G_i),
     so U_i exp(i eta G_i) is the steepest-descent direction.  Entries of sigma
     next to a vanishing p_k vanish with it, so the floor on p only guards log2.
+    sigma (..., N, N) and p (..., N) may carry leading lane axes, which the
+    G_i (..., d_i, d_i) and the norm keep.
     """
-    logp = np.log2(np.maximum(p, 1e-300))
-    t = (-1j * sigma * (logp[None, :] - logp[:, None])).reshape(tuple(cdims) * 2)
-    n = len(cdims)
-    rows = list(range(n))
-    grad = [
-        np.einsum(t, rows + [n + j if j == i else j for j in rows], [i, n + i])
-        for i in range(n)
-    ]
-    return grad, float(np.sqrt(sum(np.vdot(g, g).real for g in grad)))
+    logp = np.log2(np.maximum(p, _FLOOR))
+    t = sigma * (logp[..., :, None] - logp[..., None, :])  # i t is -i[sigma, diag(log2 p)]
+    lead, before, parts = t.shape[:-2], 1, []
+    for d in cdims:
+        after = t.shape[-1] // (before * d)
+        g = t.reshape(lead + (before, d, after) * 2)
+        if after > 1:  # trace out the cells after this one, then those before
+            g = g.trace(axis1=-4, axis2=-1)
+        g = g.reshape(lead + (before, d) * 2)
+        if before > 1:
+            g = g.trace(axis1=-4, axis2=-2)
+        parts.append(g.reshape(lead + (d * d,)))
+        before *= d
+    vec = 1j * np.concatenate(parts, axis=-1)
+    at, grad = 0, []
+    for d in cdims:
+        grad.append(vec[..., at:at + d * d].reshape(lead + (d, d)))
+        at += d * d
+    v = vec.view(float)
+    return grad, np.sqrt((v * v).sum(-1))
 
 
-def _lbfgs_direction(g: np.ndarray, pairs) -> np.ndarray:
-    """Two-loop L-BFGS product H g over the stored (s, y, 1/<s, y>) pairs.
+_UPPER = np.triu(np.ones((_MEMORY, _MEMORY)))
+_EYE = np.eye(_MEMORY)
 
-    Vectors are the cell generators raveled into one array, with the real
-    Frobenius inner product; in the body frame U_i exp(i X_i) they carry over
-    to the next iterate unchanged.
+
+def _lbfgs_direction(g: np.ndarray, pairs: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """L-BFGS product H g for each lane, in compact form.
+
+    g (m, n); pairs (m, 2M, n) holds a lane's steps s_1..s_M and gradient
+    changes y_1..y_M, newest last, unused rows zero; gamma = <s, y>/<y, y> of
+    the newest pair (1 without pairs).  With R = triu(S^T Y) and D its
+    diagonal, H g = gamma g + S w - gamma Y u, u = R^-1 S^T g,
+    w = R^-T ((D + gamma Y^T Y) u - gamma Y^T g): the two-loop recursion's
+    product in closed form (Byrd, Nocedal & Schnabel, Math. Prog. 63, 129
+    (1994)).  Vectors are the cell generators raveled into one real array; in
+    the body frame U_i exp(i X_i) they carry over to the next iterate unchanged.
     """
-    alphas = []
-    for s, y, r in reversed(pairs):
-        alphas.append(r * np.vdot(s, g).real)
-        g = g - alphas[-1] * y
-    if pairs:
-        s, y, _ = pairs[-1]
-        g = g * (np.vdot(s, y).real / np.vdot(y, y).real)
-    for (s, y, r), a in zip(pairs, reversed(alphas)):
-        g = g + (a - r * np.vdot(y, g).real) * s
-    return g
+    mem = _MEMORY
+    pairs_t = pairs.swapaxes(1, 2)
+    gram = pairs @ pairs_t
+    sy, yy = gram[:, :mem, mem:], gram[:, mem:, mem:]
+    dsy = sy.diagonal(0, 1, 2)  # s_i . y_i > 0 on used rows, 0 on unused
+    rinv = np.linalg.inv(sy * _UPPER + _EYE * (dsy == 0)[:, None, :])
+    pg = pairs @ g[:, :, None]
+    u = rinv @ pg[:, :mem]
+    gam = gamma[:, None, None]
+    w = rinv.swapaxes(1, 2) @ (dsy[:, :, None] * u + gam * (yy @ u - pg[:, mem:]))
+    return gamma[:, None] * g + (pairs_t @ np.concatenate([w, -gam * u], axis=1))[:, :, 0]
 
 
-def _descend(mat, us, cdims, iterations, max_evals, mass_cap, clip):
-    """Armijo-backtracked L-BFGS descent on the cell unitaries us.
+def _neg_entropy_rows(p: np.ndarray) -> np.ndarray:
+    """sum p log2 p over each row of p >= _FLOOR: minus the descent objective."""
+    return (p * np.log2(p)).sum(-1)
 
-    The step is U_i exp(i eta D_i), D the L-BFGS image of the gradient (Huang,
-    Absil & Gallivan, SIAM J. Optim. 28, 470 (2018)); steepest descent crawls
-    where outcomes of a rank-deficient rho vanish.  With D_i = V_i diag(w_i) V_i†,
-    sigma(eta) = X R X† for R = A† rho A, A = ⊗ U_i V_i and
-    X = (⊗ V_i) diag(exp(-i eta (w_1 ⊕ ... ⊕ w_m))), so a line-search trial
-    costs one phase product and one matrix product.
 
-    Stops at |G| < GRAD_TOL, at max_evals evaluations, when the line search
-    stalls, or after `iterations` gradients.  Returns (p, us, |G|) at the last
-    iterate with at most mass_cap of probability at or below 2*clip, the
-    evaluation count and the gradient count.  Past that point `shannon` drops
-    outcomes that the support test of `relative_entropy` still sees, so
-    S(rho||chi) would be inf; rejecting such steps would stall the descent.
+def _diag_rows(x: np.ndarray, xr: np.ndarray) -> np.ndarray:
+    """Real diagonal of x r x† for each lane, from x and xr = x r, floored at _FLOOR."""
+    return np.maximum((xr.view(float) * x.view(float)).sum(-1), _FLOOR)
+
+
+def _take(lanes: dict, rows) -> dict:
+    """The given rows of every lane array."""
+    return {k: [a[rows] for a in v] if isinstance(v, list) else v[rows] for k, v in lanes.items()}
+
+
+def _concat(a: dict, b: dict) -> dict:
+    """Lanes a followed by lanes b."""
+    return {
+        k: [np.concatenate(x) for x in zip(v, b[k])] if isinstance(v, list)
+        else np.concatenate([v, b[k]])
+        for k, v in a.items()
+    }
+
+
+@dataclass
+class _Start:
+    """Progress of one start: iterations (gradients) so far and what it returns.
+
+    best = (snapshot, row) locates the start's best iterate so far, snapshot
+    the stacked (p, unitaries, |G|) of the lanes of one step.  An outcome is
+    (best, evals): check if the budget cuts the start at iteration its, end
+    if the start stopped by itself there.
     """
-    b = kron_all(us)
-    sigma = b.conj().T @ mat @ b
-    p = np.clip(np.diagonal(sigma).real, 0.0, None)
-    f = shannon(p, 0.0)  # every positive outcome, as the gradient sees them
-    grad, gnorm = _gradient(sigma, p, cdims)
-    evals, iters, pairs, best = 1, 1, [], None
-    splits = np.cumsum([d * d for d in cdims])[:-1]
-    while True:
-        if best is None or p[p <= 2 * clip].sum() <= mass_cap:
-            best = (p, us, gnorm)
-        if gnorm < GRAD_TOL or evals >= max_evals or iters >= iterations:
-            return best, evals, iters
-        g = np.concatenate([m.ravel() for m in grad])
-        d = _lbfgs_direction(g, pairs)
-        slope = np.vdot(g, d).real  # decrease rate of f along d
-        if slope <= 0:  # not a descent direction: restart from the gradient
-            pairs.clear()
-            d, slope = g, gnorm**2
-        parts = zip(np.split(d, splits), cdims)
-        eigs = [np.linalg.eigh(hermitize(m.reshape(n, n))) for m, n in parts]
-        uv = [u @ v for u, (_, v) in zip(us, eigs)]
-        a = kron_all(uv)
-        k = kron_all([v for _, v in eigs])
-        r = a.conj().T @ mat @ a
-        wsum = np.zeros(1)
-        for w, _ in eigs:
-            wsum = (wsum[:, None] + w[None, :]).ravel()
-        eta = _ETA0
-        while evals < max_evals:
-            if eta * slope < _STALL:
-                return best, evals, iters
-            x = k * np.exp(-1j * eta * wsum)
-            xr = x @ r
-            p_t = np.clip(np.einsum("ij,ij->i", xr, x.conj()).real, 0.0, None)
-            f_t = shannon(p_t, 0.0)
-            evals += 1
-            if f_t <= f - _ARMIJO * eta * slope:
-                us = [(y * np.exp(1j * eta * w)) @ v.conj().T for y, (w, v) in zip(uv, eigs)]
-                sigma, p, f = xr @ x.conj().T, p_t, f_t
-                grad, gnorm = _gradient(sigma, p, cdims)
-                iters += 1
-                s_k, y_k = eta * d, g - np.concatenate([m.ravel() for m in grad])
-                sy = np.vdot(s_k, y_k).real
-                if sy > 1e-12 * np.vdot(s_k, s_k).real:
-                    pairs = (pairs + [(s_k, y_k, 1.0 / sy)])[-_MEMORY:]
+
+    its: int = 0
+    evals: int = 0
+    stopped: bool = False
+    best: tuple | None = None
+    check: tuple | None = None
+    end: tuple | None = None
+
+
+class _LaneSearch:
+    """Starts 0, 1, ... of one search, advanced in lockstep as stacked lanes.
+
+    A dict of lane arrays has one row per start in flight: its start ("ids"),
+    unitaries, objective, evaluations, gradient, direction and curvature
+    pairs, and the line-search data of the direction.  The unitaries are
+    stacked per run of equal consecutive cell dimensions, (m, count, d, d), so
+    one eigh serves every cell of a run.  Each lane's arithmetic reads its own
+    row only, so a start follows the same iterates in any lane, beside any
+    others.
+
+    Start k may use B - sum_{j<k} used_j iterations, B the budget.  Lanes run
+    later starts before that limit is known, and a start pauses once the
+    iterations that earlier starts have taken leave it none.  Starts settle in
+    order, so the outcomes are those of running them one after another.  The
+    one start the budget cuts short of where it paused runs again by itself,
+    up to its limit, instead of every start keeping its past iterates.
+    """
+
+    def __init__(self, mat, cdims, max_evals, mass_cap, clip, rng_seed):
+        self.mat, self.cdims, self.max_evals = mat, cdims, max_evals
+        self.mass_cap, self.clip, self.rng_seed = mass_cap, clip, rng_seed
+        # (d, count) per run of equal consecutive cell dimensions
+        self.runs = [(d, len(list(run))) for d, run in itertools.groupby(cdims)]
+        self.nvec = 2 * sum(d * d for d in cdims)  # real length of the generator vector
+        self.longest = 0  # most iterations of a random start that stopped by itself
+
+    def _cells(self, stacks) -> list[np.ndarray]:
+        return [a[:, j] for a, (_, c) in zip(stacks, self.runs) for j in range(c)]
+
+    def _end(self, k: int, st: _Start, evals: int) -> None:
+        st.stopped, st.end = True, (st.best, evals)
+        if k:  # start 0, the computational basis, often begins at a stationary point
+            self.longest = max(self.longest, st.its)
+
+    def run(self, budget: int, share: int, first: int = 0, alone: bool = False) -> list[tuple]:
+        """(p, unitaries, |G|, evals) of each start from `first` on that gets
+        any of the budget, in start order; alone runs start `first` only.
+
+        A start is expected to take share iterations until a random start has
+        stopped by itself, and then as many as the longest such start.
+        """
+        starts: dict[int, _Start] = {}  # the unsettled starts, in order
+        lanes, left, out, nxt, last = None, budget, [], first, first if alone else None
+        while left > 0 and (last is None or first <= last):
+            # open a lane for the next start while the earlier unsettled ones
+            # are expected to leave it iterations
+            guess = self.longest or share
+            claim = sum(st.its if st.stopped else max(st.its, guess) for st in starts.values())
+            new = []
+            busy = 0 if lanes is None else len(lanes["ids"])
+            while busy + len(new) < _LANES and claim < left and (last is None or nxt <= last):
+                new.append(nxt)
+                starts[nxt] = _Start()
+                nxt, claim = nxt + 1, claim + guess
+            lanes = self._step(lanes, new, starts, left)
+            while left > 0 and first in starts and starts[first].stopped:
+                st = starts.pop(first)
+                if st.end is not None and left > st.its:
+                    (snap, row), evals = st.end
+                elif left == st.its:
+                    (snap, row), evals = st.check
+                else:  # cut before where it paused
+                    out.append(self.run(left, share, first, alone=True)[0])
+                    left = 0
+                    break
+                p, us, gnorm = snap  # rows copied, so that the snapshot can go
+                out.append((p[row].copy(), [a[row].copy() for a in self._cells(us)], gnorm[row], evals))
+                left -= min(st.its, left)
+                first += 1
+        return out
+
+    def _step(self, lanes, new, starts, left):
+        """One iteration of every lane in flight and the first of each new start."""
+        if lanes is not None:
+            lanes = self._line_search(lanes, starts)
+        if new:
+            fresh = self._open(new)
+            lanes = fresh if lanes is None else _concat(lanes, fresh)
+        if lanes is None:
+            return None
+        lanes = self._iterate(lanes)
+        ids, evals = lanes["ids"].tolist(), lanes["evals"].tolist()
+        # stops by itself: converged, out of evaluations, or stalled already
+        # at the first trial step eta = 1
+        natural = ((lanes["gn"] < GRAD_TOL) | (lanes["evals"] >= self.max_evals)
+                   | (lanes["slope"] < _STALL)).tolist()
+        for k, e in zip(ids, evals):
+            starts[k].its += 1
+            starts[k].evals = e
+        # earlier starts take at least the iterations they took so far, which
+        # bounds what they leave each start
+        limit, taken = {}, 0
+        for k, st in starts.items():
+            limit[k], taken = left - taken, taken + st.its
+        # the best iterate is the last whose probability mass at or below
+        # 2*clip is at most mass_cap (see closest_classical_state)
+        p = lanes.pop("p")
+        ok = ((p * (p <= 2 * self.clip)).sum(-1) <= self.mass_cap).tolist()
+        snap = (p, lanes["u"], lanes.pop("gn"))
+        keep = []
+        for i, (k, stop) in enumerate(zip(ids, natural)):
+            st = starts[k]
+            if ok[i] or st.best is None:
+                st.best = (snap, i)
+            st.check = (st.best, st.evals)
+            if stop:
+                self._end(k, st, st.evals)
+            elif st.its >= limit[k]:
+                st.stopped = True
+            else:
+                keep.append(i)
+        if not keep:
+            return None
+        if len(keep) < len(ids):
+            lanes = _take(lanes, np.array(keep))
+        return self._prepare(lanes)
+
+    def _open(self, new) -> dict:
+        """Lane rows for the new starts, at their first iterate.
+
+        Start 0 is the computational basis (exact for classical inputs);
+        start k draws Haar unitaries from a generator seeded rng_seed + k.
+        """
+        per_start = []
+        for k in new:
+            if k == 0:
+                per_start.append([np.eye(d, dtype=complex) for d in self.cdims])
+            else:
+                rng = np.random.default_rng(self.rng_seed + k)
+                per_start.append([random_unitary(d, rng) for d in self.cdims])
+        u, at = [], 0
+        for _, c in self.runs:
+            u.append(np.array([us[at:at + c] for us in per_start]))
+            at += c
+        b = kron_all(self._cells(u))
+        sigma = b.conj().swapaxes(1, 2) @ self.mat @ b
+        p = np.maximum(sigma.diagonal(0, 1, 2).real, _FLOOR)
+        n = len(new)
+        return {
+            "ids": np.array(new), "u": u, "sigma": sigma, "p": p, "h": _neg_entropy_rows(p),
+            "evals": np.ones(n, dtype=int), "g": np.zeros((n, self.nvec)),
+            "step": np.zeros((n, self.nvec)), "pairs": np.zeros((n, 2 * _MEMORY, self.nvec)),
+            "gamma": np.ones(n),
+        }
+
+    def _line_search(self, lanes, starts) -> dict | None:
+        """Armijo backtracking from eta = 1 on every lane, then the accepted step.
+
+        A lane whose evaluations run out, or whose step shrinks below the
+        stall floor, stops where it is; the others move to their accepted trial.
+        """
+        k, r, ws, slope = lanes.pop("k"), lanes.pop("r"), lanes.pop("ws"), lanes.pop("slope")
+        h = lanes["h"]
+        m = len(h)
+        evals = lanes["evals"] + 1
+        x = k * np.exp(-1j * ws)[:, None, :]
+        xr = x @ r
+        pt = _diag_rows(x, xr)
+        ht = _neg_entropy_rows(pt)
+        pend = (~(ht >= h + _ARMIJO * slope)).nonzero()[0]  # Armijo fails (or NaN)
+        eta, stopped = np.ones(m), np.zeros(m, dtype=bool)
+        while pend.size:
+            eta[pend] /= 2
+            halt = (evals[pend] >= self.max_evals) | (eta[pend] * slope[pend] < _STALL)
+            stopped[pend[halt]] = True
+            pend = pend[~halt]
+            if not pend.size:
                 break
-            eta /= 2
-        else:
-            return best, evals, iters
+            xt = k[pend] * np.exp(-1j * eta[pend, None] * ws[pend])[:, None, :]
+            xrt = xt @ r[pend]
+            ptt = _diag_rows(xt, xrt)
+            htt = _neg_entropy_rows(ptt)
+            evals[pend] += 1
+            ok = htt >= h[pend] + _ARMIJO * eta[pend] * slope[pend]
+            acc = pend[ok]
+            x[acc], xr[acc], pt[acc], ht[acc] = xt[ok], xrt[ok], ptt[ok], htt[ok]
+            pend = pend[~ok]
+        if np.count_nonzero(stopped):
+            for i in stopped.nonzero()[0].tolist():
+                j = int(lanes["ids"][i])
+                starts[j].evals = int(evals[i])
+                self._end(j, starts[j], starts[j].evals)
+            keep = (~stopped).nonzero()[0]
+            if not keep.size:
+                return None
+            lanes = _take(lanes, keep)
+            eta, evals, x, xr, pt, ht = eta[keep], evals[keep], x[keep], xr[keep], pt[keep], ht[keep]
+        lanes["u"] = [
+            (uv * np.exp(1j * eta[:, None, None] * w)[:, :, None, :]) @ v.conj().swapaxes(2, 3)
+            for uv, v, w in zip(lanes.pop("uv"), lanes.pop("v"), lanes.pop("w"))
+        ]
+        lanes.update(
+            sigma=xr @ x.conj().swapaxes(1, 2), p=pt, h=ht, evals=evals,
+            step=eta[:, None] * lanes.pop("d"),
+        )
+        return lanes
+
+    def _iterate(self, lanes) -> dict:
+        """Gradient, curvature pair and next direction."""
+        grad, gn = _gradient(lanes.pop("sigma"), lanes["p"], self.cdims)
+        m = len(gn)
+        g = np.concatenate([x.reshape(m, -1) for x in grad], axis=1).view(float)
+        pairs, gamma, step = lanes["pairs"], lanes["gamma"], lanes.pop("step")
+        dy = lanes["g"] - g
+        sy = (step * dy).sum(-1)
+        add = sy > 1e-12 * (step * step).sum(-1)
+        n_add = np.count_nonzero(add)
+        if n_add:
+            mem = _MEMORY
+            shifted = np.concatenate(
+                [pairs[:, 1:mem], step[:, None], pairs[:, mem + 1:], dy[:, None]], axis=1
+            )
+            if n_add == m:
+                pairs, gamma = shifted, sy / (dy * dy).sum(-1)
+            else:
+                pairs = np.where(add[:, None, None], shifted, pairs)
+                gamma = np.where(add, sy / np.where(add, (dy * dy).sum(-1), 1.0), gamma)
+        d = _lbfgs_direction(g, pairs, gamma)
+        slope = (g * d).sum(-1)  # decrease rate of the objective along d
+        restart = slope <= 0  # not a descent direction: restart from the gradient
+        if np.count_nonzero(restart):
+            d = np.where(restart[:, None], g, d)
+            slope = np.where(restart, gn**2, slope)
+            pairs = np.where(restart[:, None, None], 0.0, pairs)
+            gamma = np.where(restart, 1.0, gamma)
+        lanes.update(g=g, gn=gn, d=d, slope=slope, pairs=pairs, gamma=gamma)
+        return lanes
+
+    def _prepare(self, lanes) -> dict:
+        """Line-search data for each lane's direction D.
+
+        With D_i = V_i diag(w_i) V_i†, sigma(eta) = X R X† for R = A† rho A,
+        A = ⊗ U_i V_i and X = (⊗ V_i) diag(exp(-i eta (w_1 ⊕ ... ⊕ w_m))), so a
+        trial costs one phase product and one matrix product.  eigh reads the
+        lower triangle of each D_i, which is Hermitian up to rounding.
+        """
+        m = len(lanes["h"])
+        dc = lanes["d"].view(complex)
+        uv, v, w, at = [], [], [], 0
+        for (d, c), u in zip(self.runs, lanes.pop("u")):
+            wi, vi = np.linalg.eigh(dc[:, at:at + c * d * d].reshape(m, c, d, d))
+            at += c * d * d
+            uv.append(u @ vi)
+            v.append(vi)
+            w.append(wi)
+        a = kron_all(self._cells(uv))
+        cw = self._cells(w)
+        ws = cw[0]
+        for wc in cw[1:]:
+            ws = (ws[:, :, None] + wc[:, None, :]).reshape(m, -1)
+        lanes.update(
+            uv=uv, v=v, w=w, ws=ws, k=kron_all(self._cells(v)),
+            r=a.conj().swapaxes(1, 2) @ self.mat @ a,
+        )
+        return lanes
 
 
 def closest_classical_state(
@@ -269,14 +531,28 @@ def closest_classical_state(
 ) -> SearchResult:
     """Find the closest classical state for the given partition into cells.
 
-    q = S(rho||chi) is minimized over one unitary per cell, of any dimension.
-    The search spends starts * min(n**2, max_evals) gradient evaluations,
-    n = sum of d_i^2 over the cells: starts run in turn, and one that stops
-    early leaves the rest to the next, so the cost depends on the cells and
-    cfg but never on rho.  Start 0 is the computational basis; start k draws
-    its unitaries from a generator seeded with rng_seed + k.  On the paper's
-    evolved states the most iterations any start needed grew about as n**2
-    (54 at n = 16, 249 at n = 32).
+    q = S(rho||chi) is minimized over one unitary per cell, of any dimension,
+    by Armijo-backtracked L-BFGS descents on the cell unitaries (Huang, Absil
+    & Gallivan, SIAM J. Optim. 28, 470 (2018)); steepest descent crawls where
+    outcomes of a rank-deficient rho vanish.  Start 0 is the computational
+    basis; start k draws its unitaries from a generator seeded with
+    rng_seed + k.  A start stops at |G| < GRAD_TOL, at max_evals evaluations,
+    or when the line search stalls.
+
+    The search has a budget of B = starts * min(n**2, max_evals) iterations
+    (gradients), n = sum of d_i^2 over the cells: start k may use what starts
+    0..k-1 left of it, and the starts that count are those that get any.  The
+    result is that of running these starts one after another, bit for bit,
+    however many of them ran together in lanes.  The work is the budget plus
+    the iterations of starts run ahead and then discarded or cut short, so it
+    depends on the cells and cfg and a little on how long rho's starts run.
+    On the paper's evolved states the most iterations any start needed grew
+    about as n**2 (54 at n = 16, 249 at n = 32).
+
+    A start returns its last iterate with at most mass_cap of probability at
+    or below 2*clip.  Past that point `shannon` drops outcomes that the
+    support test of `relative_entropy` still sees, so S(rho||chi) would be
+    inf; rejecting such steps would stall the descent.
     """
     dims = rho.dims
     cells = tuple(tuple(int(i) for i in cell) for cell in partition)
@@ -287,25 +563,19 @@ def closest_classical_state(
     s_rho = von_neumann_entropy(rho)
     clip = DEFAULT_TOL.clip
     w = np.linalg.eigvalsh(np.asarray(rho.mat))
-    mass_cap = clip * w[w > clip].min()  # see _descend
+    mass_cap = clip * w[w > clip].min()
 
-    budget = cfg.resolved_starts(cdims) * min(sum(d * d for d in cdims) ** 2, cfg.max_evals)
-    best, total_evals, k = None, 0, 0
-    while budget > 0:
-        if k == 0:
-            us = [np.eye(d, dtype=complex) for d in cdims]  # exact for classical inputs
-        else:
-            rng = np.random.default_rng(cfg.rng_seed + k)
-            us = [random_unitary(d, rng) for d in cdims]
-        (p, us, gnorm), evals, used = _descend(
-            mat, us, cdims, budget, cfg.max_evals, mass_cap, clip
-        )
-        budget, total_evals, k = budget - used, total_evals + evals, k + 1
+    share = min(sum(d * d for d in cdims) ** 2, cfg.max_evals)
+    search = _LaneSearch(mat, cdims, cfg.max_evals, mass_cap, clip, cfg.rng_seed)
+    outcomes = search.run(cfg.resolved_starts(cdims) * share, share)
+    best = None
+    for p, us, gnorm, _ in outcomes:
         q = shannon(p, clip) - s_rho
         # a later start must win by more than rounding, so that start 0 keeps
         # an exactly classical input exact
         if best is None or q < best[0] - 1e-12:
-            best = (q, us, gnorm)
+            best = (q, us, float(gnorm))
     q, us, gnorm = best
     basis = LocalBasisSet(cells, us)
-    return SearchResult(dephase(rho, basis), basis, q, total_evals, gnorm)
+    evals = sum(o[3] for o in outcomes)
+    return SearchResult(dephase(rho, basis), basis, q, evals, gnorm, len(outcomes))

@@ -267,7 +267,7 @@ def detect_sudden_change(
     boundary steepness, e.g. a sqrt- or entropy-like onset.  Adjacent flags
     merge to the largest jump.  Requires a uniform p grid with >= 11 points.
     """
-    if measure not in rows[0] and all(measure not in r for r in rows):
+    if not any(measure in r for r in rows):
         raise ValueError(f"measure {measure!r} not present in the data table")
     groups: dict[tuple[str, float], list[dict]] = {}
     for row in rows:

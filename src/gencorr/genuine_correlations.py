@@ -15,8 +15,6 @@ import itertools
 import json
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .classical_search import SearchConfig, closest_classical_state
 from .entropy import von_neumann_entropy
 from .linalg import DensityMatrix, partial_trace
@@ -225,12 +223,9 @@ def genuine_quantum_Qn(
     evals = 0
     starts = 0
     for cut in _pruned_cuts(rho.n, symmetries):
-        cell_dims = [
-            int(np.prod([rho.dims[i] for i in cell])) for cell in cut.cells()
-        ]
         result = closest_classical_state(rho, cut.cells(), cfg)
         evals += result.evals
-        starts += cfg.resolved_starts(cell_dims)
+        starts += result.starts
         if best is None or result.q < best:
             best, witness = result.q, cut
     return CorrelationReport("Q_n", best, witness, evals=evals, starts=starts)
@@ -271,9 +266,8 @@ def multipartite_quantum_Q(
         raise ValueError("multipartite quantum correlation needs at least two subsystems")
     cells = [(i,) for i in range(rho.n)]
     result = closest_classical_state(rho, cells, cfg)
-    starts = cfg.resolved_starts(list(rho.dims))
     return CorrelationReport(
-        "Q", result.q, None, evals=result.evals, starts=starts, chi=result.chi
+        "Q", result.q, None, evals=result.evals, starts=result.starts, chi=result.chi
     )
 
 

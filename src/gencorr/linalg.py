@@ -176,15 +176,23 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(a), np.asarray(b))
 
 
+_ONE = np.ones((1, 1), dtype=complex)
+_ONE.setflags(write=False)
+
+
 def kron_all(mats) -> np.ndarray:
-    """Kronecker product of matrices, the first factor major (as np.kron)."""
-    out = np.ones((1, 1), dtype=complex)
+    """Kronecker product of matrices, the first factor major (as np.kron).
+
+    Factors may be stacks (..., r, c) with broadcastable leading axes; the
+    product is taken matrix by matrix over the last two axes.
+    """
+    out = _ONE
     for m in mats:
         m = np.asarray(m, dtype=complex)
-        out = (out[:, None, :, None] * m[None, :, None, :]).reshape(
-            out.shape[0] * m.shape[0], out.shape[1] * m.shape[1]
-        )
-    return out
+        out = out[..., :, None, :, None] * m[..., None, :, None, :]
+        r1, r2, c1, c2 = out.shape[-4:]
+        out = out.reshape(out.shape[:-4] + (r1 * r2, c1 * c2))
+    return _ONE.copy() if out is _ONE else out
 
 
 def _check_subset(n: int, subset) -> tuple[int, ...]:

@@ -252,16 +252,43 @@ def test_grad_norm_certifies_stationarity_on_full_rank_inputs(dims, cells):
                                          ([(0, 1), (2, 3)], [4, 4])])
 def test_search_spends_the_same_iterations_on_every_input(cells, cdims, monkeypatch):
     # the budget is starts * min(n**2, max_evals) gradient evaluations, n the
-    # real parameter count, whatever the state
+    # real parameter count, whatever the state.  One lane spends exactly the
+    # budget; more lanes also spend the discarded iterations of starts run
+    # ahead, for the same result
     calls = []
-    monkeypatch.setattr(cs, "_gradient", lambda *a: calls.append(1) or _gradient(*a))
+    monkeypatch.setattr(cs, "_gradient", lambda *a: calls.append(len(a[0])) or _gradient(*a))
     cfg = SearchConfig(starts=2, max_evals=300)
     n = sum(d * d for d in cdims)
+    lanes = cs._LANES
     for rho in (evolve_global(0.9, 0.3, "ad"), evolve_global(0.6, 0.7, "pd"),
                 random_density_matrix((2, 2, 2, 2), np.random.default_rng(5))):
+        monkeypatch.setattr(cs, "_LANES", 1)
         calls.clear()
-        closest_classical_state(rho, cells, cfg)
+        one = closest_classical_state(rho, cells, cfg)
         assert len(calls) == 2 * min(n * n, cfg.max_evals)
+        monkeypatch.setattr(cs, "_LANES", lanes)
+        calls.clear()
+        many = closest_classical_state(rho, cells, cfg)
+        assert sum(calls) >= 2 * min(n * n, cfg.max_evals)
+        assert _fields(many) == _fields(one)
+
+
+def _fields(res):
+    """Every field of a SearchResult, exactly (arrays as bytes)."""
+    arrays = [u.tobytes() for u in res.basis.unitaries] + [res.chi.mat.tobytes()]
+    return (res.q, res.evals, res.grad_norm, res.starts, res.basis.cells, arrays)
+
+
+@pytest.mark.parametrize("cells", [[(0,), (1,), (2,), (3,)], [(0, 1), (2, 3)], [(0,), (1, 2, 3)]])
+@pytest.mark.parametrize("cfg", [SearchConfig(starts=1), SearchConfig(starts=2),
+                                 SearchConfig(starts=2, max_evals=30)])
+def test_search_result_does_not_depend_on_the_lane_count(cells, cfg, monkeypatch):
+    # starts run ahead in lanes settle in start order; with max_evals=30 the
+    # budget cuts starts short, at limits known only once earlier starts end
+    rho = evolve_global(0.8, 0.4, "ad")
+    default = closest_classical_state(rho, cells, cfg)
+    monkeypatch.setattr(cs, "_LANES", 1)
+    assert _fields(closest_classical_state(rho, cells, cfg)) == _fields(default)
 
 
 def test_search_config_validation():

@@ -174,6 +174,8 @@ def test_noisy_smooth_series_produce_no_detections():
 
 
 def test_detection_requirements():
+    with pytest.raises(ValueError):
+        detect_sudden_change([], "y")
     rows = synthetic_rows(lambda p: p, n=7)
     with pytest.raises(ValueError):
         detect_sudden_change(rows, "y")

@@ -11,6 +11,7 @@ from gencorr import (
     SearchConfig,
     SubsetSelection,
     all_bipartitions,
+    closest_classical_state,
     degree_of,
     genuine_classical_Ck,
     genuine_classical_Cn,
@@ -231,6 +232,18 @@ def test_Qn_of_w4_is_attained_on_a_single_qubit_cut():
     h2 = -(0.25 * np.log2(0.25) + 0.75 * np.log2(0.75))
     assert rep.value_bits == pytest.approx(h2, abs=1e-6)
     assert 1 in (len(rep.witness.mask), len(rep.witness.complement))
+
+
+def test_reports_count_the_starts_the_searches_ran(rng):
+    # the budget passes what converged starts leave to further starts, so a
+    # report counts more starts than cfg.starts per search
+    rho = random_density_matrix((2, 2, 2), rng)
+    cfg = SearchConfig(starts=2, max_evals=300)
+    per_cut = [closest_classical_state(rho, cut.cells(), cfg).starts for cut in all_bipartitions(3)]
+    assert genuine_quantum_Qn(rho, cfg).starts == sum(per_cut) > 2 * len(per_cut)
+    assert genuine_quantum_Qk(rho, 3, cfg).starts == sum(per_cut)
+    full = closest_classical_state(rho, [(0,), (1,), (2,)], cfg).starts
+    assert multipartite_quantum_Q(rho, cfg).starts == full > 2
 
 
 def test_Qk_ghz_triples_are_classical():

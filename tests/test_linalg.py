@@ -66,6 +66,14 @@ def test_kron_all_equals_chained_np_kron_exactly(seed):
     assert np.array_equal(kron_all(mats), ref)
 
 
+def test_kron_all_of_stacks_is_the_product_of_each_slice(rng):
+    mats = [rng.normal(size=(3, d, d)) + 1j * rng.normal(size=(3, d, d)) for d in (2, 4, 2)]
+    stacked = kron_all(mats)
+    assert stacked.shape == (3, 16, 16)
+    for i in range(3):
+        assert np.array_equal(stacked[i], kron_all([m[i] for m in mats]))
+
+
 # --- partial trace ---
 
 def test_singlet_marginals_maximally_mixed():
