@@ -353,8 +353,10 @@ class _LaneSearch:
         ids, evals = lanes["ids"].tolist(), lanes["evals"].tolist()
         # stops by itself: converged, out of evaluations, or stalled already
         # at the first trial step eta = 1
-        natural = ((lanes["gn"] < GRAD_TOL) | (lanes["evals"] >= self.max_evals)
-                   | (lanes["slope"] < _STALL)).tolist()
+        natural = [
+            gn < GRAD_TOL or e >= self.max_evals or slope < _STALL
+            for gn, e, slope in zip(lanes["gn"].tolist(), evals, lanes["slope"].tolist())
+        ]
         for k, e in zip(ids, evals):
             starts[k].its += 1
             starts[k].evals = e
@@ -429,40 +431,44 @@ class _LaneSearch:
         pt = _diag_rows(x, xr)
         ht = _neg_entropy_rows(pt)
         pend = (~(ht >= h + _ARMIJO * slope)).nonzero()[0]  # Armijo fails (or NaN)
-        eta, stopped = np.ones(m), np.zeros(m, dtype=bool)
-        while pend.size:
-            eta[pend] /= 2
-            halt = (evals[pend] >= self.max_evals) | (eta[pend] * slope[pend] < _STALL)
-            stopped[pend[halt]] = True
-            pend = pend[~halt]
-            if not pend.size:
-                break
-            xt = k[pend] * np.exp(-1j * eta[pend, None] * ws[pend])[:, None, :]
-            xrt = xt @ r[pend]
-            ptt = _diag_rows(xt, xrt)
-            htt = _neg_entropy_rows(ptt)
-            evals[pend] += 1
-            ok = htt >= h[pend] + _ARMIJO * eta[pend] * slope[pend]
-            acc = pend[ok]
-            x[acc], xr[acc], pt[acc], ht[acc] = xt[ok], xrt[ok], ptt[ok], htt[ok]
-            pend = pend[~ok]
-        if np.count_nonzero(stopped):
-            for i in stopped.nonzero()[0].tolist():
-                j = int(lanes["ids"][i])
-                starts[j].evals = int(evals[i])
-                self._end(j, starts[j], starts[j].evals)
-            keep = (~stopped).nonzero()[0]
-            if not keep.size:
-                return None
-            lanes = _take(lanes, keep)
-            eta, evals, x, xr, pt, ht = eta[keep], evals[keep], x[keep], xr[keep], pt[keep], ht[keep]
+        eta = None  # every lane took the full step eta = 1
+        if pend.size:
+            eta, stopped = np.ones(m), np.zeros(m, dtype=bool)
+            while pend.size:
+                eta[pend] /= 2
+                halt = (evals[pend] >= self.max_evals) | (eta[pend] * slope[pend] < _STALL)
+                stopped[pend[halt]] = True
+                pend = pend[~halt]
+                if not pend.size:
+                    break
+                xt = k[pend] * np.exp(-1j * eta[pend, None] * ws[pend])[:, None, :]
+                xrt = xt @ r[pend]
+                ptt = _diag_rows(xt, xrt)
+                htt = _neg_entropy_rows(ptt)
+                evals[pend] += 1
+                ok = htt >= h[pend] + _ARMIJO * eta[pend] * slope[pend]
+                acc = pend[ok]
+                x[acc], xr[acc], pt[acc], ht[acc] = xt[ok], xrt[ok], ptt[ok], htt[ok]
+                pend = pend[~ok]
+            if np.count_nonzero(stopped):
+                for i in stopped.nonzero()[0].tolist():
+                    j = int(lanes["ids"][i])
+                    starts[j].evals = int(evals[i])
+                    self._end(j, starts[j], starts[j].evals)
+                keep = (~stopped).nonzero()[0]
+                if not keep.size:
+                    return None
+                lanes = _take(lanes, keep)
+                eta, evals, x, xr, pt, ht = eta[keep], evals[keep], x[keep], xr[keep], pt[keep], ht[keep]
+        d = lanes.pop("d")
         lanes["u"] = [
-            (uv * np.exp(1j * eta[:, None, None] * w)[:, :, None, :]) @ v.conj().swapaxes(2, 3)
+            (uv * np.exp(1j * w if eta is None else 1j * eta[:, None, None] * w)[:, :, None, :])
+            @ v.conj().swapaxes(2, 3)
             for uv, v, w in zip(lanes.pop("uv"), lanes.pop("v"), lanes.pop("w"))
         ]
         lanes.update(
             sigma=xr @ x.conj().swapaxes(1, 2), p=pt, h=ht, evals=evals,
-            step=eta[:, None] * lanes.pop("d"),
+            step=d if eta is None else eta[:, None] * d,
         )
         return lanes
 
