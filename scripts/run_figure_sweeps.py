@@ -6,11 +6,13 @@ correlation sweeps plus the two fidelity surfaces, then scans every
 genuine-total series for sudden changes.  Output lands in --outdir as one CSV
 (plus manifest) per sweep; plot them with any tool that reads CSV.
 
-The quantum/classical sweeps run one basis search per row and dominate the
-runtime; tune --grid-q / --starts for a faster pass.
+The quantum and classical series come from one sweep per channel, so each
+(c, p) runs its four-qubit basis search once.  The basis searches dominate
+the runtime; tune --grid-q / --starts for a faster pass.
 """
 
 import argparse
+import dataclasses
 import pathlib
 
 from gencorr import SearchConfig, SweepSpec, detect_sudden_change, run_sweep
@@ -22,12 +24,16 @@ CLASSICAL_MEASURES = ("C4", "C3")
 FIDELITY_MEASURES = ("F_W", "F_GHZ")
 
 
-def run_one(name: str, spec: SweepSpec, outdir: pathlib.Path) -> list[dict]:
-    rows = run_sweep(spec)
+def write_one(name: str, spec: SweepSpec, rows: list[dict], outdir: pathlib.Path) -> None:
     csv_path = outdir / f"{name}.csv"
     write_csv(rows, spec.measures, csv_path)
     write_manifest(spec, rows, outdir / f"{name}.manifest.json")
     print(f"{name}: {len(rows)} rows -> {csv_path}")
+
+
+def run_one(name: str, spec: SweepSpec, outdir: pathlib.Path) -> list[dict]:
+    rows = run_sweep(spec)
+    write_one(name, spec, rows, outdir)
     return rows
 
 
@@ -65,18 +71,11 @@ def main() -> None:
         )
         if args.skip_search:
             continue
-        run_one(
-            f"{kind}_quantum",
-            SweepSpec(kind, c_values, args.grid_q, QUANTUM_MEASURES,
-                      search=cfg, workers=args.workers),
-            outdir,
-        )
-        run_one(
-            f"{kind}_classical",
-            SweepSpec(kind, c_values, args.grid_q, CLASSICAL_MEASURES,
-                      search=cfg, workers=args.workers),
-            outdir,
-        )
+        spec = SweepSpec(kind, c_values, args.grid_q, QUANTUM_MEASURES + CLASSICAL_MEASURES,
+                         search=cfg, workers=args.workers)
+        rows = run_sweep(spec)
+        for name, measures in (("quantum", QUANTUM_MEASURES), ("classical", CLASSICAL_MEASURES)):
+            write_one(f"{kind}_{name}", dataclasses.replace(spec, measures=measures), rows, outdir)
 
     print("\nsudden changes in the genuine-total series:")
     for kind in ("ad", "pd"):

@@ -8,7 +8,6 @@ from .linalg import (
     DensityMatrix,
     PureState,
     Tolerances,
-    density,
     eig_hermitian,
     kron_all,
     load_state,

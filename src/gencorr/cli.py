@@ -21,6 +21,7 @@ from .experiments import (
     SweepSpec,
     appendix_deviations,
     detect_sudden_change,
+    evaluate_measures,
     read_csv,
     run_sweep,
     verify_anchors,
@@ -60,20 +61,26 @@ def _parse_config(path: str) -> dict:
     return values
 
 
-def _merge_search(args, config: dict) -> SearchConfig:
+def _settings(args):
+    """pick(flag_value, key, default) in the order flag > GENCORR_SEED (for
+    rng_seed only) > the --config file > default."""
+    config = _parse_config(args.config) if args.config else {}
+
     def pick(flag_val, key, default):
         if flag_val is not None:
             return flag_val
         if key == "rng_seed" and os.environ.get("GENCORR_SEED"):
             return int(os.environ["GENCORR_SEED"])
-        if key in config:
-            return config[key]
-        return default
+        return config.get(key, default)
 
+    return pick
+
+
+def _search_config(args, pick) -> SearchConfig:
     return SearchConfig(
-        starts=pick(getattr(args, "starts", None), "starts", None),
-        max_evals=pick(getattr(args, "max_evals", None), "max_evals", 2000),
-        rng_seed=pick(getattr(args, "seed", None), "rng_seed", 0),
+        starts=pick(args.starts, "starts", None),
+        max_evals=pick(args.max_evals, "max_evals", 2000),
+        rng_seed=pick(args.seed, "rng_seed", 0),
     )
 
 
@@ -86,19 +93,13 @@ def _names(text: str) -> tuple[str, ...]:
 
 
 def _cmd_sweep(args) -> int:
-    config = _parse_config(args.config) if args.config else {}
-
-    def pick(flag_val, key, default):
-        if flag_val is not None:
-            return flag_val
-        return config.get(key, default)
-
+    pick = _settings(args)
     spec = SweepSpec(
         channel=pick(args.channel, "channel", "ad"),
         c_values=_floats(pick(args.c, "c", "0.4,1.0")),
         p_count=pick(args.grid, "grid", None),
         measures=_names(pick(args.measures, "measures", "I4,I3,I3_abEa,I3_aEaEb")),
-        search=_merge_search(args, config),
+        search=_search_config(args, pick),
         output=pick(args.output, "output", "sweep.csv"),
         workers=pick(args.workers, "workers", 1),
         prune=not args.no_prune,
@@ -115,9 +116,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify_anchors(args) -> int:
-    config = _parse_config(args.config) if args.config else {}
-    cfg = _merge_search(args, config)
-    report = verify_anchors(cfg)
+    report = verify_anchors(_search_config(args, _settings(args)))
     failed = 0
     for entry in report:
         status = "PASS" if entry["passed"] else "FAIL"
@@ -141,29 +140,22 @@ def _cmd_verify_appendix(args) -> int:
 
 
 def _cmd_state_info(args) -> int:
-    config = _parse_config(args.config) if args.config else {}
-    cfg = _merge_search(args, config)
+    cfg = _search_config(args, _settings(args))
     state = load_state(args.file)
     rho = state if isinstance(state, DensityMatrix) else state.to_density()
     measures = _names(args.measures) if args.measures else ("I4", "I3")
-    from .experiments import _compute_measures  # shared measure registry
-
-    if rho.dims.dims != (2, 2, 2, 2):
-        raise ValueError(
-            f"state-info measures expect a 4-qubit state, got dims {rho.dims.dims}"
-        )
-    res = _compute_measures(rho, measures, cfg, prune=False)
-    doc = {"dims": list(rho.dims.dims), "measures": res["values"]}
-    if res["flags"]:
-        doc["flags"] = res["flags"]
+    values, flags = evaluate_measures(rho, measures, cfg)
+    doc = {"dims": list(rho.dims.dims), "measures": values}
+    if flags:
+        doc["flags"] = flags
     print(json.dumps(doc, indent=2))
     return 0
 
 
 def _cmd_sudden_change(args) -> int:
-    config = _parse_config(args.config) if args.config else {}
-    kappa = args.kappa if args.kappa is not None else config.get("kappa", 10.0)
-    window = args.window if args.window is not None else config.get("window", 5)
+    pick = _settings(args)
+    kappa = pick(args.kappa, "kappa", 10.0)
+    window = pick(args.window, "window", 5)
     rows = read_csv(args.csv)
     reports = detect_sudden_change(rows, args.measure, kappa=kappa, window=window)
     for rep in reports:

@@ -1,11 +1,12 @@
 """Parameter sweeps over (c, p), reference-value verification, and kink detection.
 
 run_sweep drives the evolved four-party states over a (c, p) grid and
-evaluates the requested correlation and fidelity measures per row.  The
-I3-style measures maximize over subsystem triples; with symmetry pruning
-enabled (the default for these sweeps) only the two inequivalent triples
-{a,E_a,b} and {a,E_a,E_b} are evaluated, since the evolved states are exactly
-invariant under swapping (a,E_a) with (b,E_b).
+evaluates the requested correlation and fidelity measures per row through
+one table of library quantifiers (evaluate_measures).  The 3-party measures
+maximize over subsystem triples; with symmetry pruning enabled (the default
+for these sweeps) only the two inequivalent triples {a,E_a,b} and
+{a,E_a,E_b} are evaluated, since the evolved states are exactly invariant
+under swapping (a,E_a) with (b,E_b).
 
 detect_sudden_change flags interior grid points where the finite-difference
 slope of a series jumps by more than kappa times the local slope noise, the
@@ -15,10 +16,12 @@ signature of a discontinuous change in the evolution rate.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
+from functools import cached_property
 
 import numpy as np
 
@@ -28,8 +31,10 @@ from .classical_search import SearchConfig
 from .entropy import shannon
 from .genuine_correlations import (
     Bipartition,
+    CorrelationReport,
     genuine_total_Ik,
     genuine_total_In,
+    max_over_subsets,
     multipartite_quantum_Q,
 )
 from .linalg import DEFAULT_TOL, DensityMatrix, partial_trace
@@ -40,6 +45,7 @@ __all__ = [
     "SWAP_SYMMETRY",
     "SweepSpec",
     "SuddenChangeReport",
+    "evaluate_measures",
     "run_sweep",
     "write_csv",
     "read_csv",
@@ -49,23 +55,80 @@ __all__ = [
     "appendix_deviations",
 ]
 
-SUPPORTED_MEASURES = (
-    "I4", "I3", "I3_abEa", "I3_aEaEb", "Q4", "Q3", "C4", "C3", "F_W", "F_GHZ",
-)
-
 # exact relabeling symmetry of the evolved states: (a,E_a) <-> (b,E_b)
 SWAP_SYMMETRY = ((2, 3, 0, 1),)
 
-_TRIPLES_ALL = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
-_TRIPLES_PRUNED = ((0, 1, 2), (0, 1, 3))  # {a,E_a,b} and {a,E_a,E_b}
+
+@dataclass
+class _State:
+    """A state, its search settings and symmetries.  The n-party chi search
+    that Q4, C4 and C3 share runs once, on first use."""
+
+    rho: DensityMatrix
+    cfg: SearchConfig
+    symmetries: tuple
+
+    @cached_property
+    def q(self) -> CorrelationReport:
+        return multipartite_quantum_Q(self.rho, self.cfg)
+
+
+# column -> (runs a basis search, its value for a _State).  The lambdas look
+# the library functions up when a row is evaluated, so a patched module
+# binding (a test double, a tracer) sees every call.
+_MEASURES = {
+    "I4": (False, lambda s: genuine_total_Ik(s.rho, 4, s.symmetries).value_bits),
+    "I3": (False, lambda s: genuine_total_Ik(s.rho, 3, s.symmetries).value_bits),
+    "I3_abEa": (False, lambda s: genuine_total_In(partial_trace(s.rho, (0, 1, 2))).value_bits),
+    "I3_aEaEb": (False, lambda s: genuine_total_In(partial_trace(s.rho, (0, 1, 3))).value_bits),
+    # Q4 is the fully multipartite Q (one basis per subsystem), Q3 its max over triples
+    "Q4": (True, lambda s: s.q.value_bits),
+    "Q3": (True, lambda s: max_over_subsets(
+        "Q3", s.rho, 3, lambda red, _: multipartite_quantum_Q(red, s.cfg), s.symmetries
+    ).value_bits),
+    "C4": (True, lambda s: genuine_total_Ik(s.q.chi, 4, s.symmetries).value_bits),
+    "C3": (True, lambda s: genuine_total_Ik(s.q.chi, 3, s.symmetries).value_bits),
+    "F_W": (False, lambda s: fidelity(w4(), s.rho)),
+    "F_GHZ": (False, lambda s: fidelity(upsilon_pd(1.0), s.rho)),
+}
+SUPPORTED_MEASURES = tuple(_MEASURES)
+
+
+def _check_measures(measures) -> None:
+    bad = [m for m in measures if m not in _MEASURES]
+    if bad:
+        raise ValueError(f"unsupported measures {bad}; choose from {SUPPORTED_MEASURES}")
+
+
+def evaluate_measures(
+    rho: DensityMatrix, measures, cfg: SearchConfig = SearchConfig(), symmetries=()
+) -> tuple[dict[str, float], list[str]]:
+    """Values of the named measures of a four-qubit state, and failure flags.
+
+    A measure that raises is NaN with a "name: error" flag, never fatal.
+    symmetries are subsystem relabelings under which rho is invariant.
+    """
+    _check_measures(measures)
+    if rho.dims.dims != (2, 2, 2, 2):
+        raise ValueError(f"the measures expect a 4-qubit state, got dims {rho.dims.dims}")
+    state = _State(rho, cfg, symmetries)
+    values: dict[str, float] = {}
+    flags: list[str] = []
+    for m in measures:
+        try:
+            values[m] = _MEASURES[m][1](state)
+        except Exception as exc:  # noqa: BLE001 - flagged, not fatal
+            values[m] = math.nan
+            flags.append(f"{m}: {exc}")
+    return values, flags
 
 
 @dataclass(frozen=True)
 class SweepSpec:
     """One sweep: a channel, a list of c values, a uniform p grid, measures.
 
-    p_count=None resolves to 41 when any quantum-correlation measure is
-    requested (each row then runs basis searches) and 101 otherwise.
+    p_count=None resolves to 41 when any measure runs a basis search (Q and
+    C columns) and 101 otherwise.
     """
 
     channel: str
@@ -80,12 +143,16 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.channel not in ("ad", "pd"):
             raise ValueError(f"channel must be 'ad' or 'pd', got {self.channel!r}")
-        bad = [m for m in self.measures if m not in SUPPORTED_MEASURES]
-        if bad:
-            raise ValueError(f"unsupported measures {bad}; choose from {SUPPORTED_MEASURES}")
+        _check_measures(self.measures)
+        if not self.measures:
+            raise ValueError("a sweep needs at least one measure")
         if self.p_count is not None and self.p_count < 2:
             raise ValueError("p grid needs at least 2 points")
+        if self.workers < 1:
+            raise ValueError(f"workers must be at least 1, got {self.workers}")
         object.__setattr__(self, "c_values", tuple(float(c) for c in self.c_values))
+        if not self.c_values:
+            raise ValueError("a sweep needs at least one c value")
         bad_c = [c for c in self.c_values if not 0.0 <= c <= 1.0]
         if bad_c:
             raise ValueError(f"c values must lie in [0, 1], got {bad_c}")
@@ -94,73 +161,17 @@ class SweepSpec:
     def resolved_p_count(self) -> int:
         if self.p_count is not None:
             return self.p_count
-        return 41 if any(m.startswith("Q") for m in self.measures) else 101
-
-
-def _max_over_triples(rho: DensityMatrix, value_fn, prune: bool) -> float:
-    triples = _TRIPLES_PRUNED if prune else _TRIPLES_ALL
-    return max(value_fn(partial_trace(rho, t)) for t in triples)
-
-
-def _compute_measures(rho, measures, cfg: SearchConfig, prune: bool) -> dict:
-    syms = SWAP_SYMMETRY if prune else ()
-    out: dict[str, float] = {}
-    flags: list[str] = []
-    chi_rep = None  # one per-subsystem search feeds Q4, C4 and C3
-
-    def chi_search():
-        nonlocal chi_rep
-        if chi_rep is None:
-            chi_rep = multipartite_quantum_Q(rho, cfg)
-        return chi_rep
-
-    for m in measures:
-        try:
-            if m == "I4":
-                out[m] = genuine_total_In(rho, syms).value_bits
-            elif m == "I3":
-                out[m] = _max_over_triples(
-                    rho, lambda r: genuine_total_In(r).value_bits, prune
-                )
-            elif m == "I3_abEa":
-                out[m] = genuine_total_In(partial_trace(rho, (0, 1, 2))).value_bits
-            elif m == "I3_aEaEb":
-                out[m] = genuine_total_In(partial_trace(rho, (0, 1, 3))).value_bits
-            elif m == "Q4":
-                out[m] = chi_search().value_bits
-            elif m == "Q3":
-                out[m] = _max_over_triples(
-                    rho, lambda r: multipartite_quantum_Q(r, cfg).value_bits, prune
-                )
-            elif m == "C4":
-                out[m] = genuine_total_In(chi_search().chi, syms).value_bits
-            elif m == "C3":
-                out[m] = _ck_from_chi(chi_search().chi, prune)
-            elif m == "F_W":
-                out[m] = fidelity(w4(), rho)
-            elif m == "F_GHZ":
-                out[m] = fidelity(upsilon_pd(1.0), rho)
-            else:
-                raise ValueError(f"unsupported measure {m!r}")
-        except Exception as exc:  # noqa: BLE001 - flagged, not fatal
-            out[m] = math.nan
-            flags.append(f"{m}: {exc}")
-    return {"values": out, "flags": flags}
-
-
-def _ck_from_chi(chi: DensityMatrix, prune: bool) -> float:
-    triples = _TRIPLES_PRUNED if prune else _TRIPLES_ALL
-    return max(genuine_total_In(partial_trace(chi, t)).value_bits for t in triples)
+        return 41 if any(_MEASURES[m][0] for m in self.measures) else 101
 
 
 def _row_task(args) -> dict:
     kind, c, p, measures, cfg, prune = args
-    rho = evolve_global(c, p, kind)
-    res = _compute_measures(rho, measures, cfg, prune)
-    row = {"channel": kind, "c": c, "p": p}
-    row.update(res["values"])
-    if res["flags"]:
-        row["_flags"] = res["flags"]
+    values, flags = evaluate_measures(
+        evolve_global(c, p, kind), measures, cfg, SWAP_SYMMETRY if prune else ()
+    )
+    row = {"channel": kind, "c": c, "p": p, **values}
+    if flags:
+        row["_flags"] = flags
     return row
 
 
@@ -207,12 +218,16 @@ def read_csv(path) -> list[dict]:
 
 
 def write_manifest(spec: SweepSpec, rows: list[dict], path) -> None:
-    """Provenance sidecar: sweep spec, seed, tolerances, version, flagged rows."""
-    failures = [
-        {"c": row["c"], "p": row["p"], "flags": row["_flags"]}
-        for row in rows
-        if row.get("_flags")
-    ]
+    """Provenance sidecar: sweep spec, seed, tolerances, version, flagged rows.
+
+    Only the flags of spec.measures are listed, so rows that carry more
+    columns can feed one manifest per column group.
+    """
+    failures = []
+    for row in rows:
+        flags = [f for f in row.get("_flags", ()) if f.split(":", 1)[0] in spec.measures]
+        if flags:
+            failures.append({"c": row["c"], "p": row["p"], "flags": flags})
     doc = {
         "spec": {
             "channel": spec.channel,
@@ -244,14 +259,7 @@ class SuddenChangeReport:
     right_slope: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "measure": self.measure,
-            "channel": self.channel,
-            "c": self.c,
-            "p_star": self.p_star,
-            "left_slope": self.left_slope,
-            "right_slope": self.right_slope,
-        }
+        return asdict(self)
 
 
 def detect_sudden_change(
@@ -422,14 +430,13 @@ def verify_anchors(cfg: SearchConfig = SearchConfig()) -> list[dict]:
         val = genuine_total_In(evolve_global(0.7, 0.0, kind), SWAP_SYMMETRY).value_bits
         res.append(_anchor(f"{kind}_I4_p_zero", 0.0, val, 1e-9, "max"))
 
+    triples = list(itertools.combinations(range(4), 3))
     qmax = max(
-        multipartite_quantum_Q(partial_trace(ghz4, t), cfg).value_bits
-        for t in _TRIPLES_ALL
+        multipartite_quantum_Q(partial_trace(ghz4, t), cfg).value_bits for t in triples
     )
     res.append(_anchor("ghz_marginal_quantumness_zero", 0.0, qmax, 1e-6, "max"))
     qmin = min(
-        multipartite_quantum_Q(partial_trace(wst, t), cfg).value_bits
-        for t in _TRIPLES_ALL
+        multipartite_quantum_Q(partial_trace(wst, t), cfg).value_bits for t in triples
     )
     res.append(_anchor("w_marginal_quantumness_positive", 0.01, qmin, 0.0, "ge"))
     return res

@@ -11,6 +11,7 @@ correlations evaluate I on the closest classical state chi.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -32,6 +33,7 @@ __all__ = [
     "multipartite_quantum_Q",
     "genuine_classical_Cn",
     "genuine_classical_Ck",
+    "max_over_subsets",
     "degree_of",
 ]
 
@@ -128,56 +130,74 @@ class CorrelationReport:
         return json.dumps(self.to_json_dict())
 
 
-def _canonical_cut_key(cut: Bipartition, symmetries) -> tuple[int, ...]:
-    keys = [cut.mask]
-    for perm in symmetries:
-        image = sorted(perm[i] for i in cut.mask)
-        if 0 not in image:
-            image = [i for i in range(cut.n) if i not in image]
-        keys.append(tuple(image))
-    return min(keys)
+def _representatives(n: int, items, parts, symmetries) -> tuple:
+    """The first item of each class that a relabeling in symmetries maps together.
 
-
-def _pruned_cuts(n: int, symmetries) -> list[Bipartition]:
-    cuts = all_bipartitions(n)
-    if not symmetries:
-        return cuts
-    seen: set[tuple[int, ...]] = set()
+    parts(item) gives the item's groups of subsystem indices; two items are
+    equivalent when a relabeling maps the groups of one onto those of the
+    other (a cut is its two cells, a subset its one group).
+    """
+    perms = (tuple(range(n)), *symmetries)
+    seen: set = set()
     kept = []
-    for cut in cuts:
-        key = _canonical_cut_key(cut, symmetries)
+    for item in items:
+        key = min(
+            tuple(sorted(tuple(sorted(perm[i] for i in group)) for group in parts(item)))
+            for perm in perms
+        )
         if key not in seen:
             seen.add(key)
-            kept.append(cut)
-    return kept
+            kept.append(item)
+    return tuple(kept)
 
 
-def _pruned_subsets(n: int, k: int, symmetries) -> list[tuple[int, ...]]:
-    subs = list(itertools.combinations(range(n), k))
-    if not symmetries:
-        return subs
-    seen: set[tuple[int, ...]] = set()
-    kept = []
-    for sub in subs:
-        key = min([sub] + [tuple(sorted(perm[i] for i in sub)) for perm in symmetries])
-        if key not in seen:
-            seen.add(key)
-            kept.append(sub)
-    return kept
+# Cached: the classes depend on the shape and the symmetries only, the
+# sweeps ask for the same few on every row, and the results are immutable.
+@functools.lru_cache(maxsize=64)
+def _cuts(n: int, symmetries: tuple) -> tuple[Bipartition, ...]:
+    return _representatives(n, all_bipartitions(n), Bipartition.cells, symmetries)
+
+
+@functools.lru_cache(maxsize=64)
+def _subsets(n: int, k: int, symmetries: tuple) -> tuple[tuple[int, ...], ...]:
+    return _representatives(
+        n, itertools.combinations(range(n), k), lambda sub: (sub,), symmetries
+    )
+
+
+def max_over_subsets(name: str, rho: DensityMatrix, k: int, quantifier, symmetries=()):
+    """max over k-subsystem reductions of quantifier(reduction, symmetries).
+
+    Subsets that a relabeling in symmetries maps onto each other are evaluated
+    once.  The symmetries are handed on only when k equals rho.n, since a
+    proper reduction need not share them.  The witness is the first maximizing
+    subset; evals and starts add up over the reductions.
+    """
+    _check_k(rho.n, k)
+    inner = symmetries if k == rho.n else ()
+    best = None
+    evals = starts = 0
+    for sub in _subsets(rho.n, k, symmetries):
+        rep = quantifier(partial_trace(rho, sub), inner)
+        evals += rep.evals
+        starts += rep.starts
+        if best is None or rep.value_bits > best:
+            best, witness = rep.value_bits, SubsetSelection(sub)
+    return CorrelationReport(name, best, witness, evals=evals, starts=starts)
 
 
 def genuine_total_In(rho: DensityMatrix, symmetries=()) -> CorrelationReport:
     """min over bipartite cuts of S(rho_c1) + S(rho_c2) - S(rho).
 
-    symmetries, if given, is a set of subsystem relabelings under which rho is
-    invariant; equivalent cuts are then evaluated once.
+    symmetries, if given, is a tuple of subsystem relabelings (tuples) under
+    which rho is invariant; equivalent cuts are then evaluated once.
     """
     if rho.n < 2:
         raise ValueError("genuine total correlation needs at least two subsystems")
     s_full = von_neumann_entropy(rho)
     best = None
     witness = None
-    for cut in _pruned_cuts(rho.n, symmetries):
+    for cut in _cuts(rho.n, symmetries):
         value = (
             von_neumann_entropy(partial_trace(rho, cut.mask))
             + von_neumann_entropy(partial_trace(rho, cut.complement))
@@ -190,17 +210,7 @@ def genuine_total_In(rho: DensityMatrix, symmetries=()) -> CorrelationReport:
 
 def genuine_total_Ik(rho: DensityMatrix, k: int, symmetries=()) -> CorrelationReport:
     """max over k-subsystem reductions of their genuine total correlation."""
-    _check_k(rho.n, k)
-    if k == rho.n:
-        rep = genuine_total_In(rho, symmetries)
-        return CorrelationReport("I_k", rep.value_bits, SubsetSelection(range(rho.n)))
-    best = None
-    witness = None
-    for sub in _pruned_subsets(rho.n, k, symmetries):
-        value = genuine_total_In(partial_trace(rho, sub)).value_bits
-        if best is None or value > best:
-            best, witness = value, SubsetSelection(sub)
-    return CorrelationReport("I_k", best, witness)
+    return max_over_subsets("I_k", rho, k, genuine_total_In, symmetries)
 
 
 def _check_k(n: int, k: int) -> None:
@@ -222,7 +232,7 @@ def genuine_quantum_Qn(
     witness = None
     evals = 0
     starts = 0
-    for cut in _pruned_cuts(rho.n, symmetries):
+    for cut in _cuts(rho.n, symmetries):
         result = closest_classical_state(rho, cut.cells(), cfg)
         evals += result.evals
         starts += result.starts
@@ -235,23 +245,9 @@ def genuine_quantum_Qk(
     rho: DensityMatrix, k: int, cfg: SearchConfig = SearchConfig(), symmetries=()
 ) -> CorrelationReport:
     """max over k-subsystem reductions of their genuine quantum correlation."""
-    _check_k(rho.n, k)
-    if k == rho.n:
-        rep = genuine_quantum_Qn(rho, cfg, symmetries)
-        return CorrelationReport(
-            "Q_k", rep.value_bits, SubsetSelection(range(rho.n)), rep.evals, rep.starts
-        )
-    best = None
-    witness = None
-    evals = 0
-    starts = 0
-    for sub in _pruned_subsets(rho.n, k, symmetries):
-        rep = genuine_quantum_Qn(partial_trace(rho, sub), cfg)
-        evals += rep.evals
-        starts += rep.starts
-        if best is None or rep.value_bits > best:
-            best, witness = rep.value_bits, SubsetSelection(sub)
-    return CorrelationReport("Q_k", best, witness, evals=evals, starts=starts)
+    return max_over_subsets(
+        "Q_k", rho, k, lambda red, syms: genuine_quantum_Qn(red, cfg, syms), symmetries
+    )
 
 
 def multipartite_quantum_Q(
@@ -271,57 +267,54 @@ def multipartite_quantum_Q(
     )
 
 
+def _from_chi(name: str, q_rep: CorrelationReport, rep: CorrelationReport):
+    return CorrelationReport(
+        name, rep.value_bits, rep.witness, evals=q_rep.evals, starts=q_rep.starts,
+        chi=q_rep.chi,
+    )
+
+
 def genuine_classical_Cn(
     rho: DensityMatrix, cfg: SearchConfig = SearchConfig(), symmetries=()
 ) -> CorrelationReport:
     """C_n = I_n of the closest fully-classical state chi."""
     q_rep = multipartite_quantum_Q(rho, cfg)
-    in_rep = genuine_total_In(q_rep.chi, symmetries)
-    return CorrelationReport(
-        "C_n", in_rep.value_bits, in_rep.witness, evals=q_rep.evals,
-        starts=q_rep.starts, chi=q_rep.chi,
-    )
+    return _from_chi("C_n", q_rep, genuine_total_In(q_rep.chi, symmetries))
 
 
 def genuine_classical_Ck(
     rho: DensityMatrix, k: int, cfg: SearchConfig = SearchConfig(), symmetries=()
 ) -> CorrelationReport:
-    """C_k = max over k-subsets of I applied to the reductions of chi.
+    """C_k = I_k of the closest fully-classical state chi.
 
     chi comes from the single n-party search; the reductions are never
     re-optimized.
     """
     _check_k(rho.n, k)
-    if k == rho.n:
-        return genuine_classical_Cn(rho, cfg, symmetries)
     q_rep = multipartite_quantum_Q(rho, cfg)
-    best = None
-    witness = None
-    for sub in _pruned_subsets(rho.n, k, symmetries):
-        value = genuine_total_In(partial_trace(q_rep.chi, sub)).value_bits
-        if best is None or value > best:
-            best, witness = value, SubsetSelection(sub)
-    return CorrelationReport(
-        "C_k", best, witness, evals=q_rep.evals, starts=q_rep.starts, chi=q_rep.chi
-    )
+    return _from_chi("C_k", q_rep, genuine_total_Ik(q_rep.chi, k, symmetries))
 
 
 def degree_of(
     rho: DensityMatrix, kind: str, cfg: SearchConfig = SearchConfig(),
     tau: float = TAU_DEGREE, symmetries=(),
 ) -> int:
-    """Largest k whose genuine k-partite quantifier exceeds tau; 1 if none."""
+    """Largest k whose genuine k-partite quantifier exceeds tau; 1 if none.
+
+    The classical degree is the total degree of chi, so the n-party search
+    runs once.
+    """
     if kind not in ("total", "quantum", "classical"):
         raise ValueError(f"kind must be total|quantum|classical, got {kind!r}")
     if rho.n < 2:
         raise ValueError("degree needs at least two subsystems")
+    if kind == "classical":
+        rho, kind = multipartite_quantum_Q(rho, cfg).chi, "total"
     for k in range(rho.n, 1, -1):
         if kind == "total":
             value = genuine_total_Ik(rho, k, symmetries).value_bits
-        elif kind == "quantum":
-            value = genuine_quantum_Qk(rho, k, cfg, symmetries).value_bits
         else:
-            value = genuine_classical_Ck(rho, k, cfg, symmetries).value_bits
+            value = genuine_quantum_Qk(rho, k, cfg, symmetries).value_bits
         if value > tau:
             return k
     return 1

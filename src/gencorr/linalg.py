@@ -29,7 +29,6 @@ __all__ = [
     "permutation_indices",
     "permute_subsystems",
     "random_unitary",
-    "density",
     "state_to_json",
     "state_from_json",
     "save_state",
@@ -164,11 +163,6 @@ class PureState:
 
     def to_density(self) -> DensityMatrix:
         return DensityMatrix(self.dims, np.outer(self.vec, self.vec.conj()))
-
-
-def density(psi: PureState) -> DensityMatrix:
-    """|psi><psi| as a DensityMatrix."""
-    return psi.to_density()
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import json
 import math
 
@@ -5,9 +7,26 @@ import numpy as np
 import pytest
 
 import gencorr.experiments as experiments
-from gencorr import SearchConfig, SweepSpec, detect_sudden_change, run_sweep
+from gencorr import (
+    SUPPORTED_MEASURES,
+    SWAP_SYMMETRY,
+    SearchConfig,
+    SweepSpec,
+    detect_sudden_change,
+    evolve_global,
+    fidelity,
+    genuine_classical_Ck,
+    genuine_classical_Cn,
+    genuine_total_In,
+    multipartite_quantum_Q,
+    partial_trace,
+    run_sweep,
+    w4,
+)
+from gencorr.channels import upsilon_pd
 from gencorr.experiments import (
     appendix_deviations,
+    evaluate_measures,
     read_csv,
     verify_anchors,
     write_csv,
@@ -27,6 +46,9 @@ def synthetic_rows(fn, n=101, channel="xx", c=0.0, measure="y"):
 def test_sweep_spec_rejects_unknown_measure():
     with pytest.raises(ValueError):
         SweepSpec(channel="ad", measures=("I4", "bogus"))
+    for bad in (dict(measures=()), dict(c_values=()), dict(workers=0), dict(workers=-3)):
+        with pytest.raises(ValueError):
+            SweepSpec(channel="ad", **bad)
 
 
 def test_sweep_spec_rejects_bad_channel():
@@ -43,6 +65,7 @@ def test_sweep_spec_rejects_c_outside_unit_interval(c):
 def test_grid_defaults_depend_on_measures():
     assert SweepSpec(channel="ad", measures=("I4",)).resolved_p_count() == 101
     assert SweepSpec(channel="ad", measures=("I4", "Q4")).resolved_p_count() == 41
+    assert SweepSpec(channel="ad", measures=("C4", "C3")).resolved_p_count() == 41
     assert SweepSpec(channel="ad", measures=("Q4",), p_count=7).resolved_p_count() == 7
 
 
@@ -125,6 +148,44 @@ def test_optimizer_failure_is_flagged_not_fatal(tmp_path, monkeypatch):
     assert len(manifest["failures"]) == 3
     assert manifest["search"]["rng_seed"] == 0
     assert "clip" in manifest["tolerances"]
+
+
+@pytest.mark.parametrize("symmetries", [SWAP_SYMMETRY, ()])
+def test_every_column_is_its_library_quantifier(symmetries, search_cells):
+    """Bit for bit; Q4, C4 and C3 share one four-qubit search, Q3 searches each triple."""
+    rho = evolve_global(0.7, 0.4, "ad")
+    cfg = SearchConfig(starts=1, max_evals=40, rng_seed=0)
+    values, flags = evaluate_measures(rho, SUPPORTED_MEASURES, cfg, symmetries)
+    assert flags == []
+    triples = [(0, 1, 2), (0, 1, 3)] if symmetries else list(itertools.combinations(range(4), 3))
+    assert sorted(search_cells) == [3] * len(triples) + [4]
+    assert values == {
+        "I4": genuine_total_In(rho, symmetries).value_bits,
+        "I3": max(genuine_total_In(partial_trace(rho, t)).value_bits for t in triples),
+        "I3_abEa": genuine_total_In(partial_trace(rho, (0, 1, 2))).value_bits,
+        "I3_aEaEb": genuine_total_In(partial_trace(rho, (0, 1, 3))).value_bits,
+        "Q4": multipartite_quantum_Q(rho, cfg).value_bits,
+        "Q3": max(multipartite_quantum_Q(partial_trace(rho, t), cfg).value_bits
+                  for t in triples),
+        "C4": genuine_classical_Cn(rho, cfg, symmetries).value_bits,
+        "C3": genuine_classical_Ck(rho, 3, cfg, symmetries).value_bits,
+        "F_W": fidelity(w4(), rho),
+        "F_GHZ": fidelity(upsilon_pd(1.0), rho),
+    }
+
+
+def test_manifest_lists_only_the_flags_of_its_measures(tmp_path, monkeypatch):
+    def boom(*args, **kwargs):
+        raise RuntimeError("triple search exploded")
+
+    monkeypatch.setattr(experiments, "max_over_subsets", boom)
+    spec = SweepSpec("ad", (0.5,), 2, ("Q4", "Q3", "C4", "C3"),
+                     search=SearchConfig(starts=1, max_evals=20))
+    rows = run_sweep(spec)
+    path = tmp_path / "m.manifest.json"
+    for measures, flagged in ((("Q4", "Q3"), 2), (("C4", "C3"), 0)):
+        write_manifest(dataclasses.replace(spec, measures=measures), rows, path)
+        assert len(json.loads(path.read_text())["failures"]) == flagged
 
 
 def test_csv_roundtrip(tmp_path):

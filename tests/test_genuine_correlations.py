@@ -359,6 +359,14 @@ def test_degree_of_product_state_is_one(rng):
     assert degree_of(rho, "classical", cfg) == 1
 
 
+def test_classical_degree_runs_the_n_party_search_once(search_cells):
+    rho = evolve_global(0.7, 1.0, "ad")
+    cfg = SearchConfig(starts=1, max_evals=40, rng_seed=0)
+    degree = degree_of(rho, "classical", cfg)
+    assert search_cells == [4]
+    assert degree == degree_of(multipartite_quantum_Q(rho, cfg).chi, "total") == 2
+
+
 def test_degree_of_rejects_unknown_kind(rng):
     with pytest.raises(ValueError):
         degree_of(random_density_matrix((2, 2), rng), "other")
