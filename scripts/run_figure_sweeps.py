@@ -43,7 +43,8 @@ def main() -> None:
     ap.add_argument("--c", default="0.2,0.4,0.6,0.8,1.0")
     ap.add_argument("--grid-i", type=int, default=101, help="p points for total series")
     ap.add_argument("--grid-q", type=int, default=41, help="p points for Q/C series")
-    ap.add_argument("--starts", type=int, default=16, help="basis-search restarts")
+    ap.add_argument("--starts", type=int, default=SearchConfig().starts,
+                    help="basis-search starts, each a share of the iteration budget")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--skip-search", action="store_true",

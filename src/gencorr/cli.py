@@ -30,6 +30,8 @@ from .experiments import (
 )
 from .linalg import DensityMatrix, load_state
 
+_DEFAULT_SEARCH = SearchConfig()  # the built-in defaults of the search flags
+
 _CONFIG_KEYS = {
     "channel": str,
     "c": str,
@@ -78,9 +80,9 @@ def _settings(args):
 
 def _search_config(args, pick) -> SearchConfig:
     return SearchConfig(
-        starts=pick(args.starts, "starts", None),
-        max_evals=pick(args.max_evals, "max_evals", 2000),
-        rng_seed=pick(args.seed, "rng_seed", 0),
+        starts=pick(args.starts, "starts", _DEFAULT_SEARCH.starts),
+        max_evals=pick(args.max_evals, "max_evals", _DEFAULT_SEARCH.max_evals),
+        rng_seed=pick(args.seed, "rng_seed", _DEFAULT_SEARCH.rng_seed),
     )
 
 
@@ -172,8 +174,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_search_flags(p):
-        p.add_argument("--starts", type=int, default=None, help="optimizer restarts")
-        p.add_argument("--max-evals", dest="max_evals", type=int, default=None)
+        p.add_argument("--starts", type=int, default=None,
+                       help=f"basis-search starts, each a share of the iteration "
+                            f"budget (default {_DEFAULT_SEARCH.starts})")
+        p.add_argument("--max-evals", dest="max_evals", type=int, default=None,
+                       help=f"objective evaluations per start "
+                            f"(default {_DEFAULT_SEARCH.max_evals})")
         p.add_argument("--seed", type=int, default=None, help="rng seed (or GENCORR_SEED)")
         p.add_argument("--config", default=None, help="key = value settings file")
 

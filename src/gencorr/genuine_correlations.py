@@ -224,7 +224,9 @@ def genuine_quantum_Qn(
     """min over bipartite cuts of the distance to the cut-classical states.
 
     Each cut dephases in arbitrary orthonormal bases of the two grouped cells,
-    so the cut search space is wider than per-subsystem product bases.
+    so the cut search space is wider than per-subsystem product bases.  evals
+    and starts add up over the cuts searched: starts is the sum of the cut
+    searches' SearchResult.starts, not a per-cut count.
     """
     if rho.n < 2:
         raise ValueError("genuine quantum correlation needs at least two subsystems")

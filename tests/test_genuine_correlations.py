@@ -246,6 +246,24 @@ def test_reports_count_the_starts_the_searches_ran(rng):
     assert multipartite_quantum_Q(rho, cfg).starts == full > 2
 
 
+def test_Qn_starts_is_the_sum_over_its_cut_searches(monkeypatch):
+    import gencorr.genuine_correlations as gc
+
+    results = []
+    search = gc.closest_classical_state
+
+    def recording(rho, cells, cfg):
+        results.append(search(rho, cells, cfg))
+        return results[-1]
+
+    monkeypatch.setattr(gc, "closest_classical_state", recording)
+    rep = genuine_quantum_Qn(evolve_global(0.8, 0.4, "pd"))
+    assert len(results) == 7
+    assert rep.starts == sum(r.starts for r in results)
+    assert rep.evals == sum(r.evals for r in results)
+    assert rep.value_bits == min(r.q for r in results)
+
+
 def test_Qk_ghz_triples_are_classical():
     cfg = SearchConfig(starts=4, max_evals=600, rng_seed=5)
     rep = genuine_quantum_Qk(ghz(4).to_density(), 3, cfg)
