@@ -8,16 +8,14 @@ from .linalg import (
     DensityMatrix,
     PureState,
     Tolerances,
-    eig_hermitian,
     kron_all,
     load_state,
-    matrix_log2_on_support,
     partial_trace,
     permute_subsystems,
+    random_unitary,
     save_state,
     state_from_json,
     state_to_json,
-    tensor,
 )
 from .entropy import (
     INF_RELATIVE_ENTROPY,
@@ -49,7 +47,6 @@ from .genuine_correlations import (
     multipartite_quantum_Q,
 )
 from .channels import (
-    DilationMap,
     KrausChannel,
     amplitude_damping_kraus,
     appendix_golden_state,
@@ -64,11 +61,6 @@ from .states import (
     fidelity,
     ghz,
     ppt_min_eigenvalue,
-    random_classical_state,
-    random_density_matrix,
-    random_pure_state,
-    random_unitary,
-    separable_quantum_mixture,
     w4,
 )
 from .experiments import (

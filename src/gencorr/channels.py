@@ -27,7 +27,6 @@ from .linalg import DensityMatrix, PureState, kron_all, permute_subsystems
 
 __all__ = [
     "KrausChannel",
-    "DilationMap",
     "amplitude_damping_kraus",
     "phase_damping_kraus",
     "dilation",
@@ -94,75 +93,23 @@ def phase_damping_kraus(p: float) -> KrausChannel:
     return KrausChannel((k0, k1), "pd", p)
 
 
-@dataclass(frozen=True)
-class DilationMap:
-    """System-environment unitary extension of a qubit channel.
+def dilation(kind: str, p: float) -> np.ndarray:
+    """4x4 unitary on (system, environment) that dilates the kind's channel.
 
-    Stores the images of |0_s 0_E> and |1_s 0_E>; the remaining two columns
-    are completed deterministically by Gram-Schmidt over the computational
-    basis, which only fixes the action outside the reachable subspace.
+    Basis order |00>, |01>, |10>, |11> over (s, E).  From |0_E>, amplitude
+    damping ("ad") sends |1_s> to sqrt(1-p)|1_s 0_E> + sqrt(p)|0_s 1_E> and
+    phase damping ("pd") sends it to |1_s>(sqrt(1-p)|0_E> + sqrt(p)|1_E>);
+    |0_s 0_E> is fixed, and the |1_E> columns complete the unitary.
     """
-
-    label: str
-    p: float
-    out00: np.ndarray
-    out10: np.ndarray
-
-    def __init__(self, label: str, p: float, out00, out10) -> None:
-        out00 = np.asarray(out00, dtype=complex)
-        out10 = np.asarray(out10, dtype=complex)
-        gram = np.array(
-            [
-                [np.vdot(out00, out00), np.vdot(out00, out10)],
-                [np.vdot(out10, out00), np.vdot(out10, out10)],
-            ]
-        )
-        if np.abs(gram - np.eye(2)).max() > 1e-12:
-            raise ValueError("dilation outputs are not orthonormal")
-        out00.setflags(write=False)
-        out10.setflags(write=False)
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "p", float(p))
-        object.__setattr__(self, "out00", out00)
-        object.__setattr__(self, "out10", out10)
-
-    def unitary(self) -> np.ndarray:
-        """Full 4x4 unitary on (s, E); basis order |00>, |01>, |10>, |11>."""
-        u = np.zeros((4, 4), dtype=complex)
-        u[:, 0] = self.out00
-        u[:, 2] = self.out10
-        cols = [self.out00, self.out10]
-        free = []
-        for e in (1, 3, 0, 2):
-            if len(free) == 2:
-                break
-            v = np.zeros(4, dtype=complex)
-            v[e] = 1.0
-            for c in cols:
-                v = v - c * np.vdot(c, v)
-            nrm = np.linalg.norm(v)
-            if nrm > 1e-9:
-                v = v / nrm
-                cols.append(v)
-                free.append(v)
-        u[:, 1] = free[0]
-        u[:, 3] = free[1]
-        return u
-
-
-def dilation(channel: KrausChannel) -> DilationMap:
-    """Unitary system-environment extension of a supported qubit channel."""
-    if channel.label not in ("ad", "pd") or len(channel.operators) > 2:
-        raise ValueError(f"unsupported channel shape: {channel.label}")
-    p = channel.p
-    out00 = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
-    if channel.label == "ad":
-        # |1_s 0_E> -> sqrt(1-p)|1_s 0_E> + sqrt(p)|0_s 1_E>
-        out10 = np.array([0.0, np.sqrt(p), np.sqrt(1.0 - p), 0.0], dtype=complex)
+    if kind not in ("ad", "pd"):
+        raise ValueError(f"channel kind must be 'ad' or 'pd', got {kind!r}")
+    p = _check_p(p)
+    a, b = np.sqrt(1.0 - p), np.sqrt(p)
+    if kind == "ad":
+        cols = [(1, 0, 0, 0), (0, a, -b, 0), (0, b, a, 0), (0, 0, 0, 1)]
     else:
-        # |1_s 0_E> -> |1_s> (sqrt(1-p)|0_E> + sqrt(p)|1_E>)
-        out10 = np.array([0.0, 0.0, np.sqrt(1.0 - p), np.sqrt(p)], dtype=complex)
-    return DilationMap(channel.label, p, out00, out10)
+        cols = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, a, b), (0, 0, -b, a)]
+    return np.array(cols, dtype=complex).T
 
 
 def psi_minus() -> PureState:
@@ -183,14 +130,6 @@ def werner_state(c: float) -> DensityMatrix:
     return DensityMatrix((2, 2), mat)
 
 
-def _make_channel(kind: str, p: float) -> KrausChannel:
-    if kind == "ad":
-        return amplitude_damping_kraus(p)
-    if kind == "pd":
-        return phase_damping_kraus(p)
-    raise ValueError(f"channel kind must be 'ad' or 'pd', got {kind!r}")
-
-
 def evolve_global(c: float, p: float, kind: str) -> DensityMatrix:
     """Four-party state after both qubits interact with their environments.
 
@@ -203,7 +142,7 @@ def evolve_global(c: float, p: float, kind: str) -> DensityMatrix:
     vac[0, 0] = 1.0
     rho0 = kron_all([rho_ab, vac, vac])  # ordering (a, b, E_a, E_b)
     rho0 = permute_subsystems(rho0, (2, 2, 2, 2), (0, 2, 1, 3))
-    u_local = dilation(_make_channel(kind, p)).unitary()
+    u_local = dilation(kind, p)
     u = np.kron(u_local, u_local)
     return DensityMatrix(GLOBAL_DIMS, u @ rho0 @ u.conj().T)
 

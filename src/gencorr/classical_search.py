@@ -16,6 +16,7 @@ closest_classical_state).
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -69,6 +70,10 @@ class SearchConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("starts", "max_evals", "rng_seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.starts < 1:
             raise ValueError("starts must be >= 1")
         if self.max_evals < 1:
@@ -282,9 +287,9 @@ class _LaneSearch:
     up to its limit, instead of every start keeping its past iterates.
     """
 
-    def __init__(self, mat, cdims, max_evals, mass_cap, clip, rng_seed):
+    def __init__(self, mat, cdims, max_evals, mass_cap, rng_seed):
         self.mat, self.cdims, self.max_evals = mat, cdims, max_evals
-        self.mass_cap, self.clip, self.rng_seed = mass_cap, clip, rng_seed
+        self.mass_cap, self.rng_seed = mass_cap, rng_seed
         # (d, count) per run of equal consecutive cell dimensions
         self.runs = [(d, len(list(run))) for d, run in itertools.groupby(cdims)]
         self.nvec = 2 * sum(d * d for d in cdims)  # real length of the generator vector
@@ -361,9 +366,9 @@ class _LaneSearch:
         for k, st in starts.items():
             limit[k], taken = left - taken, taken + st.its
         # the best iterate is the last whose probability mass at or below
-        # 2*clip is at most mass_cap (see closest_classical_state)
+        # 2*DEFAULT_TOL.clip is at most mass_cap (see closest_classical_state)
         p = lanes.pop("p")
-        ok = ((p * (p <= 2 * self.clip)).sum(-1) <= self.mass_cap).tolist()
+        ok = ((p * (p <= 2 * DEFAULT_TOL.clip)).sum(-1) <= self.mass_cap).tolist()
         snap = (p, lanes["u"], lanes.pop("gn"))
         keep = []
         for i, (k, stop) in enumerate(zip(ids, natural)):
@@ -556,8 +561,9 @@ def closest_classical_state(
     values of the default figure pass equal, bit for bit, those of 16 starts
     of min(n**2, max_evals) iterations each.
 
-    A start returns its last iterate with at most mass_cap of probability at
-    or below 2*clip.  Past that point `shannon` drops outcomes that the
+    A start returns its last iterate with at most mass_cap = clip * (rho's
+    least eigenvalue above clip) of probability at or below 2*clip, clip =
+    DEFAULT_TOL.clip.  Past that point `shannon` drops outcomes that the
     support test of `relative_entropy` still sees, so S(rho||chi) would be
     inf; rejecting such steps would stall the descent.
     """
@@ -573,11 +579,11 @@ def closest_classical_state(
     mass_cap = clip * w[w > clip].min()
 
     share = min(_SHARE * sum(d * d for d in cdims), cfg.max_evals)
-    search = _LaneSearch(mat, cdims, cfg.max_evals, mass_cap, clip, cfg.rng_seed)
+    search = _LaneSearch(mat, cdims, cfg.max_evals, mass_cap, cfg.rng_seed)
     outcomes = search.run(cfg.starts * share, share)
     best = None
     for p, us, gnorm, _ in outcomes:
-        q = shannon(p, clip) - s_rho
+        q = shannon(p) - s_rho
         # a later start must win by more than rounding, so that start 0 keeps
         # an exactly classical input exact
         if best is None or q < best[0] - 1e-12:

@@ -104,7 +104,6 @@ def _cmd_sweep(args) -> int:
         search=_search_config(args, pick),
         output=pick(args.output, "output", "sweep.csv"),
         workers=pick(args.workers, "workers", 1),
-        prune=not args.no_prune,
     )
     rows = run_sweep(spec)
     write_csv(rows, spec.measures, spec.output)
@@ -191,8 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"comma-separated from {','.join(SUPPORTED_MEASURES)}")
     p.add_argument("--output", default=None)
     p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--no-prune", action="store_true",
-                   help="evaluate all cuts/triples instead of symmetry classes")
     add_search_flags(p)
     p.set_defaults(func=_cmd_sweep)
 

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, DensityMatrix, Tolerances, eig_hermitian, partial_trace
+from .linalg import DEFAULT_TOL, DensityMatrix, hermitize, partial_trace
 
 __all__ = [
     "INF_RELATIVE_ENTROPY",
@@ -24,31 +24,27 @@ __all__ = [
 INF_RELATIVE_ENTROPY = math.inf
 
 
-def shannon(probs: np.ndarray, clip: float = DEFAULT_TOL.clip) -> float:
-    """Shannon entropy in bits of a probability vector; entries <= clip are skipped."""
-    p = np.asarray(probs, dtype=float)
-    p = p[p > clip]
-    if p.size == 0:
-        return 0.0
-    return float(-np.sum(p * np.log2(p)))
+def shannon(probs: np.ndarray) -> float:
+    """Shannon entropy in bits of a probability vector.
+
+    Entries at or below DEFAULT_TOL.clip are skipped.
+    """
+    return _entropy_bits(np.asarray(probs, dtype=float))
 
 
-def _entropy_from_eigs(w: np.ndarray, clip: float) -> float:
-    w = w[w > clip]
+def _entropy_bits(w: np.ndarray) -> float:
+    w = w[w > DEFAULT_TOL.clip]
     if w.size == 0:
         return 0.0
     return float(-np.sum(w * np.log2(w)))
 
 
-def von_neumann_entropy(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOL) -> float:
+def von_neumann_entropy(rho: DensityMatrix) -> float:
     """-tr(rho log2 rho); between 0 and log2(dim)."""
-    w = np.linalg.eigvalsh(np.asarray(rho.mat))
-    return _entropy_from_eigs(w, tol.clip)
+    return _entropy_bits(np.linalg.eigvalsh(np.asarray(rho.mat)))
 
 
-def relative_entropy(
-    rho: DensityMatrix, sigma: DensityMatrix, tol: Tolerances = DEFAULT_TOL
-) -> float:
+def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """S(rho||sigma) = tr(rho(log2 rho - log2 sigma)) in bits.
 
     Returns the +inf sentinel when the support of rho is not contained in the
@@ -56,14 +52,15 @@ def relative_entropy(
     """
     if rho.dims.dims != sigma.dims.dims:
         raise ValueError(f"dimension mismatch: {rho.dims.dims} vs {sigma.dims.dims}")
-    wr, vr = eig_hermitian(np.asarray(rho.mat))
-    ws, vs = eig_hermitian(np.asarray(sigma.mat))
-    r_support = wr > tol.clip
-    s_null = ws <= tol.clip
+    wr, vr = np.linalg.eigh(hermitize(np.asarray(rho.mat)))
+    ws, vs = np.linalg.eigh(hermitize(np.asarray(sigma.mat)))
+    clip = DEFAULT_TOL.clip
+    r_support = wr > clip
+    s_null = ws <= clip
     if np.any(s_null) and np.any(r_support):
         # squared overlaps of rho's support eigenvectors with sigma's null space
         overlap = np.abs(vs[:, s_null].conj().T @ vr[:, r_support]) ** 2
-        if overlap.size and overlap.sum(axis=0).max() > tol.clip:
+        if overlap.size and overlap.sum(axis=0).max() > clip:
             return INF_RELATIVE_ENTROPY
     tr_rho_log_rho = float(np.sum(wr[r_support] * np.log2(wr[r_support]))) if np.any(r_support) else 0.0
     # tr(rho log2 sigma) via sigma's support eigenbasis
@@ -74,7 +71,7 @@ def relative_entropy(
     return tr_rho_log_rho - tr_rho_log_sigma
 
 
-def total_correlation(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOL) -> float:
+def total_correlation(rho: DensityMatrix) -> float:
     """Distance to the closest fully-product state: sum_i S(rho_i) - S(rho).
 
     The closest product state across the trivial partition is the product of
@@ -83,5 +80,5 @@ def total_correlation(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOL) -> floa
     """
     if rho.n < 2:
         raise ValueError("total correlation needs at least two subsystems")
-    s_marg = sum(von_neumann_entropy(partial_trace(rho, [i]), tol) for i in range(rho.n))
-    return s_marg - von_neumann_entropy(rho, tol)
+    s_marg = sum(von_neumann_entropy(partial_trace(rho, [i])) for i in range(rho.n))
+    return s_marg - von_neumann_entropy(rho)

@@ -2,11 +2,10 @@
 
 run_sweep drives the evolved four-party states over a (c, p) grid and
 evaluates the requested correlation and fidelity measures per row through
-one table of library quantifiers (evaluate_measures).  The 3-party measures
-maximize over subsystem triples; with symmetry pruning enabled (the default
-for these sweeps) only the two inequivalent triples {a,E_a,b} and
-{a,E_a,E_b} are evaluated, since the evolved states are exactly invariant
-under swapping (a,E_a) with (b,E_b).
+one table of library quantifiers (evaluate_measures).  The evolved states are
+exactly invariant under swapping (a,E_a) with (b,E_b), so a sweep evaluates
+one cut or triple per swap class: of the four triples of the 3-party
+measures, only {a,E_a,b} and {a,E_a,E_b}.
 
 detect_sudden_change flags interior grid points where the finite-difference
 slope of a series jumps by more than kappa times the local slope noise, the
@@ -19,6 +18,7 @@ import csv
 import itertools
 import json
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 from functools import cached_property
@@ -138,7 +138,6 @@ class SweepSpec:
     search: SearchConfig = field(default_factory=SearchConfig)
     output: str | None = None
     workers: int = 1
-    prune: bool = True
 
     def __post_init__(self) -> None:
         if self.channel not in ("ad", "pd"):
@@ -146,6 +145,10 @@ class SweepSpec:
         _check_measures(self.measures)
         if not self.measures:
             raise ValueError("a sweep needs at least one measure")
+        for name in ("p_count", "workers"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.p_count is not None and self.p_count < 2:
             raise ValueError("p grid needs at least 2 points")
         if self.workers < 1:
@@ -165,10 +168,8 @@ class SweepSpec:
 
 
 def _row_task(args) -> dict:
-    kind, c, p, measures, cfg, prune = args
-    values, flags = evaluate_measures(
-        evolve_global(c, p, kind), measures, cfg, SWAP_SYMMETRY if prune else ()
-    )
+    kind, c, p, measures, cfg = args
+    values, flags = evaluate_measures(evolve_global(c, p, kind), measures, cfg, SWAP_SYMMETRY)
     row = {"channel": kind, "c": c, "p": p, **values}
     if flags:
         row["_flags"] = flags
@@ -183,7 +184,7 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     """
     ps = np.linspace(0.0, 1.0, spec.resolved_p_count())
     tasks = [
-        (spec.channel, c, float(p), spec.measures, spec.search, spec.prune)
+        (spec.channel, c, float(p), spec.measures, spec.search)
         for c in spec.c_values
         for p in ps
     ]
@@ -234,7 +235,6 @@ def write_manifest(spec: SweepSpec, rows: list[dict], path) -> None:
             "c_values": list(spec.c_values),
             "p_count": spec.resolved_p_count(),
             "measures": list(spec.measures),
-            "prune": spec.prune,
             "output": spec.output,
         },
         "search": asdict(spec.search),

@@ -1,10 +1,10 @@
 """Dense complex linear algebra on small composite Hilbert spaces.
 
 Carries the two state types (DensityMatrix, PureState) used throughout, plus
-tensor products, partial traces, Hermitian eigendecompositions and matrix
-functions on the support.  Basis convention: the computational-basis index is
-the big-endian mixed-radix number over the subsystem dimensions (subsystem 0
-most significant), which is exactly numpy's Kronecker-product ordering.
+Kronecker products, partial traces and subsystem permutations.  Basis
+convention: the computational-basis index is the big-endian mixed-radix number
+over the subsystem dimensions (subsystem 0 most significant), which is exactly
+numpy's Kronecker-product ordering.
 """
 
 from __future__ import annotations
@@ -20,11 +20,8 @@ __all__ = [
     "CompositeDims",
     "DensityMatrix",
     "PureState",
-    "tensor",
     "kron_all",
     "partial_trace",
-    "eig_hermitian",
-    "matrix_log2_on_support",
     "hermitize",
     "permutation_indices",
     "permute_subsystems",
@@ -105,7 +102,7 @@ class DensityMatrix:
     dims: CompositeDims
     mat: np.ndarray
 
-    def __init__(self, dims, mat, tol: Tolerances = DEFAULT_TOL) -> None:
+    def __init__(self, dims, mat) -> None:
         dims = _as_dims(dims)
         mat = np.asarray(mat, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -115,14 +112,14 @@ class DensityMatrix:
                 f"matrix side {mat.shape[0]} does not match dims {dims.dims}"
             )
         herm_dev = np.abs(mat - mat.conj().T).max()
-        if herm_dev > tol.herm:
+        if herm_dev > DEFAULT_TOL.herm:
             raise ValueError(f"not Hermitian: max|M - M†| = {herm_dev:.3e}")
         tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > tol.trace:
+        if abs(tr - 1.0) > DEFAULT_TOL.trace:
             raise ValueError(f"trace must be 1, got {tr}")
         lo = float(np.linalg.eigvalsh(hermitize(mat)).min())
-        if lo < -tol.psd:
-            raise ValueError(f"negative eigenvalue {lo:.3e} below -{tol.psd:.0e}")
+        if lo < -DEFAULT_TOL.psd:
+            raise ValueError(f"negative eigenvalue {lo:.3e} below -{DEFAULT_TOL.psd:.0e}")
         mat = mat.copy()
         mat.setflags(write=False)
         object.__setattr__(self, "dims", dims)
@@ -144,13 +141,13 @@ class PureState:
     dims: CompositeDims
     vec: np.ndarray
 
-    def __init__(self, dims, vec, tol: Tolerances = DEFAULT_TOL) -> None:
+    def __init__(self, dims, vec) -> None:
         dims = _as_dims(dims)
         vec = np.asarray(vec, dtype=complex).reshape(-1)
         if vec.shape[0] != dims.total:
             raise ValueError(f"vector length {vec.shape[0]} does not match dims {dims.dims}")
         nrm = float(np.linalg.norm(vec))
-        if abs(nrm - 1.0) > tol.norm:
+        if abs(nrm - 1.0) > DEFAULT_TOL.norm:
             raise ValueError(f"norm must be 1, got {nrm}")
         vec = vec.copy()
         vec.setflags(write=False)
@@ -163,11 +160,6 @@ class PureState:
 
     def to_density(self) -> DensityMatrix:
         return DensityMatrix(self.dims, np.outer(self.vec, self.vec.conj()))
-
-
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with a's indices major."""
-    return np.kron(np.asarray(a), np.asarray(b))
 
 
 _ONE = np.ones((1, 1), dtype=complex)
@@ -222,33 +214,6 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     return DensityMatrix(rho.dims.subset(keep), hermitize(red))
 
 
-def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
-
-    Symmetrizes the input first; columns of the returned matrix are the
-    orthonormal eigenvectors.
-    """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    w, v = np.linalg.eigh(hermitize(m))
-    return w, v
-
-
-def matrix_log2_on_support(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """log2 of a PSD Hermitian matrix, restricted to its support.
-
-    Eigenvalues below tol.clip are excluded (treated as outside the support);
-    a genuinely negative eigenvalue raises.
-    """
-    w, v = eig_hermitian(m)
-    if w.min() < -tol.psd:
-        raise ValueError(f"matrix is not PSD: min eigenvalue {w.min():.3e}")
-    mask = w > tol.clip
-    vs = v[:, mask]
-    return (vs * np.log2(w[mask])) @ vs.conj().T
-
-
 def permutation_indices(dims, perm) -> np.ndarray:
     """Basis-index map realizing a subsystem reordering.
 
@@ -293,11 +258,20 @@ def state_to_json(state: DensityMatrix | PureState) -> str:
 
 
 def state_from_json(text: str) -> DensityMatrix | PureState:
+    """Parse the state_to_json schema: a 2-D array is a density matrix, a
+    1-D array a state vector.  Malformed input raises ValueError."""
     obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise ValueError("a state must be a JSON object with keys dims, re, im")
+    missing = [k for k in ("dims", "re", "im") if k not in obj]
+    if missing:
+        raise ValueError(f"state JSON lacks the key(s) {missing}")
     dims = tuple(obj["dims"])
     arr = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
     if arr.ndim == 2:
         return DensityMatrix(dims, arr)
+    if arr.ndim != 1:
+        raise ValueError(f"state arrays must be 1-D (vector) or 2-D (matrix), got {arr.ndim}-D")
     return PureState(dims, arr)
 
 

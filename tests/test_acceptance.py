@@ -25,8 +25,8 @@ from gencorr import (
     multipartite_quantum_Q,
     partial_trace,
     relative_entropy,
+    random_unitary,
     run_sweep,
-    tensor,
 )
 from gencorr.channels import (
     amplitude_damping_kraus,
@@ -42,10 +42,9 @@ from gencorr.states import (
     fidelity,
     ghz,
     ppt_min_eigenvalue,
-    random_density_matrix,
-    random_unitary,
     w4,
 )
+from random_states import random_density_matrix
 
 TRIPLES = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
 
@@ -370,9 +369,9 @@ def test_criterion_10_structural_invariant_suite():
     for i in range(100):
         maker = amplitude_damping_kraus if i % 2 else phase_damping_kraus
         ch = maker(rng.uniform())
-        u = dilation(ch).unitary()
+        u = dilation(ch.label, ch.p)
         rho = np.asarray(random_density_matrix((2,), rng).mat)
-        big = u @ tensor(rho, env) @ u.conj().T
+        big = u @ np.kron(rho, env) @ u.conj().T
         red = np.einsum("abcb->ac", big.reshape(2, 2, 2, 2))
         dev = np.abs(red - ch.apply(rho)).max()
         if dev > 1e-12:
@@ -398,7 +397,7 @@ def test_criterion_10_structural_invariant_suite():
     for _ in range(50):
         rho = random_density_matrix((2, 2), rng)
         sigma = random_density_matrix((2,), rng)
-        joint = DensityMatrix((2, 2, 2), tensor(rho.mat, sigma.mat))
+        joint = DensityMatrix((2, 2, 2), np.kron(rho.mat, sigma.mat))
         rep = genuine_total_In(joint)
         if abs(rep.value_bits) > 1e-9 or rep.witness.mask != (0, 1):
             failures.append(

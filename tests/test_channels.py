@@ -5,7 +5,6 @@ from gencorr import (
     DensityMatrix,
     partial_trace,
     permute_subsystems,
-    tensor,
     von_neumann_entropy,
 )
 from gencorr.channels import (
@@ -23,7 +22,8 @@ from gencorr.channels import (
     upsilon_pd,
     werner_state,
 )
-from gencorr.states import random_density_matrix, w4
+from gencorr.states import w4
+from random_states import random_density_matrix
 
 KET1 = np.diag([0.0, 1.0]).astype(complex)
 PLUS = np.full((2, 2), 0.5, dtype=complex)
@@ -85,19 +85,19 @@ def test_damping_parameter_range():
 def test_dilation_reproduces_operator_sum(maker, rng):
     for p in (0.0, 0.3, 0.7, 1.0):
         ch = maker(p)
-        u = dilation(ch).unitary()
+        u = dilation(ch.label, ch.p)
         assert np.abs(u.conj().T @ u - np.eye(4)).max() <= 1e-12
         for _ in range(5):
             rho = random_density_matrix((2,), rng).mat
             env = np.zeros((2, 2), dtype=complex)
             env[0, 0] = 1.0
-            big = u @ tensor(rho, env) @ u.conj().T
+            big = u @ np.kron(rho, env) @ u.conj().T
             red = np.einsum("abcb->ac", big.reshape(2, 2, 2, 2))
             assert np.abs(red - ch.apply(rho)).max() <= 1e-12
 
 
 def test_phase_dilation_full_excitation():
-    u = dilation(phase_damping_kraus(1.0)).unitary()
+    u = dilation("pd", 1.0)
     ket10 = np.array([0, 0, 1, 0], dtype=complex)
     out = u @ ket10
     expected = np.array([0, 0, 0, 1], dtype=complex)
@@ -105,10 +105,10 @@ def test_phase_dilation_full_excitation():
 
 
 def test_dilation_rejects_unsupported_channel():
-    ch = amplitude_damping_kraus(0.5)
-    fake = KrausChannel(ch.operators, "xx", 0.5)
     with pytest.raises(ValueError):
-        dilation(fake)
+        dilation("xx", 0.5)
+    with pytest.raises(ValueError):
+        dilation("ad", 1.5)
 
 
 # --- Werner state ---
@@ -138,7 +138,7 @@ def test_evolution_is_identity_at_p_zero():
         rho = evolve_global(0.37, 0.0, kind)
         env = np.zeros((2, 2), dtype=complex)
         env[0, 0] = 1.0
-        expected = tensor(tensor(np.asarray(werner_state(0.37).mat), env), env)
+        expected = np.kron(np.kron(np.asarray(werner_state(0.37).mat), env), env)
         expected = permute_subsystems(expected, (2, 2, 2, 2), (0, 2, 1, 3))
         assert np.abs(np.asarray(rho.mat) - expected).max() <= 1e-15
 
@@ -173,7 +173,7 @@ def test_environment_trace_gives_local_operator_sum(kind):
         ch = maker(p)
         rho_w = np.asarray(werner_state(c).mat)
         expected = sum(
-            tensor(ki, kj) @ rho_w @ tensor(ki, kj).conj().T
+            np.kron(ki, kj) @ rho_w @ np.kron(ki, kj).conj().T
             for ki in ch.operators
             for kj in ch.operators
         )

@@ -12,14 +12,13 @@ from gencorr import (
     quantumness_in_basis,
     random_unitary,
     relative_entropy,
-    tensor,
     von_neumann_entropy,
 )
 from gencorr.channels import evolve_global, psi_minus, werner_state
 import gencorr.classical_search as cs
 from gencorr.classical_search import GRAD_TOL, _gradient
 from gencorr.entropy import shannon
-from gencorr.states import random_classical_state, random_density_matrix
+from random_states import random_classical_state, random_density_matrix
 
 I2 = np.eye(2, dtype=complex)
 PLUS = DensityMatrix((2,), np.full((2, 2), 0.5, dtype=complex))
@@ -122,7 +121,7 @@ def test_quantumness_matches_relative_entropy_and_is_nonnegative(seed):
 def test_closest_classical_of_commuting_product_is_exact(rng):
     a = random_classical_state((2,), rng)
     b = random_classical_state((2,), rng)
-    rho = DensityMatrix((2, 2), tensor(a.mat, b.mat))
+    rho = DensityMatrix((2, 2), np.kron(a.mat, b.mat))
     res = closest_classical_state(rho, [(0,), (1,)], SearchConfig(starts=2))
     assert res.q <= 1e-9
     assert np.allclose(res.chi.mat, rho.mat, atol=1e-9)
@@ -334,5 +333,8 @@ def test_search_config_validation():
         SearchConfig(starts=0)
     with pytest.raises(ValueError):
         SearchConfig(max_evals=0)
+    for bad in (dict(starts=1.5), dict(max_evals=2.5), dict(rng_seed=0.5)):
+        with pytest.raises(ValueError):
+            SearchConfig(**bad)
     assert SearchConfig().starts == 4
     assert SearchConfig(starts=5).starts == 5

@@ -67,6 +67,15 @@ def test_state_info_rejects_wrong_dims(tmp_path, capsys):
     assert main(["state-info", str(path)]) == 2
     assert "4-qubit" in capsys.readouterr().err
 
+    path.write_text(json.dumps({"re": [1.0, 0.0], "im": [0.0, 0.0]}))  # no "dims"
+    assert main(["state-info", str(path)]) == 2
+    assert "'dims'" in capsys.readouterr().err
+
+    cube = np.zeros((2, 2, 2)).tolist()
+    path.write_text(json.dumps({"dims": [2], "re": cube, "im": cube}))
+    assert main(["state-info", str(path)]) == 2
+    assert "3-D" in capsys.readouterr().err
+
 
 def test_config_file_and_env_seed_precedence(tmp_path, monkeypatch):
     cfgfile = tmp_path / "gencorr.cfg"

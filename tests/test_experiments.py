@@ -46,7 +46,8 @@ def synthetic_rows(fn, n=101, channel="xx", c=0.0, measure="y"):
 def test_sweep_spec_rejects_unknown_measure():
     with pytest.raises(ValueError):
         SweepSpec(channel="ad", measures=("I4", "bogus"))
-    for bad in (dict(measures=()), dict(c_values=()), dict(workers=0), dict(workers=-3)):
+    for bad in (dict(measures=()), dict(c_values=()), dict(workers=0), dict(workers=-3),
+                dict(p_count=2.5), dict(workers=1.5)):
         with pytest.raises(ValueError):
             SweepSpec(channel="ad", **bad)
 
@@ -113,12 +114,20 @@ def test_phase_total_correlation_climbs_to_its_asymptotic_maximum():
 
 
 def test_symmetry_pruning_changes_nothing_for_these_states():
-    kwargs = dict(channel="pd", c_values=(0.6,), p_count=7, measures=("I4", "I3"))
-    pruned = run_sweep(SweepSpec(prune=True, **kwargs))
-    full = run_sweep(SweepSpec(prune=False, **kwargs))
-    for a, b in zip(pruned, full):
-        assert a["I4"] == pytest.approx(b["I4"], abs=1e-12)
-        assert a["I3"] == pytest.approx(b["I3"], abs=1e-12)
+    """Sweeps evaluate one cut or triple per swap class; every class member agrees.
+
+    C4 and C3 apply rho's swap symmetry to the cuts of chi, so this also
+    checks that the searched chi keeps the symmetry.
+    """
+    cases = [(evolve_global(0.6, p, "pd"), ("I4", "I3")) for p in np.linspace(0.0, 1.0, 7)]
+    cases += [(evolve_global(c, p, kind), ("Q3", "C4", "C3"))
+              for kind, c, p in (("ad", 0.7, 0.4), ("pd", 1.0, 0.5), ("ad", 0.4, 0.8))]
+    cfg = SearchConfig(starts=1, max_evals=40, rng_seed=0)
+    for rho, measures in cases:
+        pruned, _ = evaluate_measures(rho, measures, cfg, SWAP_SYMMETRY)
+        full, _ = evaluate_measures(rho, measures, cfg, ())
+        for m in measures:
+            assert pruned[m] == pytest.approx(full[m], abs=1e-12)
 
 
 def test_parallel_workers_preserve_row_order():

@@ -22,19 +22,13 @@ from gencorr import (
     multipartite_quantum_Q,
     partial_trace,
     permute_subsystems,
+    random_unitary,
     relative_entropy,
-    tensor,
     total_correlation,
 )
 from gencorr.channels import evolve_global, psi_minus
-from gencorr.states import (
-    ghz,
-    random_classical_state,
-    random_density_matrix,
-    random_pure_state,
-    random_unitary,
-    w4,
-)
+from gencorr.states import ghz, w4
+from random_states import random_classical_state, random_density_matrix, random_pure_state
 
 # honest reference values for the W-class state (|0001>+|0010>-|0100>-|1000>)/2:
 # the minimizing cut isolates a single qubit, whose marginal has spectrum
@@ -55,7 +49,7 @@ def brute_force_In(rho: DensityMatrix) -> float:
             c2 = tuple(i for i in range(n) if i not in c1)
             left = partial_trace(rho, c1)
             right = partial_trace(rho, c2)
-            prod = tensor(left.mat, right.mat)
+            prod = np.kron(left.mat, right.mat)
             dims = left.dims.dims + right.dims.dims  # ordering (c1..., c2...)
             perm = list(c1) + list(c2)
             prod = permute_subsystems(prod, dims, list(np.argsort(perm)))
@@ -108,7 +102,7 @@ def test_I4_of_w_state_frozen_value_and_oracle():
 
 def test_In_zero_across_product_cut(rng):
     sing = psi_minus().to_density()
-    rho = DensityMatrix((2, 2, 2), tensor(sing.mat, np.eye(2) / 2))
+    rho = DensityMatrix((2, 2, 2), np.kron(sing.mat, np.eye(2) / 2))
     rep = genuine_total_In(rho)
     assert abs(rep.value_bits) <= 1e-12
     assert rep.witness.mask == (0, 1)
@@ -178,7 +172,7 @@ def test_appending_a_product_subsystem_creates_nothing(seed):
     rng = np.random.default_rng(seed)
     rho = random_density_matrix((2, 2), rng)
     sigma = random_density_matrix((2,), rng)
-    joint = DensityMatrix((2, 2, 2), tensor(rho.mat, sigma.mat))
+    joint = DensityMatrix((2, 2, 2), np.kron(rho.mat, sigma.mat))
     rep = genuine_total_In(joint)
     assert abs(rep.value_bits) <= 1e-12
     assert rep.witness.mask == (0, 1)
@@ -315,7 +309,7 @@ def test_Qn_never_exceeds_per_subsystem_Q(rng):
 def test_Cn_of_product_state(rng):
     a = random_classical_state((2,), rng)
     b = random_classical_state((2,), rng)
-    rho = DensityMatrix((2, 2), tensor(a.mat, b.mat))
+    rho = DensityMatrix((2, 2), np.kron(a.mat, b.mat))
     rep = genuine_classical_Cn(rho, SearchConfig(starts=2, max_evals=300))
     assert abs(rep.value_bits) <= 1e-9
 

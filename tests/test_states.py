@@ -7,20 +7,12 @@ from gencorr import (
     SearchConfig,
     multipartite_quantum_Q,
     partial_trace,
+    random_unitary,
     total_correlation,
 )
 from gencorr.channels import evolve_global, upsilon_pd, werner_state
-from gencorr.states import (
-    classical_state,
-    fidelity,
-    ghz,
-    ppt_min_eigenvalue,
-    random_density_matrix,
-    random_pure_state,
-    random_unitary,
-    separable_quantum_mixture,
-    w4,
-)
+from gencorr.states import classical_state, fidelity, ghz, ppt_min_eigenvalue, w4
+from random_states import random_density_matrix, random_pure_state, separable_quantum_mixture
 
 
 def fid_w_closed(c, p):
