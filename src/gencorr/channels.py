@@ -144,7 +144,7 @@ def evolve_global(c: float, p: float, kind: str) -> DensityMatrix:
     rho0 = permute_subsystems(rho0, (2, 2, 2, 2), (0, 2, 1, 3))
     u_local = dilation(kind, p)
     u = np.kron(u_local, u_local)
-    return DensityMatrix(GLOBAL_DIMS, u @ rho0 @ u.conj().T)
+    return DensityMatrix._derived(GLOBAL_DIMS, u @ rho0 @ u.conj().T)
 
 
 def _close_hermitian(m: np.ndarray) -> np.ndarray:

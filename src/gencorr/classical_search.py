@@ -135,7 +135,7 @@ def _pinch(rho: DensityMatrix, basis: LocalBasisSet) -> tuple[np.ndarray, np.nda
 def dephase(rho: DensityMatrix, basis: LocalBasisSet) -> DensityMatrix:
     """Pinch rho in the given product basis: chi = sum_k |b_k><b_k| rho |b_k><b_k|."""
     b, p = _pinch(rho, basis)
-    return DensityMatrix(rho.dims, hermitize((b * p) @ b.conj().T))
+    return DensityMatrix._derived(rho.dims, hermitize((b * p) @ b.conj().T))
 
 
 def quantumness_in_basis(rho: DensityMatrix, basis: LocalBasisSet) -> float:

@@ -40,8 +40,11 @@ def _entropy_bits(w: np.ndarray) -> float:
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """-tr(rho log2 rho); between 0 and log2(dim)."""
-    return _entropy_bits(np.linalg.eigvalsh(np.asarray(rho.mat)))
+    """-tr(rho log2 rho); between 0 and log2(dim).  Computed once per state."""
+    s = rho._memo.get("S")
+    if s is None:
+        s = rho._memo.setdefault("S", _entropy_bits(np.linalg.eigvalsh(np.asarray(rho.mat))))
+    return s
 
 
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:

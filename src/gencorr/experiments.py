@@ -19,7 +19,6 @@ import itertools
 import json
 import math
 import numbers
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 from functools import cached_property
 
@@ -189,6 +188,8 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
         for p in ps
     ]
     if spec.workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only parallel sweeps load it
+
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
             rows = list(pool.map(_row_task, tasks))
     else:

@@ -10,7 +10,7 @@ numpy's Kronecker-product ordering.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -95,12 +95,25 @@ def hermitize(m: np.ndarray) -> np.ndarray:
 class DensityMatrix:
     """Hermitian, unit-trace, PSD operator with explicit subsystem structure.
 
+    DensityMatrix(dims, mat) validates its input: Hermiticity, unit trace and
+    an eigvalsh PSD check, all to DEFAULT_TOL.  Every state built from outside
+    data goes through it, including state_from_json, werner_state,
+    classical_state and appendix_golden_state.  Derived states are valid by
+    construction and skip the checks: the outputs of partial_trace, dephase,
+    evolve_global and PureState.to_density.
+
     The backing array is immutable after construction, so values are safe to
-    share between concurrent workers.
+    share between concurrent workers.  Each state also carries a private memo
+    of its partial traces (keyed by the sorted kept subsystems) and its von
+    Neumann entropy, so a quantifier that asks for the same reduction again
+    gets the same object and the same float.  The memo never goes stale, as
+    dims and mat never change; it holds at most 2**n - 2 reductions and dies
+    with its state.
     """
 
     dims: CompositeDims
     mat: np.ndarray
+    _memo: dict = field(init=False, repr=False, compare=False)
 
     def __init__(self, dims, mat) -> None:
         dims = _as_dims(dims)
@@ -120,10 +133,21 @@ class DensityMatrix:
         lo = float(np.linalg.eigvalsh(hermitize(mat)).min())
         if lo < -DEFAULT_TOL.psd:
             raise ValueError(f"negative eigenvalue {lo:.3e} below -{DEFAULT_TOL.psd:.0e}")
-        mat = mat.copy()
+        self._set(dims, mat.copy())
+
+    def _set(self, dims: CompositeDims, mat: np.ndarray) -> None:
         mat.setflags(write=False)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "mat", mat)
+        object.__setattr__(self, "_memo", {})
+
+    @classmethod
+    def _derived(cls, dims, mat: np.ndarray) -> "DensityMatrix":
+        """Unchecked state for a fresh complex array that nothing else holds
+        and that is PSD, unit-trace and Hermitian by construction."""
+        rho = object.__new__(cls)
+        rho._set(_as_dims(dims), mat)
+        return rho
 
     @property
     def n(self) -> int:
@@ -159,7 +183,7 @@ class PureState:
         return self.dims.n
 
     def to_density(self) -> DensityMatrix:
-        return DensityMatrix(self.dims, np.outer(self.vec, self.vec.conj()))
+        return DensityMatrix._derived(self.dims, np.outer(self.vec, self.vec.conj()))
 
 
 _ONE = np.ones((1, 1), dtype=complex)
@@ -206,12 +230,18 @@ def _ptrace_arr(mat: np.ndarray, dims, keep) -> np.ndarray:
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
-    """Reduced state on the kept subsystems, in original subsystem order."""
+    """Reduced state on the kept subsystems, in original subsystem order.
+
+    Computed once per rho and kept subset; a repeat returns the same object.
+    """
     keep = tuple(sorted(_check_subset(rho.n, keep)))
     if len(keep) == rho.n:
         return rho
-    red = _ptrace_arr(np.asarray(rho.mat), rho.dims.dims, keep)
-    return DensityMatrix(rho.dims.subset(keep), hermitize(red))
+    red = rho._memo.get(keep)
+    if red is None:
+        mat = hermitize(_ptrace_arr(np.asarray(rho.mat), rho.dims.dims, keep))
+        red = rho._memo.setdefault(keep, DensityMatrix._derived(rho.dims.subset(keep), mat))
+    return red
 
 
 def permutation_indices(dims, perm) -> np.ndarray:

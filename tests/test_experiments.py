@@ -2,14 +2,17 @@ import dataclasses
 import itertools
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
 import gencorr.experiments as experiments
+import gencorr.linalg as linalg
 from gencorr import (
     SUPPORTED_MEASURES,
     SWAP_SYMMETRY,
+    DensityMatrix,
     SearchConfig,
     SweepSpec,
     detect_sudden_change,
@@ -34,6 +37,8 @@ from gencorr.experiments import (
 )
 
 FAST = SearchConfig(starts=4, max_evals=400, rng_seed=0)
+I_COLUMNS = ("I4", "I3", "I3_abEa", "I3_aEaEb")
+GOLDEN = pathlib.Path(__file__).resolve().parent / "data"
 
 
 def synthetic_rows(fn, n=101, channel="xx", c=0.0, measure="y"):
@@ -181,6 +186,49 @@ def test_every_column_is_its_library_quantifier(symmetries, search_cells):
         "F_W": fidelity(w4(), rho),
         "F_GHZ": fidelity(upsilon_pd(1.0), rho),
     }
+
+
+@pytest.mark.parametrize("kind,c,p", [("ad", 0.7, 0.4), ("pd", 0.6, 0.38), ("pd", 1.0, 1.0)])
+def test_memoized_columns_equal_fresh_evaluations(kind, c, p):
+    """Each I column of one state, where the columns share reductions, equals
+    that column alone on a copy of the state with an empty memo, exactly."""
+    rho = evolve_global(c, p, kind)
+    values, flags = evaluate_measures(rho, I_COLUMNS, symmetries=SWAP_SYMMETRY)
+    assert flags == []
+    for m in I_COLUMNS:
+        fresh = DensityMatrix(rho.dims, rho.mat)
+        assert evaluate_measures(fresh, (m,), symmetries=SWAP_SYMMETRY)[0][m] == values[m]
+
+
+def test_triple_columns_reuse_the_reductions_of_i3(monkeypatch):
+    computed = []
+    ptrace = linalg._ptrace_arr
+
+    def counting(mat, dims, keep):
+        computed.append(keep)
+        return ptrace(mat, dims, keep)
+
+    monkeypatch.setattr(linalg, "_ptrace_arr", counting)
+    rho = evolve_global(0.7, 0.4, "ad")
+    evaluate_measures(rho, ("I3",), symmetries=SWAP_SYMMETRY)
+    # the two triples of rho, then both cells of the three cuts of each
+    assert sorted(computed) == sorted([(0, 1, 2), (0, 1, 3)] + [(0,), (1,), (2,)] * 2
+                                      + [(0, 1), (0, 2), (1, 2)] * 2)
+    before = list(computed)
+    evaluate_measures(rho, ("I3_abEa", "I3_aEaEb"), symmetries=SWAP_SYMMETRY)
+    assert computed == before
+
+
+@pytest.mark.parametrize("kind", ["ad", "pd"])
+@pytest.mark.parametrize("series,measures", [("total", I_COLUMNS), ("fidelity", ("F_W", "F_GHZ"))])
+def test_entropy_columns_reproduce_their_golden_csvs(kind, series, measures, tmp_path):
+    """tests/data holds `scripts/run_figure_sweeps.py --skip-search --c 0.4,1.0
+    --grid-i 11` as written before partial traces and entropies were memoized
+    and derived states skipped validation; the I and F columns stay bit for bit."""
+    spec = SweepSpec(kind, (0.4, 1.0), 11, measures)
+    path = tmp_path / "out.csv"
+    write_csv(run_sweep(spec), measures, path)
+    assert path.read_bytes() == (GOLDEN / f"{kind}_{series}.csv").read_bytes()
 
 
 def test_manifest_lists_only_the_flags_of_its_measures(tmp_path, monkeypatch):

@@ -1,3 +1,7 @@
+import itertools
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,15 +9,22 @@ from hypothesis import given, settings, strategies as st
 from gencorr import (
     CompositeDims,
     DensityMatrix,
+    LocalBasisSet,
     PureState,
+    dephase,
+    evolve_global,
+    ghz,
     kron_all,
     partial_trace,
     permute_subsystems,
     state_from_json,
     state_to_json,
+    von_neumann_entropy,
+    w4,
 )
 from gencorr.channels import psi_minus
-from random_states import random_density_matrix
+from gencorr.linalg import random_unitary
+from random_states import random_density_matrix, random_pure_state
 
 I2 = np.eye(2, dtype=complex)
 
@@ -106,6 +117,74 @@ def test_density_matrix_is_immutable(rng):
     rho = random_density_matrix((2, 2), rng)
     with pytest.raises(ValueError):
         rho.mat[0, 0] = 0.0
+
+
+# --- derived states skip validation, so each must pass it when rebuilt ---
+
+def assert_valid(state):
+    DensityMatrix(state.dims, state.mat)  # raises ValueError on an invalid state
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2, 2), (2, 3, 2), (4, 2)])
+@pytest.mark.parametrize("rank", [1, 2, None])
+def test_partial_traces_are_valid_states(dims, rank, rng):
+    rho = random_density_matrix(dims, rng, rank)
+    for k in range(1, len(dims)):
+        for keep in itertools.combinations(range(len(dims)), k):
+            red = partial_trace(rho, keep)
+            assert_valid(red)
+            for inner in itertools.combinations(range(k), max(k - 1, 1)):
+                assert_valid(partial_trace(red, inner))
+
+
+@pytest.mark.parametrize("cells", [[(0,), (1,), (2,), (3,)], [(0, 1), (2, 3)], [(1,), (0, 2, 3)]])
+@pytest.mark.parametrize("rank", [1, 3, None])
+def test_dephased_states_are_valid(cells, rank, rng):
+    rho = random_density_matrix((2, 2, 2, 2), rng, rank)
+    units = [random_unitary(2 ** len(cell), rng) for cell in cells]
+    assert_valid(dephase(rho, LocalBasisSet(cells, units)))
+    assert_valid(dephase(rho, LocalBasisSet(cells, [np.eye(u.shape[0]) for u in units])))
+
+
+@pytest.mark.parametrize("kind", ["ad", "pd"])
+def test_evolved_states_are_valid(kind):
+    for c in (0.0, 0.3, 2 / 3, 1.0):
+        for p in (0.0, 0.1, 0.5, 0.9, 1.0):
+            assert_valid(evolve_global(c, p, kind))
+
+
+def test_pure_state_projectors_are_valid(rng):
+    for psi in (psi_minus(), ghz(4), w4(), random_pure_state((2, 3, 2), rng)):
+        rho = psi.to_density()
+        assert_valid(rho)
+        assert np.array_equal(rho.mat, np.outer(psi.vec, psi.vec.conj()))
+
+
+def test_threads_sharing_a_state_get_one_reduction_and_one_entropy(rng):
+    rho = random_density_matrix((2, 2, 2, 2), rng)
+    keeps = [k for r in (1, 2, 3) for k in itertools.combinations(range(4), r)]
+    results = []
+
+    def work():
+        reds = [partial_trace(rho, k) for k in keeps]
+        results.append((reds, [von_neumann_entropy(red) for red in reds]))
+
+    threads = [threading.Thread(target=work) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == len(threads)
+    reds, entropies = results[0]
+    for other_reds, other_entropies in results[1:]:
+        assert all(a is b for a, b in zip(other_reds, reds))
+        assert other_entropies == entropies
 
 
 # --- permutation ---
