@@ -45,7 +45,7 @@ def main() -> None:
     ap.add_argument("--grid-q", type=int, default=41, help="p points for Q/C series")
     ap.add_argument("--starts", type=int, default=SearchConfig().starts,
                     help="basis-search starts, each a share of the iteration budget")
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=int, default=SearchConfig().rng_seed)
     ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--skip-search", action="store_true",
                     help="only the entropy-based sweeps (no basis searches)")

@@ -61,8 +61,8 @@ class SearchConfig:
     """Budget and seeding for the closest-classical-state search.
 
     max_evals caps the objective evaluations of each start, line-search
-    trials included.  starts and max_evals set the search's iteration budget
-    (see closest_classical_state).
+    trials included.  starts and max_evals set the search's iteration budget,
+    which decides how many starts run (see closest_classical_state).
     """
 
     starts: int = 4
@@ -150,8 +150,8 @@ def quantumness_in_basis(rho: DensityMatrix, basis: LocalBasisSet) -> float:
 class SearchResult(NamedTuple):
     """Outcome of closest_classical_state.
 
-    q = S(rho||chi) at the best start; evals counts objective evaluations and
-    starts the starts that count toward the iteration budget.  grad_norm, the
+    q = S(rho||chi) at the best start; evals counts the objective evaluations
+    and starts the starts that ran, each to its own stop.  grad_norm, the
     gradient norm at the returned basis, certifies stationarity: it is below
     GRAD_TOL unless that start stopped otherwise (see closest_classical_state),
     as is typical where outcomes of a rank-deficient rho vanish.  No field
@@ -252,20 +252,17 @@ def _concat(a: dict, b: dict) -> dict:
 
 @dataclass
 class _Start:
-    """Progress of one start: iterations (gradients) so far and what it returns.
+    """Progress of one start: iterations (gradients) and evaluations so far.
 
     best = (snapshot, row) locates the start's best iterate so far, snapshot
-    the stacked (p, unitaries, |G|) of the lanes of one step.  An outcome is
-    (best, evals): check if the budget cuts the start at iteration its, end
-    if the start stopped by itself there.
+    the stacked (p, unitaries, |G|) of the lanes of one step.  Once the start
+    has stopped, best and evals are what it returns.
     """
 
     its: int = 0
     evals: int = 0
     stopped: bool = False
     best: tuple | None = None
-    check: tuple | None = None
-    end: tuple | None = None
 
 
 class _LaneSearch:
@@ -279,12 +276,11 @@ class _LaneSearch:
     row only, so a start follows the same iterates in any lane, beside any
     others.
 
-    Start k may use B - sum_{j<k} used_j iterations, B the budget.  Lanes run
-    later starts before that limit is known, and a start pauses once the
-    iterations that earlier starts have taken leave it none.  Starts settle in
-    order, so the outcomes are those of running them one after another.  The
-    one start the budget cuts short of where it paused runs again by itself,
-    up to its limit, instead of every start keeping its past iterates.
+    Start k runs, to its own stop, if starts 0..k-1 took fewer than B
+    iterations, B the budget.  Lanes run later starts before that is known,
+    and drop a start once the iterations that earlier starts have taken reach
+    what is left of B.  Starts settle in order, so the outcomes are those of
+    running them one after another.
     """
 
     def __init__(self, mat, cdims, max_evals, mass_cap, rng_seed):
@@ -298,45 +294,37 @@ class _LaneSearch:
     def _cells(self, stacks) -> list[np.ndarray]:
         return [a[:, j] for a, (_, c) in zip(stacks, self.runs) for j in range(c)]
 
-    def _end(self, k: int, st: _Start, evals: int) -> None:
-        st.stopped, st.end = True, (st.best, evals)
+    def _stop(self, k: int, st: _Start) -> None:
+        st.stopped = True
         if k:  # start 0, the computational basis, often begins at a stationary point
             self.longest = max(self.longest, st.its)
 
-    def run(self, budget: int, share: int, first: int = 0, alone: bool = False) -> list[tuple]:
-        """(p, unitaries, |G|, evals) of each start from `first` on that gets
-        any of the budget, in start order; alone runs start `first` only.
+    def run(self, budget: int, share: int) -> list[tuple]:
+        """(p, unitaries, |G|, evals) of each start that runs, in start order.
 
         A start is expected to take share iterations until a random start has
         stopped by itself, and then as many as the longest such start.
         """
-        starts: dict[int, _Start] = {}  # the unsettled starts, in order
-        lanes, left, out, nxt, last = None, budget, [], first, first if alone else None
-        while left > 0 and (last is None or first <= last):
+        starts: dict[int, _Start] = {}  # the unsettled starts: first, first + 1, ...
+        lanes, left, out, first = None, budget, [], 0
+        while left > 0:
             # open a lane for the next start while the earlier unsettled ones
             # are expected to leave it iterations
             guess = self.longest or share
             claim = sum(st.its if st.stopped else max(st.its, guess) for st in starts.values())
             new = []
             busy = 0 if lanes is None else len(lanes["ids"])
-            while busy + len(new) < _LANES and claim < left and (last is None or nxt <= last):
-                new.append(nxt)
-                starts[nxt] = _Start()
-                nxt, claim = nxt + 1, claim + guess
+            while busy + len(new) < _LANES and claim < left:
+                k = first + len(starts)
+                new.append(k)
+                starts[k] = _Start()
+                claim += guess
             lanes = self._step(lanes, new, starts, left)
             while left > 0 and first in starts and starts[first].stopped:
                 st = starts.pop(first)
-                if st.end is not None and left > st.its:
-                    (snap, row), evals = st.end
-                elif left == st.its:
-                    (snap, row), evals = st.check
-                else:  # cut before where it paused
-                    out.append(self.run(left, share, first, alone=True)[0])
-                    left = 0
-                    break
-                p, us, gnorm = snap  # rows copied, so that the snapshot can go
-                out.append((p[row].copy(), [a[row].copy() for a in self._cells(us)], gnorm[row], evals))
-                left -= min(st.its, left)
+                (p, us, gnorm), row = st.best  # rows copied, so that the snapshot can go
+                out.append((p[row].copy(), [a[row].copy() for a in self._cells(us)], gnorm[row], st.evals))
+                left -= st.its
                 first += 1
         return out
 
@@ -360,11 +348,13 @@ class _LaneSearch:
         for k, e in zip(ids, evals):
             starts[k].its += 1
             starts[k].evals = e
-        # earlier starts take at least the iterations they took so far, which
-        # bounds what they leave each start
-        limit, taken = {}, 0
-        for k, st in starts.items():
-            limit[k], taken = left - taken, taken + st.its
+        # earlier starts take at least the iterations they took so far; once
+        # those reach what is left, no later start can count
+        taken = 0
+        for k, st in list(starts.items()):
+            if taken >= left:
+                del starts[k]
+            taken += st.its
         # the best iterate is the last whose probability mass at or below
         # 2*DEFAULT_TOL.clip is at most mass_cap (see closest_classical_state)
         p = lanes.pop("p")
@@ -372,14 +362,13 @@ class _LaneSearch:
         snap = (p, lanes["u"], lanes.pop("gn"))
         keep = []
         for i, (k, stop) in enumerate(zip(ids, natural)):
-            st = starts[k]
+            st = starts.get(k)
+            if st is None:
+                continue
             if ok[i] or st.best is None:
                 st.best = (snap, i)
-            st.check = (st.best, st.evals)
             if stop:
-                self._end(k, st, st.evals)
-            elif st.its >= limit[k]:
-                st.stopped = True
+                self._stop(k, st)
             else:
                 keep.append(i)
         if not keep:
@@ -454,7 +443,7 @@ class _LaneSearch:
                 for i in stopped.nonzero()[0].tolist():
                     j = int(lanes["ids"][i])
                     starts[j].evals = int(evals[i])
-                    self._end(j, starts[j], starts[j].evals)
+                    self._stop(j, starts[j])
                 keep = (~stopped).nonzero()[0]
                 if not keep.size:
                     return None
@@ -546,12 +535,13 @@ def closest_classical_state(
     or when the line search stalls.
 
     The search has a budget of B = starts * min(8 * n, max_evals) iterations
-    (gradients), n = sum of d_i^2 over the cells: start k may use what starts
-    0..k-1 left of it, and the starts that count are those that get any.  The
-    result is that of running these starts one after another, bit for bit,
-    however many of them ran together in lanes.  The work is the budget plus
-    the iterations of starts run ahead and then discarded or cut short, so it
-    depends on the cells and cfg and a little on how long rho's starts run.
+    (gradients), n = sum of d_i^2 over the cells: start k runs if starts
+    0..k-1 took fewer than B, and every start that runs goes on to its own
+    stop, so the starts take at least B iterations and fewer than
+    B + max_evals.  The result is that of running these starts one after
+    another, bit for bit, however many of them ran together in lanes.  The
+    work is that plus the iterations of starts run ahead and then dropped, so
+    it depends on the cells and cfg and a little on how long rho's starts run.
     On 24 of the paper's evolved states (both channels, c in {0.2, 0.6, 1},
     p in {0, 0.3, 0.7, 1}) the longest start that stopped by itself took 244
     iterations on qubit cells (n = 16), 244 on 1|2 cuts of the three-qubit

@@ -3,14 +3,15 @@
 Subcommands: sweep, verify-anchors, verify-appendix, state-info, sudden-change.
 Exit codes: 0 on success, 1 when any reference check fails, 2 on usage errors.
 
-Option precedence for search settings: explicit flag > GENCORR_SEED (seed
-only) > config file > built-in default.  The config file is plain
-"key = value" lines; '#' starts a comment.
+Every setting is a flag.  The flags default to the library's defaults:
+SearchConfig() for the search, SweepSpec for the sweep and
+detect_sudden_change for the kink detector.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -30,60 +31,14 @@ from .experiments import (
 )
 from .linalg import DensityMatrix, load_state
 
-_DEFAULT_SEARCH = SearchConfig()  # the built-in defaults of the search flags
-
-_CONFIG_KEYS = {
-    "channel": str,
-    "c": str,
-    "grid": int,
-    "measures": str,
-    "output": str,
-    "starts": int,
-    "max_evals": int,
-    "rng_seed": int,
-    "workers": int,
-    "kappa": float,
-    "window": int,
-}
+# the defaults of the flags: those of the search, the sweep and the kink detector
+_DEFAULT_SEARCH = SearchConfig()
+_DEFAULT_SWEEP = SweepSpec("ad")
+_DEFAULT_SUDDEN = inspect.signature(detect_sudden_change).parameters
 
 
-def _parse_config(path: str) -> dict:
-    values: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, val = (s.strip() for s in line.split("=", 1))
-            if key not in _CONFIG_KEYS:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = _CONFIG_KEYS[key](val)
-    return values
-
-
-def _settings(args):
-    """pick(flag_value, key, default) in the order flag > GENCORR_SEED (for
-    rng_seed only) > the --config file > default."""
-    config = _parse_config(args.config) if args.config else {}
-
-    def pick(flag_val, key, default):
-        if flag_val is not None:
-            return flag_val
-        if key == "rng_seed" and os.environ.get("GENCORR_SEED"):
-            return int(os.environ["GENCORR_SEED"])
-        return config.get(key, default)
-
-    return pick
-
-
-def _search_config(args, pick) -> SearchConfig:
-    return SearchConfig(
-        starts=pick(args.starts, "starts", _DEFAULT_SEARCH.starts),
-        max_evals=pick(args.max_evals, "max_evals", _DEFAULT_SEARCH.max_evals),
-        rng_seed=pick(args.seed, "rng_seed", _DEFAULT_SEARCH.rng_seed),
-    )
+def _search_config(args) -> SearchConfig:
+    return SearchConfig(starts=args.starts, max_evals=args.max_evals, rng_seed=args.seed)
 
 
 def _floats(text: str) -> tuple[float, ...]:
@@ -95,15 +50,14 @@ def _names(text: str) -> tuple[str, ...]:
 
 
 def _cmd_sweep(args) -> int:
-    pick = _settings(args)
     spec = SweepSpec(
-        channel=pick(args.channel, "channel", "ad"),
-        c_values=_floats(pick(args.c, "c", "0.4,1.0")),
-        p_count=pick(args.grid, "grid", None),
-        measures=_names(pick(args.measures, "measures", "I4,I3,I3_abEa,I3_aEaEb")),
-        search=_search_config(args, pick),
-        output=pick(args.output, "output", "sweep.csv"),
-        workers=pick(args.workers, "workers", 1),
+        channel=args.channel,
+        c_values=args.c,
+        p_count=args.grid,
+        measures=args.measures,
+        search=_search_config(args),
+        output=args.output,
+        workers=args.workers,
     )
     rows = run_sweep(spec)
     write_csv(rows, spec.measures, spec.output)
@@ -117,7 +71,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify_anchors(args) -> int:
-    report = verify_anchors(_search_config(args, _settings(args)))
+    report = verify_anchors(_search_config(args))
     failed = 0
     for entry in report:
         status = "PASS" if entry["passed"] else "FAIL"
@@ -141,7 +95,7 @@ def _cmd_verify_appendix(args) -> int:
 
 
 def _cmd_state_info(args) -> int:
-    cfg = _search_config(args, _settings(args))
+    cfg = _search_config(args)
     state = load_state(args.file)
     rho = state if isinstance(state, DensityMatrix) else state.to_density()
     measures = _names(args.measures) if args.measures else ("I4", "I3")
@@ -154,11 +108,8 @@ def _cmd_state_info(args) -> int:
 
 
 def _cmd_sudden_change(args) -> int:
-    pick = _settings(args)
-    kappa = pick(args.kappa, "kappa", 10.0)
-    window = pick(args.window, "window", 5)
     rows = read_csv(args.csv)
-    reports = detect_sudden_change(rows, args.measure, kappa=kappa, window=window)
+    reports = detect_sudden_change(rows, args.measure, kappa=args.kappa, window=args.window)
     for rep in reports:
         print(json.dumps(rep.to_json_dict()))
     print(f"{len(reports)} sudden change(s) detected for {args.measure}")
@@ -173,23 +124,25 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_search_flags(p):
-        p.add_argument("--starts", type=int, default=None,
-                       help=f"basis-search starts, each a share of the iteration "
-                            f"budget (default {_DEFAULT_SEARCH.starts})")
-        p.add_argument("--max-evals", dest="max_evals", type=int, default=None,
-                       help=f"objective evaluations per start "
-                            f"(default {_DEFAULT_SEARCH.max_evals})")
-        p.add_argument("--seed", type=int, default=None, help="rng seed (or GENCORR_SEED)")
-        p.add_argument("--config", default=None, help="key = value settings file")
+        p.add_argument("--starts", type=int, default=_DEFAULT_SEARCH.starts,
+                       help="basis-search starts, each a share of the iteration "
+                            "budget (default %(default)s)")
+        p.add_argument("--max-evals", dest="max_evals", type=int,
+                       default=_DEFAULT_SEARCH.max_evals,
+                       help="objective evaluations per start (default %(default)s)")
+        p.add_argument("--seed", type=int, default=_DEFAULT_SEARCH.rng_seed,
+                       help="rng seed (default %(default)s)")
 
     p = sub.add_parser("sweep", help="compute measures over a (c, p) grid")
-    p.add_argument("--channel", choices=("ad", "pd"), default=None)
-    p.add_argument("--c", default=None, help="comma-separated c values")
-    p.add_argument("--grid", type=int, default=None, help="p grid point count")
-    p.add_argument("--measures", default=None,
+    p.add_argument("--channel", choices=("ad", "pd"), default=_DEFAULT_SWEEP.channel)
+    p.add_argument("--c", type=_floats, default=_DEFAULT_SWEEP.c_values,
+                   help="comma-separated c values")
+    p.add_argument("--grid", type=int, default=_DEFAULT_SWEEP.p_count,
+                   help="p grid point count")
+    p.add_argument("--measures", type=_names, default=_DEFAULT_SWEEP.measures,
                    help=f"comma-separated from {','.join(SUPPORTED_MEASURES)}")
-    p.add_argument("--output", default=None)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--output", default="sweep.csv")
+    p.add_argument("--workers", type=int, default=_DEFAULT_SWEEP.workers)
     add_search_flags(p)
     p.set_defaults(func=_cmd_sweep)
 
@@ -211,9 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sudden-change", help="detect slope discontinuities in a sweep CSV")
     p.add_argument("csv")
     p.add_argument("--measure", required=True)
-    p.add_argument("--kappa", type=float, default=None)
-    p.add_argument("--window", type=int, default=None)
-    p.add_argument("--config", default=None)
+    p.add_argument("--kappa", type=float, default=_DEFAULT_SUDDEN["kappa"].default)
+    p.add_argument("--window", type=int, default=_DEFAULT_SUDDEN["window"].default)
     p.set_defaults(func=_cmd_sudden_change)
     return parser
 

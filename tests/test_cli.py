@@ -11,7 +11,7 @@ def test_sweep_writes_csv_and_manifest(tmp_path):
     out = tmp_path / "sweep.csv"
     code = main([
         "sweep", "--channel", "ad", "--c", "1.0", "--grid", "21",
-        "--measures", "I4,I3", "--output", str(out),
+        "--measures", "I4,I3", "--output", str(out), "--seed", "5",
     ])
     assert code == 0
     rows = read_csv(out)
@@ -20,6 +20,7 @@ def test_sweep_writes_csv_and_manifest(tmp_path):
     manifest = json.loads((tmp_path / "sweep.manifest.json").read_text())
     assert manifest["spec"]["channel"] == "ad"
     assert manifest["spec"]["p_count"] == 21
+    assert manifest["search"]["rng_seed"] == 5
     assert manifest["failures"] == []
 
 
@@ -75,34 +76,6 @@ def test_state_info_rejects_wrong_dims(tmp_path, capsys):
     path.write_text(json.dumps({"dims": [2], "re": cube, "im": cube}))
     assert main(["state-info", str(path)]) == 2
     assert "3-D" in capsys.readouterr().err
-
-
-def test_config_file_and_env_seed_precedence(tmp_path, monkeypatch):
-    cfgfile = tmp_path / "gencorr.cfg"
-    cfgfile.write_text("rng_seed = 3\nstarts = 4\nmax_evals = 250  # budget\n")
-
-    def manifest_seed(args_extra):
-        out = tmp_path / "s.csv"
-        main(["sweep", "--channel", "ad", "--c", "0.5", "--grid", "11",
-              "--measures", "I4", "--output", str(out),
-              "--config", str(cfgfile), *args_extra])
-        return json.loads((tmp_path / "s.manifest.json").read_text())["search"]
-
-    search = manifest_seed([])
-    assert search["rng_seed"] == 3 and search["starts"] == 4 and search["max_evals"] == 250
-
-    monkeypatch.setenv("GENCORR_SEED", "5")
-    assert manifest_seed([])["rng_seed"] == 5  # env beats config
-
-    assert manifest_seed(["--seed", "9"])["rng_seed"] == 9  # flag beats env
-
-
-def test_config_file_rejects_unknown_keys(tmp_path, capsys):
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("bogus = 1\n")
-    code = main(["sweep", "--config", str(bad), "--output", str(tmp_path / "x.csv")])
-    assert code == 2
-    assert "unknown key" in capsys.readouterr().err
 
 
 def test_verify_anchors_cli_passes_every_anchor(capsys):

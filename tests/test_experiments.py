@@ -220,12 +220,17 @@ def test_triple_columns_reuse_the_reductions_of_i3(monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["ad", "pd"])
-@pytest.mark.parametrize("series,measures", [("total", I_COLUMNS), ("fidelity", ("F_W", "F_GHZ"))])
-def test_entropy_columns_reproduce_their_golden_csvs(kind, series, measures, tmp_path):
-    """tests/data holds `scripts/run_figure_sweeps.py --skip-search --c 0.4,1.0
-    --grid-i 11` as written before partial traces and entropies were memoized
-    and derived states skipped validation; the I and F columns stay bit for bit."""
-    spec = SweepSpec(kind, (0.4, 1.0), 11, measures)
+@pytest.mark.parametrize("series,measures,grid", [
+    ("total", I_COLUMNS, 11), ("fidelity", ("F_W", "F_GHZ"), 11),
+    ("quantum", ("Q4", "Q3"), 5), ("classical", ("C4", "C3"), 5),
+], ids=["total", "fidelity", "quantum", "classical"])
+def test_sweep_columns_reproduce_their_golden_csvs(kind, series, measures, grid, tmp_path):
+    """tests/data holds `scripts/run_figure_sweeps.py --c 0.4,1.0 --grid-i 11
+    --grid-q 5` at the default search config.  The I and F files were written
+    before partial traces and entropies were memoized and derived states
+    skipped validation, the Q and C files before every start that gets budget
+    ran to its own stop; every column stays bit for bit."""
+    spec = SweepSpec(kind, (0.4, 1.0), grid, measures)
     path = tmp_path / "out.csv"
     write_csv(run_sweep(spec), measures, path)
     assert path.read_bytes() == (GOLDEN / f"{kind}_{series}.csv").read_bytes()
