@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import itertools
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .entropy import shannon, von_neumann_entropy
+from .entropy import _spectrum, shannon, von_neumann_entropy
 from .linalg import (
     DEFAULT_TOL,
     CompositeDims,
@@ -42,6 +42,7 @@ __all__ = [
     "dephase",
     "quantumness_in_basis",
     "closest_classical_state",
+    "closest_classical_states",
 ]
 
 GRAD_TOL = 1e-7  # a start stops once the gradient norm falls below this
@@ -52,8 +53,10 @@ _SHARE = 8  # iterations per start per real parameter (see closest_classical_sta
 # predicted decrease eta*<G, D> is below the rounding error of the objective.
 _STALL = 1e-15
 _FLOOR = 1e-300  # outcomes are floored here, so that log2 stays finite
-# Starts advanced together as stacked lanes.  The result never depends on it.
+# Starts of one search advanced together as stacked lanes, and lanes of all
+# the searches of one lane search.  The results never depend on either.
 _LANES = 8
+_WIDTH = 128
 
 
 @dataclass(frozen=True)
@@ -254,9 +257,9 @@ def _concat(a: dict, b: dict) -> dict:
 class _Start:
     """Progress of one start: iterations (gradients) and evaluations so far.
 
-    best = (snapshot, row) locates the start's best iterate so far, snapshot
-    the stacked (p, unitaries, |G|) of the lanes of one step.  Once the start
-    has stopped, best and evals are what it returns.
+    Once the start has stopped, best holds the (p, unitaries, |G|) of its
+    best iterate, copied out of the lane arrays; best and evals are what it
+    returns.
     """
 
     its: int = 0
@@ -265,126 +268,179 @@ class _Start:
     best: tuple | None = None
 
 
+@dataclass
+class _Job:
+    """One search of a lane search: what is left of its budget, its unsettled
+    starts first, first + 1, ..., and the outcomes of its settled starts."""
+
+    left: int
+    first: int = 0
+    starts: dict[int, _Start] = field(default_factory=dict)
+    longest: int = 0  # most iterations of a random start that stopped by itself
+    out: list = field(default_factory=list)
+
+
 class _LaneSearch:
-    """Starts 0, 1, ... of one search, advanced in lockstep as stacked lanes.
+    """Starts 0, 1, ... of several searches, advanced in lockstep as stacked lanes.
 
-    A dict of lane arrays has one row per start in flight: its start ("ids"),
+    The searches ("jobs") share their cell dimensions; each has its own
+    permuted matrix and mass_cap.  A dict of lane arrays has one row per start
+    in flight: its job ("job"), start ("ids"), job's matrix and mass_cap,
     unitaries, objective, evaluations, gradient, direction and curvature
-    pairs, and the line-search data of the direction.  The unitaries are
-    stacked per run of equal consecutive cell dimensions, (m, count, d, d), so
-    one eigh serves every cell of a run.  Each lane's arithmetic reads its own
-    row only, so a start follows the same iterates in any lane, beside any
-    others.
+    pairs, the line-search data of the direction, and the (p, unitaries, |G|)
+    of the start's best iterate so far ("bp", "bu", "bg").  The unitaries
+    are stacked per run of equal consecutive cell dimensions, (m, count, d,
+    d), so one eigh serves every cell of a run.  Each lane's arithmetic reads
+    its own row only, so a start follows the same iterates in any lane,
+    beside any others of any job.
 
-    Start k runs, to its own stop, if starts 0..k-1 took fewer than B
-    iterations, B the budget.  Lanes run later starts before that is known,
-    and drop a start once the iterations that earlier starts have taken reach
-    what is left of B.  Starts settle in order, so the outcomes are those of
-    running them one after another.
+    Each job has its own budget B and at most _LANES lanes; at most _WIDTH
+    lanes are in flight in all, which bounds the memory of a wide batch, and
+    earlier jobs open lanes first.  Start k of a job runs, to its own stop,
+    if starts 0..k-1 took fewer than B iterations.  Lanes run later starts
+    before that is known, and drop a start once the iterations that earlier
+    starts of its job have taken reach what is left of B.  Starts settle in
+    order, so the outcomes of each job are those of running its starts one
+    after another, alone.
     """
 
-    def __init__(self, mat, cdims, max_evals, mass_cap, rng_seed):
-        self.mat, self.cdims, self.max_evals = mat, cdims, max_evals
-        self.mass_cap, self.rng_seed = mass_cap, rng_seed
+    def __init__(self, mats, cdims, max_evals, mass_caps, rng_seed):
+        self.mats, self.cdims, self.max_evals = mats, cdims, max_evals
+        self.mass_caps, self.rng_seed = mass_caps, rng_seed
         # (d, count) per run of equal consecutive cell dimensions
         self.runs = [(d, len(list(run))) for d, run in itertools.groupby(cdims)]
         self.nvec = 2 * sum(d * d for d in cdims)  # real length of the generator vector
-        self.longest = 0  # most iterations of a random start that stopped by itself
 
     def _cells(self, stacks) -> list[np.ndarray]:
         return [a[:, j] for a, (_, c) in zip(stacks, self.runs) for j in range(c)]
 
-    def _stop(self, k: int, st: _Start) -> None:
+    def _best(self, lanes, i: int) -> tuple:
+        """Copies of lane i's best (p, unitaries, |G|), so that the lanes can go."""
+        us = [a[i, j].copy() for a, (_, c) in zip(lanes["bu"], self.runs) for j in range(c)]
+        return lanes["bp"][i].copy(), us, lanes["bg"][i]
+
+    @staticmethod
+    def _stop(job: _Job, k: int, st: _Start) -> None:
         st.stopped = True
         if k:  # start 0, the computational basis, often begins at a stationary point
-            self.longest = max(self.longest, st.its)
+            job.longest = max(job.longest, st.its)
 
-    def run(self, budget: int, share: int) -> list[tuple]:
-        """(p, unitaries, |G|, evals) of each start that runs, in start order.
+    def run(self, budget: int, share: int) -> list[list[tuple]]:
+        """Per job, (p, unitaries, |G|, evals) of each start that runs, in start order.
 
-        A start is expected to take share iterations until a random start has
-        stopped by itself, and then as many as the longest such start.
+        A start is expected to take share iterations until a random start of
+        its job has stopped by itself, and then as many as the longest such start.
         """
-        starts: dict[int, _Start] = {}  # the unsettled starts: first, first + 1, ...
-        lanes, left, out, first = None, budget, [], 0
-        while left > 0:
-            # open a lane for the next start while the earlier unsettled ones
-            # are expected to leave it iterations
-            guess = self.longest or share
-            claim = sum(st.its if st.stopped else max(st.its, guess) for st in starts.values())
-            new = []
-            busy = 0 if lanes is None else len(lanes["ids"])
-            while busy + len(new) < _LANES and claim < left:
-                k = first + len(starts)
-                new.append(k)
-                starts[k] = _Start()
-                claim += guess
-            lanes = self._step(lanes, new, starts, left)
-            while left > 0 and first in starts and starts[first].stopped:
-                st = starts.pop(first)
-                (p, us, gnorm), row = st.best  # rows copied, so that the snapshot can go
-                out.append((p[row].copy(), [a[row].copy() for a in self._cells(us)], gnorm[row], st.evals))
-                left -= st.its
-                first += 1
-        return out
+        jobs = [_Job(budget) for _ in self.mats]
+        lanes, active = None, len(jobs)
+        while active:
+            # open lanes for a job's next starts while its earlier unsettled
+            # ones are expected to leave them iterations
+            busy = [0] * len(jobs)
+            if lanes is not None:
+                for j in lanes["job"].tolist():
+                    busy[j] += 1
+            new, width = [], sum(busy)
+            for j, job in enumerate(jobs):
+                if busy[j] >= _LANES or job.left <= 0 or width >= _WIDTH:
+                    continue
+                guess = job.longest or share
+                claim = sum(st.its if st.stopped else max(st.its, guess) for st in job.starts.values())
+                while busy[j] < _LANES and width < _WIDTH and claim < job.left:
+                    k = job.first + len(job.starts)
+                    new.append((j, k))
+                    job.starts[k] = _Start()
+                    claim += guess
+                    busy[j] += 1
+                    width += 1
+            lanes = self._step(lanes, new, jobs)
+            done = []
+            for j, job in enumerate(jobs):
+                while job.left > 0 and job.first in job.starts and job.starts[job.first].stopped:
+                    st = job.starts.pop(job.first)
+                    job.out.append((*st.best, st.evals))
+                    job.left -= st.its
+                    job.first += 1
+                    if job.left <= 0:
+                        done.append(j)
+            if done:  # later starts of a finished job no longer count
+                active -= len(done)
+                for j in done:
+                    jobs[j].starts.clear()
+                if lanes is not None:
+                    keep = np.isin(lanes["job"], done, invert=True).nonzero()[0]
+                    lanes = _take(lanes, keep) if keep.size else None
+        return [job.out for job in jobs]
 
-    def _step(self, lanes, new, starts, left):
+    def _step(self, lanes, new, jobs):
         """One iteration of every lane in flight and the first of each new start."""
         if lanes is not None:
-            lanes = self._line_search(lanes, starts)
+            lanes = self._line_search(lanes, jobs)
         if new:
             fresh = self._open(new)
             lanes = fresh if lanes is None else _concat(lanes, fresh)
         if lanes is None:
             return None
         lanes = self._iterate(lanes)
-        ids, evals = lanes["ids"].tolist(), lanes["evals"].tolist()
+        keys = list(zip(lanes["job"].tolist(), lanes["ids"].tolist()))
+        evals = lanes["evals"].tolist()
         # stops by itself: converged, out of evaluations, or stalled already
         # at the first trial step eta = 1
         natural = [
             gn < GRAD_TOL or e >= self.max_evals or slope < _STALL
             for gn, e, slope in zip(lanes["gn"].tolist(), evals, lanes["slope"].tolist())
         ]
-        for k, e in zip(ids, evals):
-            starts[k].its += 1
-            starts[k].evals = e
+        for (j, k), e in zip(keys, evals):
+            st = jobs[j].starts[k]
+            st.its += 1
+            st.evals = e
         # earlier starts take at least the iterations they took so far; once
         # those reach what is left, no later start can count
-        taken = 0
-        for k, st in list(starts.items()):
-            if taken >= left:
-                del starts[k]
-            taken += st.its
+        for job in jobs:
+            taken = 0
+            for k, st in list(job.starts.items()):
+                if taken >= job.left:
+                    del job.starts[k]
+                taken += st.its
         # the best iterate is the last whose probability mass at or below
-        # 2*DEFAULT_TOL.clip is at most mass_cap (see closest_classical_state)
-        p = lanes.pop("p")
-        ok = ((p * (p <= 2 * DEFAULT_TOL.clip)).sum(-1) <= self.mass_cap).tolist()
-        snap = (p, lanes["u"], lanes.pop("gn"))
+        # 2*DEFAULT_TOL.clip is at most its job's mass_cap (see
+        # closest_classical_state); until one is, the start's first iterate,
+        # the only one at a single evaluation
+        p, gn = lanes.pop("p"), lanes.pop("gn")
+        take = (p * (p <= 2 * DEFAULT_TOL.clip)).sum(-1) <= lanes["cap"]
+        take |= lanes["evals"] == 1
+        if take.all():
+            lanes.update(bp=p, bu=lanes["u"], bg=gn)
+        else:
+            lanes.update(
+                bp=np.where(take[:, None], p, lanes["bp"]),
+                bu=[np.where(take[:, None, None, None], u, b) for u, b in zip(lanes["u"], lanes["bu"])],
+                bg=np.where(take, gn, lanes["bg"]),
+            )
         keep = []
-        for i, (k, stop) in enumerate(zip(ids, natural)):
-            st = starts.get(k)
+        for i, ((j, k), stop) in enumerate(zip(keys, natural)):
+            st = jobs[j].starts.get(k)
             if st is None:
                 continue
-            if ok[i] or st.best is None:
-                st.best = (snap, i)
             if stop:
-                self._stop(k, st)
+                st.best = self._best(lanes, i)
+                self._stop(jobs[j], k, st)
             else:
                 keep.append(i)
         if not keep:
             return None
-        if len(keep) < len(ids):
+        if len(keep) < len(keys):
             lanes = _take(lanes, np.array(keep))
         return self._prepare(lanes)
 
     def _open(self, new) -> dict:
-        """Lane rows for the new starts, at their first iterate.
+        """Lane rows for the new (job, start) pairs, at their first iterate.
 
         Start 0 is the computational basis (exact for classical inputs);
         start k draws Haar unitaries from a generator seeded rng_seed + k.
         """
         per_start = []
-        for k in new:
+        for _, k in new:
             if k == 0:
                 per_start.append([np.eye(d, dtype=complex) for d in self.cdims])
             else:
@@ -394,18 +450,21 @@ class _LaneSearch:
         for _, c in self.runs:
             u.append(np.array([us[at:at + c] for us in per_start]))
             at += c
+        job = np.array([j for j, _ in new])
+        mat = self.mats[job]
         b = kron_all(self._cells(u))
-        sigma = b.conj().swapaxes(1, 2) @ self.mat @ b
+        sigma = b.conj().swapaxes(1, 2) @ mat @ b
         p = np.maximum(sigma.diagonal(0, 1, 2).real, _FLOOR)
         n = len(new)
         return {
-            "ids": np.array(new), "u": u, "sigma": sigma, "p": p, "h": _neg_entropy_rows(p),
-            "evals": np.ones(n, dtype=int), "g": np.zeros((n, self.nvec)),
+            "job": job, "ids": np.array([k for _, k in new]), "mat": mat, "cap": self.mass_caps[job],
+            "u": u, "sigma": sigma, "p": p,
+            "h": _neg_entropy_rows(p), "evals": np.ones(n, dtype=int), "g": np.zeros((n, self.nvec)),
             "step": np.zeros((n, self.nvec)), "pairs": np.zeros((n, 2 * _MEMORY, self.nvec)),
-            "gamma": np.ones(n),
+            "gamma": np.ones(n), "bp": p, "bu": u, "bg": np.zeros(n),
         }
 
-    def _line_search(self, lanes, starts) -> dict | None:
+    def _line_search(self, lanes, jobs) -> dict | None:
         """Armijo backtracking from eta = 1 on every lane, then the accepted step.
 
         A lane whose evaluations run out, or whose step shrinks below the
@@ -441,9 +500,12 @@ class _LaneSearch:
                 pend = pend[~ok]
             if np.count_nonzero(stopped):
                 for i in stopped.nonzero()[0].tolist():
-                    j = int(lanes["ids"][i])
-                    starts[j].evals = int(evals[i])
-                    self._stop(j, starts[j])
+                    job = jobs[int(lanes["job"][i])]
+                    s = int(lanes["ids"][i])
+                    st = job.starts[s]
+                    st.evals = int(evals[i])
+                    st.best = self._best(lanes, i)
+                    self._stop(job, s, st)
                 keep = (~stopped).nonzero()[0]
                 if not keep.size:
                     return None
@@ -516,7 +578,7 @@ class _LaneSearch:
             ws = (ws[:, :, None] + wc[:, None, :]).reshape(m, -1)
         lanes.update(
             uv=uv, v=v, w=w, ws=ws, k=kron_all(self._cells(v)),
-            r=a.conj().swapaxes(1, 2) @ self.mat @ a,
+            r=a.conj().swapaxes(1, 2) @ lanes["mat"] @ a,
         )
         return lanes
 
@@ -539,7 +601,8 @@ def closest_classical_state(
     0..k-1 took fewer than B, and every start that runs goes on to its own
     stop, so the starts take at least B iterations and fewer than
     B + max_evals.  The result is that of running these starts one after
-    another, bit for bit, however many of them ran together in lanes.  The
+    another, bit for bit, however many of them ran together in lanes, and
+    beside whichever other searches (see closest_classical_states).  The
     work is that plus the iterations of starts run ahead and then dropped, so
     it depends on the cells and cfg and a little on how long rho's starts run.
     On 24 of the paper's evolved states (both channels, c in {0.2, 0.6, 1},
@@ -556,21 +619,55 @@ def closest_classical_state(
     DEFAULT_TOL.clip.  Past that point `shannon` drops outcomes that the
     support test of `relative_entropy` still sees, so S(rho||chi) would be
     inf; rejecting such steps would stall the descent.
+
+    This is closest_classical_states with one search.
     """
-    dims = rho.dims
-    cells = tuple(tuple(int(i) for i in cell) for cell in partition)
-    if sorted(i for cell in cells for i in cell) != list(range(dims.n)):
-        raise ValueError(f"cells {cells} do not partition 0..{dims.n - 1}")
-    cdims = [int(np.prod([dims[i] for i in cell])) for cell in cells]
-    mat = permute_subsystems(rho.mat, dims.dims, [i for cell in cells for i in cell])
-    s_rho = von_neumann_entropy(rho)
+    return closest_classical_states([rho], [partition], cfg)[0]
+
+
+def closest_classical_states(
+    rhos, partitions, cfg: SearchConfig = SearchConfig()
+) -> list[SearchResult]:
+    """closest_classical_state of each rho for its partition, from one lane search.
+
+    Every partition must give the same list of cell dimensions.  The starts
+    of all the searches advance together as lanes, up to 8 per search and
+    128 in all, so they share the fixed cost of each step; each result is
+    bit for bit that of a lone closest_classical_state call.
+    """
+    rhos, partitions = list(rhos), list(partitions)
+    if len(rhos) != len(partitions):
+        raise ValueError(f"{len(rhos)} states but {len(partitions)} partitions")
     clip = DEFAULT_TOL.clip
-    w = np.linalg.eigvalsh(np.asarray(rho.mat))
-    mass_cap = clip * w[w > clip].min()
+    cells, mats, caps = [], [], []
+    cdims = None
+    for rho, partition in zip(rhos, partitions):
+        dims = rho.dims
+        job_cells = tuple(tuple(int(i) for i in cell) for cell in partition)
+        if sorted(i for cell in job_cells for i in cell) != list(range(dims.n)):
+            raise ValueError(f"cells {job_cells} do not partition 0..{dims.n - 1}")
+        job_cdims = [int(np.prod([dims[i] for i in cell])) for cell in job_cells]
+        if cdims is not None and job_cdims != cdims:
+            raise ValueError(f"cell dimensions {job_cdims} differ from the first job's {cdims}")
+        cdims = job_cdims
+        cells.append(job_cells)
+        mats.append(permute_subsystems(rho.mat, dims.dims, [i for cell in job_cells for i in cell]))
+        w = _spectrum(rho)
+        caps.append(clip * w[w > clip].min())
+    if not rhos:
+        return []
 
     share = min(_SHARE * sum(d * d for d in cdims), cfg.max_evals)
-    search = _LaneSearch(mat, cdims, cfg.max_evals, mass_cap, cfg.rng_seed)
-    outcomes = search.run(cfg.starts * share, share)
+    search = _LaneSearch(np.array(mats), cdims, cfg.max_evals, np.array(caps), cfg.rng_seed)
+    return [
+        _result(rho, job_cells, outcomes)
+        for rho, job_cells, outcomes in zip(rhos, cells, search.run(cfg.starts * share, share))
+    ]
+
+
+def _result(rho: DensityMatrix, cells, outcomes) -> SearchResult:
+    """The SearchResult of one job from the outcomes of its starts."""
+    s_rho = von_neumann_entropy(rho)
     best = None
     for p, us, gnorm, _ in outcomes:
         q = shannon(p) - s_rho

@@ -39,11 +39,21 @@ def _entropy_bits(w: np.ndarray) -> float:
     return float(-np.sum(w * np.log2(w)))
 
 
+def _spectrum(rho: DensityMatrix) -> np.ndarray:
+    """The eigenvalues of rho, ascending (read-only).  Computed once per state."""
+    w = rho._memo.get("eig")
+    if w is None:
+        w = np.linalg.eigvalsh(np.asarray(rho.mat))
+        w.setflags(write=False)
+        w = rho._memo.setdefault("eig", w)
+    return w
+
+
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """-tr(rho log2 rho); between 0 and log2(dim).  Computed once per state."""
     s = rho._memo.get("S")
     if s is None:
-        s = rho._memo.setdefault("S", _entropy_bits(np.linalg.eigvalsh(np.asarray(rho.mat))))
+        s = rho._memo.setdefault("S", _entropy_bits(_spectrum(rho)))
     return s
 
 

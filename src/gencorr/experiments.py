@@ -2,10 +2,12 @@
 
 run_sweep drives the evolved four-party states over a (c, p) grid and
 evaluates the requested correlation and fidelity measures per row through
-one table of library quantifiers (evaluate_measures).  The evolved states are
-exactly invariant under swapping (a,E_a) with (b,E_b), so a sweep evaluates
-one cut or triple per swap class: of the four triples of the 3-party
-measures, only {a,E_a,b} and {a,E_a,E_b}.
+one table of library quantifiers (evaluate_measures), after batching the
+basis searches of each (channel, c) series into one lane search per kind
+of search.  The evolved states are exactly invariant under swapping
+(a,E_a) with (b,E_b), so a sweep evaluates one cut or triple per swap
+class: of the four triples of the 3-party measures, only {a,E_a,b} and
+{a,E_a,E_b}.
 
 detect_sudden_change flags interior grid points where the finite-difference
 slope of a series jumps by more than kappa times the local slope noise, the
@@ -20,17 +22,18 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field, asdict
-from functools import cached_property
 
 import numpy as np
 
 from . import __version__
 from .channels import evolve_global, appendix_golden_state, upsilon_pd, werner_state
-from .classical_search import SearchConfig
+from .classical_search import SearchConfig, closest_classical_states
 from .entropy import shannon
 from .genuine_correlations import (
     Bipartition,
     CorrelationReport,
+    _quantum_report,
+    _subsets,
     genuine_total_Ik,
     genuine_total_In,
     max_over_subsets,
@@ -60,35 +63,42 @@ SWAP_SYMMETRY = ((2, 3, 0, 1),)
 
 @dataclass
 class _State:
-    """A state, its search settings and symmetries.  The n-party chi search
-    that Q4, C4 and C3 share runs once, on first use."""
+    """A state, its search settings and symmetries, and the reports of the
+    qubit-cell searches on it and its reductions (see _search)."""
 
     rho: DensityMatrix
     cfg: SearchConfig
     symmetries: tuple
+    # (rho or a reduction, its multipartite_quantum_Q report or the exception
+    # its search raised); partial_trace returns the same object on a repeat
+    found: list = field(default_factory=list)
 
-    @cached_property
-    def q(self) -> CorrelationReport:
-        return multipartite_quantum_Q(self.rho, self.cfg)
+    def quantum(self, red: DensityMatrix) -> CorrelationReport:
+        rep = next(rep for r, rep in self.found if r is red)
+        if isinstance(rep, Exception):
+            raise rep
+        return rep
 
 
-# column -> (runs a basis search, its value for a _State).  The lambdas look
-# the library functions up when a row is evaluated, so a patched module
-# binding (a test double, a tracer) sees every call.
+# column -> (k of the k-subsystem reductions whose qubit-cell searches it
+# reads, or None; its value for a _State).  Q4, C4 and C3 share the
+# four-party chi search.  The lambdas look the library functions up when a
+# row is evaluated, so a patched module binding (a test double, a tracer)
+# sees every call.
 _MEASURES = {
-    "I4": (False, lambda s: genuine_total_Ik(s.rho, 4, s.symmetries).value_bits),
-    "I3": (False, lambda s: genuine_total_Ik(s.rho, 3, s.symmetries).value_bits),
-    "I3_abEa": (False, lambda s: genuine_total_In(partial_trace(s.rho, (0, 1, 2))).value_bits),
-    "I3_aEaEb": (False, lambda s: genuine_total_In(partial_trace(s.rho, (0, 1, 3))).value_bits),
+    "I4": (None, lambda s: genuine_total_Ik(s.rho, 4, s.symmetries).value_bits),
+    "I3": (None, lambda s: genuine_total_Ik(s.rho, 3, s.symmetries).value_bits),
+    "I3_abEa": (None, lambda s: genuine_total_In(partial_trace(s.rho, (0, 1, 2))).value_bits),
+    "I3_aEaEb": (None, lambda s: genuine_total_In(partial_trace(s.rho, (0, 1, 3))).value_bits),
     # Q4 is the fully multipartite Q (one basis per subsystem), Q3 its max over triples
-    "Q4": (True, lambda s: s.q.value_bits),
-    "Q3": (True, lambda s: max_over_subsets(
-        "Q3", s.rho, 3, lambda red, _: multipartite_quantum_Q(red, s.cfg), s.symmetries
+    "Q4": (4, lambda s: s.quantum(s.rho).value_bits),
+    "Q3": (3, lambda s: max_over_subsets(
+        "Q3", s.rho, 3, lambda red, _: s.quantum(red), s.symmetries
     ).value_bits),
-    "C4": (True, lambda s: genuine_total_Ik(s.q.chi, 4, s.symmetries).value_bits),
-    "C3": (True, lambda s: genuine_total_Ik(s.q.chi, 3, s.symmetries).value_bits),
-    "F_W": (False, lambda s: fidelity(w4(), s.rho)),
-    "F_GHZ": (False, lambda s: fidelity(upsilon_pd(1.0), s.rho)),
+    "C4": (4, lambda s: genuine_total_Ik(s.quantum(s.rho).chi, 4, s.symmetries).value_bits),
+    "C3": (4, lambda s: genuine_total_Ik(s.quantum(s.rho).chi, 3, s.symmetries).value_bits),
+    "F_W": (None, lambda s: fidelity(w4(), s.rho)),
+    "F_GHZ": (None, lambda s: fidelity(upsilon_pd(1.0), s.rho)),
 }
 SUPPORTED_MEASURES = tuple(_MEASURES)
 
@@ -97,6 +107,55 @@ def _check_measures(measures) -> None:
     bad = [m for m in measures if m not in _MEASURES]
     if bad:
         raise ValueError(f"unsupported measures {bad}; choose from {SUPPORTED_MEASURES}")
+
+
+def _search(states: list[_State], k: int) -> None:
+    """Search the qubit cells of every k-subsystem reduction of every state
+    (one per symmetry class) in one closest_classical_states call.
+
+    The states share one SearchConfig.  If the call raises, each search runs
+    alone, so that a search that raises flags only its own row.
+    """
+    jobs = [(s, partial_trace(s.rho, sub)) for s in states
+            for sub in _subsets(s.rho.n, k, s.symmetries)]
+    reds = [red for _, red in jobs]
+    cells = [[(i,) for i in range(k)]] * len(jobs)
+    cfg = states[0].cfg
+    try:
+        found = [_quantum_report(res) for res in closest_classical_states(reds, cells, cfg)]
+    except Exception:  # noqa: BLE001 - retried one search at a time
+        found = []
+        for red in reds:
+            try:
+                found.append(_quantum_report(closest_classical_states([red], cells[:1], cfg)[0]))
+            except Exception as exc:  # noqa: BLE001 - flagged in its row
+                found.append(exc)
+    for (s, red), rep in zip(jobs, found):
+        s.found.append((red, rep))
+
+
+def _evaluate(states, measures):
+    """Values and failure flags of the named measures for each state, in order.
+
+    The basis searches that the measures read run first, each kind batched
+    over all the states; without searches, each state can go once its row
+    is done.  A measure that raises is NaN with a "name: error" flag.
+    """
+    searches = sorted({_MEASURES[m][0] for m in measures} - {None}, reverse=True)
+    if searches:
+        states = list(states)
+        for k in searches:
+            _search(states, k)
+    for state in states:
+        values: dict[str, float] = {}
+        flags: list[str] = []
+        for m in measures:
+            try:
+                values[m] = _MEASURES[m][1](state)
+            except Exception as exc:  # noqa: BLE001 - flagged, not fatal
+                values[m] = math.nan
+                flags.append(f"{m}: {exc}")
+        yield values, flags
 
 
 def evaluate_measures(
@@ -110,16 +169,7 @@ def evaluate_measures(
     _check_measures(measures)
     if rho.dims.dims != (2, 2, 2, 2):
         raise ValueError(f"the measures expect a 4-qubit state, got dims {rho.dims.dims}")
-    state = _State(rho, cfg, symmetries)
-    values: dict[str, float] = {}
-    flags: list[str] = []
-    for m in measures:
-        try:
-            values[m] = _MEASURES[m][1](state)
-        except Exception as exc:  # noqa: BLE001 - flagged, not fatal
-            values[m] = math.nan
-            flags.append(f"{m}: {exc}")
-    return values, flags
+    return next(_evaluate([_State(rho, cfg, symmetries)], measures))
 
 
 @dataclass(frozen=True)
@@ -127,7 +177,8 @@ class SweepSpec:
     """One sweep: a channel, a list of c values, a uniform p grid, measures.
 
     p_count=None resolves to 41 when any measure runs a basis search (Q and
-    C columns) and 101 otherwise.
+    C columns) and 101 otherwise.  run_sweep evaluates one (channel, c)
+    series per task, so workers beyond the number of c values stay idle.
     """
 
     channel: str
@@ -163,38 +214,41 @@ class SweepSpec:
     def resolved_p_count(self) -> int:
         if self.p_count is not None:
             return self.p_count
-        return 41 if any(_MEASURES[m][0] for m in self.measures) else 101
+        return 41 if any(_MEASURES[m][0] is not None for m in self.measures) else 101
 
 
-def _row_task(args) -> dict:
-    kind, c, p, measures, cfg = args
-    values, flags = evaluate_measures(evolve_global(c, p, kind), measures, cfg, SWAP_SYMMETRY)
-    row = {"channel": kind, "c": c, "p": p, **values}
-    if flags:
-        row["_flags"] = flags
-    return row
+def _series_task(args) -> list[dict]:
+    kind, c, ps, measures, cfg = args
+    states = (_State(evolve_global(c, p, kind), cfg, SWAP_SYMMETRY) for p in ps)
+    rows = []
+    for p, (values, flags) in zip(ps, _evaluate(states, measures)):
+        row = {"channel": kind, "c": c, "p": p, **values}
+        if flags:
+            row["_flags"] = flags
+        rows.append(row)
+    return rows
 
 
 def run_sweep(spec: SweepSpec) -> list[dict]:
     """One row per (c, p) with all requested measures.
 
-    Rows are deterministic for a fixed rng_seed and ordered by the given
-    c values, then ascending p, regardless of worker completion order.
+    Each (channel, c) series is one task: its states are built first, then
+    each kind of basis search its measures read runs once over the whole
+    series (see closest_classical_states), then its rows are evaluated.
+    With workers > 1 a process pool runs the series side by side.  Rows are
+    deterministic for a fixed rng_seed, equal for any workers, and ordered by
+    the given c values, then ascending p.
     """
-    ps = np.linspace(0.0, 1.0, spec.resolved_p_count())
-    tasks = [
-        (spec.channel, c, float(p), spec.measures, spec.search)
-        for c in spec.c_values
-        for p in ps
-    ]
+    ps = [float(p) for p in np.linspace(0.0, 1.0, spec.resolved_p_count())]
+    tasks = [(spec.channel, c, ps, spec.measures, spec.search) for c in spec.c_values]
     if spec.workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only parallel sweeps load it
 
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            rows = list(pool.map(_row_task, tasks))
+            series = list(pool.map(_series_task, tasks))
     else:
-        rows = [_row_task(t) for t in tasks]
-    return rows
+        series = [_series_task(t) for t in tasks]
+    return [row for rows in series for row in rows]
 
 
 def write_csv(rows: list[dict], measures, path) -> None:

@@ -16,7 +16,12 @@ import itertools
 import json
 from dataclasses import dataclass, field
 
-from .classical_search import SearchConfig, closest_classical_state
+from .classical_search import (
+    SearchConfig,
+    SearchResult,
+    closest_classical_state,
+    closest_classical_states,
+)
 from .entropy import von_neumann_entropy
 from .linalg import DensityMatrix, partial_trace
 
@@ -224,18 +229,29 @@ def genuine_quantum_Qn(
     """min over bipartite cuts of the distance to the cut-classical states.
 
     Each cut dephases in arbitrary orthonormal bases of the two grouped cells,
-    so the cut search space is wider than per-subsystem product bases.  evals
-    and starts add up over the cuts searched: starts is the sum of the cut
-    searches' SearchResult.starts, not a per-cut count.
+    so the cut search space is wider than per-subsystem product bases.  Cuts
+    with the same cell dimensions share one closest_classical_states call (on
+    four qubits: 2|8, 4|4 and 8|2).  evals and starts add up over the cuts
+    searched: starts is the sum of the cut searches' SearchResult.starts, not
+    a per-cut count.
     """
     if rho.n < 2:
         raise ValueError("genuine quantum correlation needs at least two subsystems")
+    cuts = _cuts(rho.n, symmetries)
+    by_shape: dict[tuple, list[Bipartition]] = {}
+    for cut in cuts:
+        shape = tuple(rho.dims.subset(cell).total for cell in cut.cells())
+        by_shape.setdefault(shape, []).append(cut)
+    found = {}
+    for group in by_shape.values():
+        results = closest_classical_states([rho] * len(group), [cut.cells() for cut in group], cfg)
+        found.update(zip(group, results))
     best = None
     witness = None
     evals = 0
     starts = 0
-    for cut in _cuts(rho.n, symmetries):
-        result = closest_classical_state(rho, cut.cells(), cfg)
+    for cut in cuts:
+        result = found[cut]
         evals += result.evals
         starts += result.starts
         if best is None or result.q < best:
@@ -262,8 +278,11 @@ def multipartite_quantum_Q(
     """
     if rho.n < 2:
         raise ValueError("multipartite quantum correlation needs at least two subsystems")
-    cells = [(i,) for i in range(rho.n)]
-    result = closest_classical_state(rho, cells, cfg)
+    return _quantum_report(closest_classical_state(rho, [(i,) for i in range(rho.n)], cfg))
+
+
+def _quantum_report(result: SearchResult) -> CorrelationReport:
+    """The multipartite_quantum_Q report of a search with one cell per subsystem."""
     return CorrelationReport(
         "Q", result.q, None, evals=result.evals, starts=result.starts, chi=result.chi
     )

@@ -104,11 +104,11 @@ class DensityMatrix:
 
     The backing array is immutable after construction, so values are safe to
     share between concurrent workers.  Each state also carries a private memo
-    of its partial traces (keyed by the sorted kept subsystems) and its von
-    Neumann entropy, so a quantifier that asks for the same reduction again
-    gets the same object and the same float.  The memo never goes stale, as
-    dims and mat never change; it holds at most 2**n - 2 reductions and dies
-    with its state.
+    of its partial traces (keyed by the sorted kept subsystems), its spectrum
+    and its von Neumann entropy, so a quantifier that asks for the same
+    reduction again gets the same object and the same float.  The memo never
+    goes stale, as dims and mat never change; it holds at most 2**n - 2
+    reductions and dies with its state.
     """
 
     dims: CompositeDims

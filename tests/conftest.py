@@ -17,15 +17,20 @@ def fast_cfg():
 
 @pytest.fixture
 def search_cells(monkeypatch):
-    """The cell count of every closest_classical_state call the quantifiers make."""
+    """The cell count of every search the quantifiers and sweeps run, one
+    entry per job of each closest_classical_states call."""
+    import gencorr.classical_search as cs
+    import gencorr.experiments as experiments
     import gencorr.genuine_correlations as gc
 
     calls = []
-    search = gc.closest_classical_state
+    search = cs.closest_classical_states
 
-    def counting(rho, cells, cfg):
-        calls.append(len(cells))
-        return search(rho, cells, cfg)
+    def counting(rhos, partitions, cfg):
+        partitions = list(partitions)
+        calls.extend(len(cells) for cells in partitions)
+        return search(rhos, partitions, cfg)
 
-    monkeypatch.setattr(gc, "closest_classical_state", counting)
+    for module in (cs, gc, experiments):
+        monkeypatch.setattr(module, "closest_classical_states", counting)
     return calls

@@ -335,6 +335,33 @@ def test_search_result_does_not_depend_on_the_lane_count(cells, cfg, monkeypatch
     assert _fields(closest_classical_state(rho, cells, cfg)) == _fields(default)
 
 
+@pytest.mark.parametrize("lanes,width", [(1, cs._WIDTH), (cs._LANES, cs._WIDTH), (cs._LANES, 3)])
+def test_batched_searches_equal_lone_searches(lanes, width, monkeypatch):
+    # the lanes of several searches advance together; each job keeps its own
+    # budget, lane cap and settling, so every field equals a lone call's.
+    # With width 3 the later jobs wait for lanes that the earlier ones free
+    monkeypatch.setattr(cs, "_LANES", lanes)
+    monkeypatch.setattr(cs, "_WIDTH", width)
+    cfg = SearchConfig(starts=2, max_evals=300)
+    states = [evolve_global(0.8, 0.4, "ad"), evolve_global(0.6, 0.3, "pd"),
+              evolve_global(1.0, 0.9, "ad")]
+    qubits = [[(0,), (1,), (2,), (3,)]] * len(states)
+    cuts = [cut.cells() for cut in all_bipartitions(4) if len(cut.mask) == 2]
+    for rhos, partitions in ((states, qubits), ([states[1]] * len(cuts), cuts)):
+        batch = cs.closest_classical_states(rhos, partitions, cfg)
+        lone = [closest_classical_state(rho, cells, cfg) for rho, cells in zip(rhos, partitions)]
+        assert [_fields(res) for res in batch] == [_fields(res) for res in lone]
+
+
+def test_batched_searches_need_equal_cell_dimensions():
+    rho = evolve_global(0.8, 0.4, "ad")
+    with pytest.raises(ValueError):
+        cs.closest_classical_states([rho, rho], [[(0, 1), (2, 3)], [(0,), (1, 2, 3)]])
+    with pytest.raises(ValueError):
+        cs.closest_classical_states([rho, rho], [[(0, 1), (2, 3)]])
+    assert cs.closest_classical_states([], []) == []
+
+
 def test_search_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(starts=0)

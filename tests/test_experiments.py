@@ -148,7 +148,7 @@ def test_optimizer_failure_is_flagged_not_fatal(tmp_path, monkeypatch):
     def boom(*args, **kwargs):
         raise RuntimeError("search exploded")
 
-    monkeypatch.setattr(experiments, "multipartite_quantum_Q", boom)
+    monkeypatch.setattr(experiments, "closest_classical_states", boom)
     spec = SweepSpec(channel="ad", c_values=(0.5,), p_count=3, measures=("I4", "Q4"))
     rows = run_sweep(spec)
     assert all(math.isnan(r["Q4"]) for r in rows)
@@ -162,6 +162,39 @@ def test_optimizer_failure_is_flagged_not_fatal(tmp_path, monkeypatch):
     assert len(manifest["failures"]) == 3
     assert manifest["search"]["rng_seed"] == 0
     assert "clip" in manifest["tolerances"]
+
+
+def test_parallel_workers_preserve_searched_rows():
+    kwargs = dict(channel="pd", c_values=(0.6, 1.0), p_count=3, measures=("Q4", "C4"),
+                  search=SearchConfig(starts=1, max_evals=40))
+    serial = run_sweep(SweepSpec(workers=1, **kwargs))
+    parallel = run_sweep(SweepSpec(workers=2, **kwargs))
+    assert len(serial) == 6
+    assert serial == parallel
+
+
+def test_a_raising_search_flags_only_its_row(monkeypatch):
+    # the batched call raises, so each search runs again alone, and only the
+    # search on the p = 0.5 state raises then
+    bad = evolve_global(0.5, 0.5, "ad").mat
+    search = experiments.closest_classical_states
+
+    def picky(rhos, partitions, cfg):
+        rhos = list(rhos)
+        if any(np.array_equal(rho.mat, bad) for rho in rhos):
+            raise RuntimeError("search exploded")
+        return search(rhos, partitions, cfg)
+
+    spec = SweepSpec(channel="ad", c_values=(0.5,), p_count=3, measures=("I4", "Q4", "C4"),
+                     search=SearchConfig(starts=1, max_evals=40))
+    clean = run_sweep(spec)
+    monkeypatch.setattr(experiments, "closest_classical_states", picky)
+    rows = run_sweep(spec)
+    assert [r["p"] for r in rows] == [0.0, 0.5, 1.0]
+    assert rows[1]["_flags"] == ["Q4: search exploded", "C4: search exploded"]
+    assert math.isnan(rows[1]["Q4"]) and math.isnan(rows[1]["C4"])
+    assert rows[1]["I4"] == clean[1]["I4"]
+    assert [rows[0], rows[2]] == [clean[0], clean[2]]
 
 
 @pytest.mark.parametrize("symmetries", [SWAP_SYMMETRY, ()])

@@ -243,16 +243,19 @@ def test_reports_count_the_starts_the_searches_ran(rng):
 def test_Qn_starts_is_the_sum_over_its_cut_searches(monkeypatch):
     import gencorr.genuine_correlations as gc
 
-    results = []
-    search = gc.closest_classical_state
+    results, batches = [], []
+    search = gc.closest_classical_states
 
-    def recording(rho, cells, cfg):
-        results.append(search(rho, cells, cfg))
-        return results[-1]
+    def recording(rhos, partitions, cfg):
+        out = search(rhos, partitions, cfg)
+        results.extend(out)
+        batches.append(len(out))
+        return out
 
-    monkeypatch.setattr(gc, "closest_classical_state", recording)
+    monkeypatch.setattr(gc, "closest_classical_states", recording)
     rep = genuine_quantum_Qn(evolve_global(0.8, 0.4, "pd"))
     assert len(results) == 7
+    assert sorted(batches) == [1, 3, 3]  # one call per cell shape: 2|8, 4|4, 8|2
     assert rep.starts == sum(r.starts for r in results)
     assert rep.evals == sum(r.evals for r in results)
     assert rep.value_bits == min(r.q for r in results)
