@@ -44,7 +44,7 @@ def main() -> None:
     ap.add_argument("--grid-i", type=int, default=101, help="p points for total series")
     ap.add_argument("--grid-q", type=int, default=41, help="p points for Q/C series")
     ap.add_argument("--starts", type=int, default=SearchConfig().starts,
-                    help="basis-search starts, each a share of the iteration budget")
+                    help="basis-search starts, each run to its own stop")
     ap.add_argument("--seed", type=int, default=SearchConfig().rng_seed)
     ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--skip-search", action="store_true",

@@ -125,8 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_search_flags(p):
         p.add_argument("--starts", type=int, default=_DEFAULT_SEARCH.starts,
-                       help="basis-search starts, each a share of the iteration "
-                            "budget (default %(default)s)")
+                       help="basis-search starts, each run to its own stop "
+                            "(default %(default)s)")
         p.add_argument("--max-evals", dest="max_evals", type=int,
                        default=_DEFAULT_SEARCH.max_evals,
                        help="objective evaluations per start (default %(default)s)")

@@ -113,7 +113,6 @@ class CorrelationReport:
     value_bits: float
     witness: Bipartition | SubsetSelection | None = None
     evals: int = 0
-    starts: int = 0
     chi: DensityMatrix | None = field(default=None, repr=False)
 
     def witness_label(self) -> str | None:
@@ -176,19 +175,18 @@ def max_over_subsets(name: str, rho: DensityMatrix, k: int, quantifier, symmetri
     Subsets that a relabeling in symmetries maps onto each other are evaluated
     once.  The symmetries are handed on only when k equals rho.n, since a
     proper reduction need not share them.  The witness is the first maximizing
-    subset; evals and starts add up over the reductions.
+    subset; evals adds up over the reductions.
     """
     _check_k(rho.n, k)
     inner = symmetries if k == rho.n else ()
     best = None
-    evals = starts = 0
+    evals = 0
     for sub in _subsets(rho.n, k, symmetries):
         rep = quantifier(partial_trace(rho, sub), inner)
         evals += rep.evals
-        starts += rep.starts
         if best is None or rep.value_bits > best:
             best, witness = rep.value_bits, SubsetSelection(sub)
-    return CorrelationReport(name, best, witness, evals=evals, starts=starts)
+    return CorrelationReport(name, best, witness, evals=evals)
 
 
 def genuine_total_In(rho: DensityMatrix, symmetries=()) -> CorrelationReport:
@@ -231,9 +229,7 @@ def genuine_quantum_Qn(
     Each cut dephases in arbitrary orthonormal bases of the two grouped cells,
     so the cut search space is wider than per-subsystem product bases.  Cuts
     with the same cell dimensions share one closest_classical_states call (on
-    four qubits: 2|8, 4|4 and 8|2).  evals and starts add up over the cuts
-    searched: starts is the sum of the cut searches' SearchResult.starts, not
-    a per-cut count.
+    four qubits: 2|8, 4|4 and 8|2).  evals adds up over the cuts searched.
     """
     if rho.n < 2:
         raise ValueError("genuine quantum correlation needs at least two subsystems")
@@ -249,14 +245,12 @@ def genuine_quantum_Qn(
     best = None
     witness = None
     evals = 0
-    starts = 0
     for cut in cuts:
         result = found[cut]
         evals += result.evals
-        starts += result.starts
         if best is None or result.q < best:
             best, witness = result.q, cut
-    return CorrelationReport("Q_n", best, witness, evals=evals, starts=starts)
+    return CorrelationReport("Q_n", best, witness, evals=evals)
 
 
 def genuine_quantum_Qk(
@@ -283,16 +277,11 @@ def multipartite_quantum_Q(
 
 def _quantum_report(result: SearchResult) -> CorrelationReport:
     """The multipartite_quantum_Q report of a search with one cell per subsystem."""
-    return CorrelationReport(
-        "Q", result.q, None, evals=result.evals, starts=result.starts, chi=result.chi
-    )
+    return CorrelationReport("Q", result.q, None, evals=result.evals, chi=result.chi)
 
 
 def _from_chi(name: str, q_rep: CorrelationReport, rep: CorrelationReport):
-    return CorrelationReport(
-        name, rep.value_bits, rep.witness, evals=q_rep.evals, starts=q_rep.starts,
-        chi=q_rep.chi,
-    )
+    return CorrelationReport(name, rep.value_bits, rep.witness, evals=q_rep.evals, chi=q_rep.chi)
 
 
 def genuine_classical_Cn(

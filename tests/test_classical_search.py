@@ -216,10 +216,12 @@ def test_gradient_matches_central_difference(cell, rng):
     "c,p,kind",
     [
         (0.6546013133245124, 0.38662538804729474, "ad"),
-        # here an unguarded descent leaves outcomes at ~1e-12, where
-        # relative_entropy's support test returns inf
+        # nearly pure; it passes without the mass-cap guard too
         (0.989293854107047, 0.11882572844807984, "pd"),
         (0.8453986866754876, 0.8811742715519202, "ad"),
+        # without the mass-cap guard, the [(0, 2), (1, 3)] search ends where
+        # relative_entropy's support test returns inf, at 1, 2 and 4 starts
+        (0.8, 0.25, "pd"),
     ],
 )
 def test_search_value_is_the_relative_entropy_to_chi_on_balanced_cuts(c, p, kind):
@@ -229,6 +231,15 @@ def test_search_value_is_the_relative_entropy_to_chi_on_balanced_cuts(c, p, kind
         if len(cut.mask) == 2:
             res = closest_classical_state(rho, cut.cells(), cfg)
             assert abs(relative_entropy(rho, res.chi) - res.q) <= 1e-9
+
+
+def test_each_batched_search_keeps_its_own_mass_cap():
+    # the first job's mass_cap (2e-13) is four times the second's (5e-14);
+    # under the first's cap the second search ends where S(rho||chi) is inf
+    first, second = evolve_global(0.2, 0.5, "ad"), evolve_global(0.8, 0.25, "pd")
+    cut = [(0, 2), (1, 3)]
+    res = cs.closest_classical_states([first, second], [cut, cut], SearchConfig(starts=2))
+    assert abs(relative_entropy(second, res[1].chi) - res[1].q) <= 1e-9
 
 
 @pytest.mark.parametrize("kind", ["ad", "pd"])
@@ -253,16 +264,16 @@ QUBIT_CELLS, TWO_TWO, ONE_THREE = [(0,), (1,), (2,), (3,)], [(0, 2), (1, 3)], [(
         (evolve_global(0.6, 0.3, "pd"), [QUBIT_CELLS, TWO_TWO, ONE_THREE]),
         (evolve_global(0.8, 0.5, "ad"), [QUBIT_CELLS, TWO_TWO, ONE_THREE]),
         (evolve_global(1.0, 0.9, "ad"), [QUBIT_CELLS, TWO_TWO, ONE_THREE]),
-        # on these two, 4 * n iterations per start miss the 16-start minimum
-        # by 6e-3 and 4e-3
+        # on these two, 12 and 4 starts miss the 16-start minimum by 6.25e-3
+        # and 3.9e-3
         (random_density_matrix((2, 2, 2, 2), np.random.default_rng(11), rank=4), [QUBIT_CELLS]),
         (random_density_matrix((2, 2, 2, 2), np.random.default_rng(37), rank=4), [TWO_TWO]),
     ],
     ids=["pd-0.6-0.3", "ad-0.8-0.5", "ad-1.0-0.9", "random-11", "random-37"],
 )
 def test_default_budget_reaches_the_sixteen_start_value(rho, shapes):
-    # 16 starts of 8 * n iterations are at least the 2 * min(n**2, 2000) of
-    # the former two-start budget on every cell shape
+    # the default starts are the first of the 16, so q can only be higher;
+    # random-11 reaches the 16-start minimum at start 13
     for cells in shapes:
         q = closest_classical_state(rho, cells, SearchConfig()).q
         assert q <= closest_classical_state(rho, cells, SearchConfig(starts=16)).q + 1e-9
@@ -271,7 +282,7 @@ def test_default_budget_reaches_the_sixteen_start_value(rho, shapes):
 @pytest.mark.parametrize("dims,cells", [((2, 2), [(0,), (1,)]), ((2, 2, 2), [(0,), (1, 2)])])
 def test_grad_norm_certifies_stationarity_on_full_rank_inputs(dims, cells):
     # full-rank inputs have no vanishing outcomes, so the best start ends
-    # below GRAD_TOL within the budget, and grad_norm belongs to the returned basis
+    # below GRAD_TOL within max_evals, and grad_norm belongs to the returned basis
     cfg = SearchConfig(starts=1)
     for seed in range(8):
         rho = random_density_matrix(dims, np.random.default_rng(seed))
@@ -284,65 +295,53 @@ def test_grad_norm_certifies_stationarity_on_full_rank_inputs(dims, cells):
         assert norm == pytest.approx(res.grad_norm, rel=1e-6, abs=1e-12)
 
 
-@pytest.mark.parametrize("cells,cdims", [([(0,), (1,), (2,), (3,)], [2, 2, 2, 2]),
-                                         ([(0, 1), (2, 3)], [4, 4])])
-def test_search_spends_the_same_iterations_on_every_input(cells, cdims, monkeypatch):
-    # the budget is B = starts * min(8 * n, max_evals) iterations (gradient
-    # evaluations), n the real parameter count.  A start runs if the earlier
-    # ones took fewer than B, and then to its own stop, so one lane spends at
-    # least B and less than B + max_evals.  max_evals=300 sits above 8 * n for
-    # both cell sets.  More lanes also spend the iterations of starts run
-    # ahead and dropped, for the same result
-    calls = []
-    monkeypatch.setattr(cs, "_gradient", lambda *a: calls.append(len(a[0])) or _gradient(*a))
-    cfg = SearchConfig(starts=2, max_evals=300)
-    n = sum(d * d for d in cdims)
-    assert 8 * n < cfg.max_evals
-    budget = 2 * 8 * n
-    lanes = cs._LANES
-    over = []
-    for rho in (evolve_global(0.9, 0.3, "ad"), evolve_global(0.6, 0.7, "pd"),
-                random_density_matrix((2, 2, 2, 2), np.random.default_rng(5))):
-        monkeypatch.setattr(cs, "_LANES", 1)
-        calls.clear()
-        one = closest_classical_state(rho, cells, cfg)
-        assert budget <= len(calls) < budget + cfg.max_evals
-        over.append(len(calls) > budget)
-        monkeypatch.setattr(cs, "_LANES", lanes)
-        calls.clear()
-        many = closest_classical_state(rho, cells, cfg)
-        assert sum(calls) >= budget
-        assert _fields(many) == _fields(one)
-    assert any(over)  # the start that crosses B is not cut there
+@pytest.mark.parametrize("cells", [[(0,), (1,), (2,), (3,)], [(0, 1), (2, 3)]])
+def test_search_runs_exactly_starts_starts_on_every_input(cells, monkeypatch):
+    # starts 0..starts-1 of every job open once each, in (job, start) order,
+    # whatever the input, the lane width and the jobs beside it
+    opened = []
+    open_lanes = cs._LaneSearch._open
+    monkeypatch.setattr(cs._LaneSearch, "_open",
+                        lambda self, new: opened.extend(new) or open_lanes(self, new))
+    cfg = SearchConfig(starts=3, max_evals=300)
+    rhos = [evolve_global(0.9, 0.3, "ad"), evolve_global(0.6, 0.7, "pd"),
+            random_density_matrix((2, 2, 2, 2), np.random.default_rng(5))]
+    for width in (1, cs._WIDTH):
+        monkeypatch.setattr(cs, "_WIDTH", width)
+        for rho in rhos:
+            opened.clear()
+            closest_classical_state(rho, cells, cfg)
+            assert opened == [(0, k) for k in range(cfg.starts)]
+        opened.clear()
+        cs.closest_classical_states(rhos, [cells] * len(rhos), cfg)
+        assert opened == [(j, k) for j in range(len(rhos)) for k in range(cfg.starts)]
 
 
 def _fields(res):
     """Every field of a SearchResult, exactly (arrays as bytes)."""
     arrays = [u.tobytes() for u in res.basis.unitaries] + [res.chi.mat.tobytes()]
-    return (res.q, res.evals, res.grad_norm, res.starts, res.basis.cells, arrays)
+    return (res.q, res.evals, res.grad_norm, res.basis.cells, arrays)
 
 
 @pytest.mark.parametrize("cells", [[(0,), (1,), (2,), (3,)], [(0, 1), (2, 3)], [(0,), (1, 2, 3)]])
 @pytest.mark.parametrize("cfg", [SearchConfig(starts=1), SearchConfig(starts=2),
                                  SearchConfig(starts=2, max_evals=30)])
 def test_search_result_does_not_depend_on_the_lane_count(cells, cfg, monkeypatch):
-    # starts run ahead in lanes settle in start order; with max_evals=30 the
-    # budget runs out partway through the starts, and which ones count is
-    # known only once the earlier starts end
+    # one lane runs the starts one after another; with max_evals=30 every
+    # start stops at the evaluation cap
     rho = evolve_global(0.8, 0.4, "ad")
     default = closest_classical_state(rho, cells, cfg)
-    monkeypatch.setattr(cs, "_LANES", 1)
+    monkeypatch.setattr(cs, "_WIDTH", 1)
     assert _fields(closest_classical_state(rho, cells, cfg)) == _fields(default)
 
 
-@pytest.mark.parametrize("lanes,width", [(1, cs._WIDTH), (cs._LANES, cs._WIDTH), (cs._LANES, 3)])
-def test_batched_searches_equal_lone_searches(lanes, width, monkeypatch):
-    # the lanes of several searches advance together; each job keeps its own
-    # budget, lane cap and settling, so every field equals a lone call's.
-    # With width 3 the later jobs wait for lanes that the earlier ones free
-    monkeypatch.setattr(cs, "_LANES", lanes)
+@pytest.mark.parametrize("starts,width", [(1, cs._WIDTH), (8, cs._WIDTH), (8, 3)])
+def test_batched_searches_equal_lone_searches(starts, width, monkeypatch):
+    # the lanes of several searches advance together, and every field equals
+    # a lone call's.  With width 3 the later starts wait for lanes that the
+    # earlier ones free, of their own job and of the jobs before it
     monkeypatch.setattr(cs, "_WIDTH", width)
-    cfg = SearchConfig(starts=2, max_evals=300)
+    cfg = SearchConfig(starts=starts, max_evals=300)
     states = [evolve_global(0.8, 0.4, "ad"), evolve_global(0.6, 0.3, "pd"),
               evolve_global(1.0, 0.9, "ad")]
     qubits = [[(0,), (1,), (2,), (3,)]] * len(states)
@@ -370,5 +369,5 @@ def test_search_config_validation():
     for bad in (dict(starts=1.5), dict(max_evals=2.5), dict(rng_seed=0.5)):
         with pytest.raises(ValueError):
             SearchConfig(**bad)
-    assert SearchConfig().starts == 4
+    assert SearchConfig().starts == 14
     assert SearchConfig(starts=5).starts == 5

@@ -11,7 +11,6 @@ from gencorr import (
     SearchConfig,
     SubsetSelection,
     all_bipartitions,
-    closest_classical_state,
     degree_of,
     genuine_classical_Ck,
     genuine_classical_Cn,
@@ -228,19 +227,7 @@ def test_Qn_of_w4_is_attained_on_a_single_qubit_cut():
     assert 1 in (len(rep.witness.mask), len(rep.witness.complement))
 
 
-def test_reports_count_the_starts_the_searches_ran(rng):
-    # the budget passes what converged starts leave to further starts, so a
-    # report counts more starts than cfg.starts per search
-    rho = random_density_matrix((2, 2, 2), rng)
-    cfg = SearchConfig(starts=2, max_evals=300)
-    per_cut = [closest_classical_state(rho, cut.cells(), cfg).starts for cut in all_bipartitions(3)]
-    assert genuine_quantum_Qn(rho, cfg).starts == sum(per_cut) > 2 * len(per_cut)
-    assert genuine_quantum_Qk(rho, 3, cfg).starts == sum(per_cut)
-    full = closest_classical_state(rho, [(0,), (1,), (2,)], cfg).starts
-    assert multipartite_quantum_Q(rho, cfg).starts == full > 2
-
-
-def test_Qn_starts_is_the_sum_over_its_cut_searches(monkeypatch):
+def test_Qn_evals_is_the_sum_over_its_cut_searches(monkeypatch):
     import gencorr.genuine_correlations as gc
 
     results, batches = [], []
@@ -256,7 +243,6 @@ def test_Qn_starts_is_the_sum_over_its_cut_searches(monkeypatch):
     rep = genuine_quantum_Qn(evolve_global(0.8, 0.4, "pd"))
     assert len(results) == 7
     assert sorted(batches) == [1, 3, 3]  # one call per cell shape: 2|8, 4|4, 8|2
-    assert rep.starts == sum(r.starts for r in results)
     assert rep.evals == sum(r.evals for r in results)
     assert rep.value_bits == min(r.q for r in results)
 
