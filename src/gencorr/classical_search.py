@@ -81,6 +81,8 @@ class SearchConfig:
             raise ValueError("starts must be >= 1")
         if self.max_evals < 1:
             raise ValueError("max_evals must be >= 1")
+        if self.rng_seed < 0:  # start k seeds default_rng(rng_seed + k)
+            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,13 @@
 
 run_sweep drives the evolved four-party states over a (c, p) grid and
 evaluates the requested correlation and fidelity measures per row through
-one table of library quantifiers (evaluate_measures), after batching the
-basis searches of each (channel, c) series into one lane search per kind
-of search.  The evolved states are exactly invariant under swapping
-(a,E_a) with (b,E_b), so a sweep evaluates one cut or triple per swap
-class: of the four triples of the 3-party measures, only {a,E_a,b} and
-{a,E_a,E_b}.
+one table of library quantifiers (evaluate_measures).  Before the rows of a
+(channel, c) series, each kind of basis search its columns read runs over
+the whole series in one lane search (multipartite_quantum_Qs), which
+memoizes the reports on the states for the rows to read.  The evolved
+states are exactly invariant under swapping (a,E_a) with (b,E_b), so a
+sweep evaluates one cut or triple per swap class: of the four triples of
+the 3-party measures, only {a,E_a,b} and {a,E_a,E_b}.
 
 detect_sudden_change flags interior grid points where the finite-difference
 slope of a series jumps by more than kappa times the local slope noise, the
@@ -27,17 +28,18 @@ import numpy as np
 
 from . import __version__
 from .channels import evolve_global, appendix_golden_state, upsilon_pd, werner_state
-from .classical_search import SearchConfig, closest_classical_states
+from .classical_search import SearchConfig
 from .entropy import shannon
 from .genuine_correlations import (
     Bipartition,
-    CorrelationReport,
-    _quantum_report,
     _subsets,
+    genuine_classical_Ck,
+    genuine_classical_Cn,
     genuine_total_Ik,
     genuine_total_In,
     max_over_subsets,
     multipartite_quantum_Q,
+    multipartite_quantum_Qs,
 )
 from .linalg import DEFAULT_TOL, DensityMatrix, partial_trace
 from .states import fidelity, ghz, ppt_min_eigenvalue, w4
@@ -61,44 +63,25 @@ __all__ = [
 SWAP_SYMMETRY = ((2, 3, 0, 1),)
 
 
-@dataclass
-class _State:
-    """A state, its search settings and symmetries, and the reports of the
-    qubit-cell searches on it and its reductions (see _search)."""
-
-    rho: DensityMatrix
-    cfg: SearchConfig
-    symmetries: tuple
-    # (rho or a reduction, its multipartite_quantum_Q report or the exception
-    # its search raised); partial_trace returns the same object on a repeat
-    found: list = field(default_factory=list)
-
-    def quantum(self, red: DensityMatrix) -> CorrelationReport:
-        rep = next(rep for r, rep in self.found if r is red)
-        if isinstance(rep, Exception):
-            raise rep
-        return rep
-
-
 # column -> (k of the k-subsystem reductions whose qubit-cell searches it
-# reads, or None; its value for a _State).  Q4, C4 and C3 share the
-# four-party chi search.  The lambdas look the library functions up when a
-# row is evaluated, so a patched module binding (a test double, a tracer)
-# sees every call.
+# reads, or None; its value for (rho, cfg, symmetries)).  Q4, C4 and C3
+# share the four-party chi search, which multipartite_quantum_Q memoizes on
+# rho.  The lambdas look the library functions up when a row is evaluated,
+# so a patched module binding (a test double, a tracer) sees every call.
 _MEASURES = {
-    "I4": (None, lambda s: genuine_total_Ik(s.rho, 4, s.symmetries).value_bits),
-    "I3": (None, lambda s: genuine_total_Ik(s.rho, 3, s.symmetries).value_bits),
-    "I3_abEa": (None, lambda s: genuine_total_In(partial_trace(s.rho, (0, 1, 2))).value_bits),
-    "I3_aEaEb": (None, lambda s: genuine_total_In(partial_trace(s.rho, (0, 1, 3))).value_bits),
+    "I4": (None, lambda rho, _, syms: genuine_total_Ik(rho, 4, syms).value_bits),
+    "I3": (None, lambda rho, _, syms: genuine_total_Ik(rho, 3, syms).value_bits),
+    "I3_abEa": (None, lambda rho, *_: genuine_total_In(partial_trace(rho, (0, 1, 2))).value_bits),
+    "I3_aEaEb": (None, lambda rho, *_: genuine_total_In(partial_trace(rho, (0, 1, 3))).value_bits),
     # Q4 is the fully multipartite Q (one basis per subsystem), Q3 its max over triples
-    "Q4": (4, lambda s: s.quantum(s.rho).value_bits),
-    "Q3": (3, lambda s: max_over_subsets(
-        "Q3", s.rho, 3, lambda red, _: s.quantum(red), s.symmetries
+    "Q4": (4, lambda rho, cfg, _: multipartite_quantum_Q(rho, cfg).value_bits),
+    "Q3": (3, lambda rho, cfg, syms: max_over_subsets(
+        "Q3", rho, 3, lambda red, _: multipartite_quantum_Q(red, cfg), syms
     ).value_bits),
-    "C4": (4, lambda s: genuine_total_Ik(s.quantum(s.rho).chi, 4, s.symmetries).value_bits),
-    "C3": (4, lambda s: genuine_total_Ik(s.quantum(s.rho).chi, 3, s.symmetries).value_bits),
-    "F_W": (None, lambda s: fidelity(w4(), s.rho)),
-    "F_GHZ": (None, lambda s: fidelity(upsilon_pd(1.0), s.rho)),
+    "C4": (4, lambda rho, cfg, syms: genuine_classical_Cn(rho, cfg, syms).value_bits),
+    "C3": (4, lambda rho, cfg, syms: genuine_classical_Ck(rho, 3, cfg, syms).value_bits),
+    "F_W": (None, lambda rho, *_: fidelity(w4(), rho)),
+    "F_GHZ": (None, lambda rho, *_: fidelity(upsilon_pd(1.0), rho)),
 }
 SUPPORTED_MEASURES = tuple(_MEASURES)
 
@@ -109,49 +92,33 @@ def _check_measures(measures) -> None:
         raise ValueError(f"unsupported measures {bad}; choose from {SUPPORTED_MEASURES}")
 
 
-def _search(states: list[_State], k: int) -> None:
-    """Search the qubit cells of every k-subsystem reduction of every state
-    (one per symmetry class) in one closest_classical_states call.
-
-    The states share one SearchConfig.  If the call raises, each search runs
-    alone, so that a search that raises flags only its own row.
-    """
-    jobs = [(s, partial_trace(s.rho, sub)) for s in states
-            for sub in _subsets(s.rho.n, k, s.symmetries)]
-    reds = [red for _, red in jobs]
-    cells = [[(i,) for i in range(k)]] * len(jobs)
-    cfg = states[0].cfg
-    try:
-        found = [_quantum_report(res) for res in closest_classical_states(reds, cells, cfg)]
-    except Exception:  # noqa: BLE001 - retried one search at a time
-        found = []
-        for red in reds:
-            try:
-                found.append(_quantum_report(closest_classical_states([red], cells[:1], cfg)[0]))
-            except Exception as exc:  # noqa: BLE001 - flagged in its row
-                found.append(exc)
-    for (s, red), rep in zip(jobs, found):
-        s.found.append((red, rep))
-
-
-def _evaluate(states, measures):
+def _evaluate(rhos, measures, cfg, symmetries):
     """Values and failure flags of the named measures for each state, in order.
 
-    The basis searches that the measures read run first, each kind batched
-    over all the states; without searches, each state can go once its row
-    is done.  A measure that raises is NaN with a "name: error" flag.
+    First, for each kind of basis search the measures read, one
+    multipartite_quantum_Qs call searches the k-subsystem reductions of all
+    the states (one per symmetry class) and memoizes the reports.  If that
+    call raises, nothing is memoized and each row runs its own searches, so
+    a search that raises flags only its row.  Without searches, each state
+    can go once its row is done.  A measure that raises is NaN with a
+    "name: error" flag.
     """
-    searches = sorted({_MEASURES[m][0] for m in measures} - {None}, reverse=True)
-    if searches:
-        states = list(states)
-        for k in searches:
-            _search(states, k)
-    for state in states:
+    ks = sorted({_MEASURES[m][0] for m in measures} - {None}, reverse=True)
+    if ks:
+        rhos = list(rhos)
+        for k in ks:
+            reds = [partial_trace(rho, sub)
+                    for rho in rhos for sub in _subsets(rho.n, k, symmetries)]
+            try:
+                multipartite_quantum_Qs(reds, cfg)
+            except Exception:  # noqa: BLE001 - each row then runs its own searches
+                pass
+    for rho in rhos:
         values: dict[str, float] = {}
         flags: list[str] = []
         for m in measures:
             try:
-                values[m] = _MEASURES[m][1](state)
+                values[m] = _MEASURES[m][1](rho, cfg, symmetries)
             except Exception as exc:  # noqa: BLE001 - flagged, not fatal
                 values[m] = math.nan
                 flags.append(f"{m}: {exc}")
@@ -169,7 +136,7 @@ def evaluate_measures(
     _check_measures(measures)
     if rho.dims.dims != (2, 2, 2, 2):
         raise ValueError(f"the measures expect a 4-qubit state, got dims {rho.dims.dims}")
-    return next(_evaluate([_State(rho, cfg, symmetries)], measures))
+    return next(_evaluate([rho], measures, cfg, symmetries))
 
 
 @dataclass(frozen=True)
@@ -219,9 +186,9 @@ class SweepSpec:
 
 def _series_task(args) -> list[dict]:
     kind, c, ps, measures, cfg = args
-    states = (_State(evolve_global(c, p, kind), cfg, SWAP_SYMMETRY) for p in ps)
+    rhos = (evolve_global(c, p, kind) for p in ps)
     rows = []
-    for p, (values, flags) in zip(ps, _evaluate(states, measures)):
+    for p, (values, flags) in zip(ps, _evaluate(rhos, measures, cfg, SWAP_SYMMETRY)):
         row = {"channel": kind, "c": c, "p": p, **values}
         if flags:
             row["_flags"] = flags
@@ -234,7 +201,7 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
 
     Each (channel, c) series is one task: its states are built first, then
     each kind of basis search its measures read runs once over the whole
-    series (see closest_classical_states), then its rows are evaluated.
+    series (see multipartite_quantum_Qs), then its rows are evaluated.
     With workers > 1 a process pool runs the series side by side.  Rows are
     deterministic for a fixed rng_seed, equal for any workers, and ordered by
     the given c values, then ascending p.

@@ -16,12 +16,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 
-from .classical_search import (
-    SearchConfig,
-    SearchResult,
-    closest_classical_state,
-    closest_classical_states,
-)
+from .classical_search import SearchConfig, closest_classical_states
 from .entropy import von_neumann_entropy
 from .linalg import DensityMatrix, partial_trace
 
@@ -36,6 +31,7 @@ __all__ = [
     "genuine_quantum_Qn",
     "genuine_quantum_Qk",
     "multipartite_quantum_Q",
+    "multipartite_quantum_Qs",
     "genuine_classical_Cn",
     "genuine_classical_Ck",
     "max_over_subsets",
@@ -105,9 +101,12 @@ class SubsetSelection:
         return len(self.indices)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CorrelationReport:
-    """A named quantifier value with its witness and optimizer metadata."""
+    """A named quantifier value with its witness and optimizer metadata.
+
+    Frozen, as the memoized multipartite_quantum_Q reports are shared.
+    """
 
     name: str
     value_bits: float
@@ -268,16 +267,31 @@ def multipartite_quantum_Q(
     """Distance to the closest fully-classical state (one cell per subsystem).
 
     The minimizing chi is attached to the report for reuse by the classical
-    quantifiers.
+    quantifiers.  This is multipartite_quantum_Qs with one state.
     """
-    if rho.n < 2:
+    return multipartite_quantum_Qs([rho], cfg)[0]
+
+
+def multipartite_quantum_Qs(rhos, cfg: SearchConfig = SearchConfig()) -> list[CorrelationReport]:
+    """multipartite_quantum_Q of each rho, from one lane search.
+
+    The report is memoized on its state, one per SearchConfig, so a repeat
+    call with an equal cfg, and the classical quantifiers after it, run no
+    search.  The states without one are searched together in one
+    closest_classical_states call, so they must have equal dimensions; if
+    that call raises, nothing is memoized.
+    """
+    rhos = list(rhos)
+    if any(rho.n < 2 for rho in rhos):
         raise ValueError("multipartite quantum correlation needs at least two subsystems")
-    return _quantum_report(closest_classical_state(rho, [(i,) for i in range(rho.n)], cfg))
-
-
-def _quantum_report(result: SearchResult) -> CorrelationReport:
-    """The multipartite_quantum_Q report of a search with one cell per subsystem."""
-    return CorrelationReport("Q", result.q, None, evals=result.evals, chi=result.chi)
+    key = ("Q", cfg)
+    todo = list({id(rho): rho for rho in rhos if key not in rho._memo}.values())
+    if todo:
+        found = closest_classical_states(todo, [[(i,) for i in range(rho.n)] for rho in todo], cfg)
+        for rho, res in zip(todo, found):
+            rep = CorrelationReport("Q", res.q, None, evals=res.evals, chi=res.chi)
+            rho._memo.setdefault(key, rep)
+    return [rho._memo[key] for rho in rhos]
 
 
 def _from_chi(name: str, q_rep: CorrelationReport, rep: CorrelationReport):
@@ -311,20 +325,20 @@ def degree_of(
 ) -> int:
     """Largest k whose genuine k-partite quantifier exceeds tau; 1 if none.
 
-    The classical degree is the total degree of chi, so the n-party search
-    runs once.
+    The classical degree reads C_k, whose n-party search is memoized on rho,
+    so it runs once.
     """
     if kind not in ("total", "quantum", "classical"):
         raise ValueError(f"kind must be total|quantum|classical, got {kind!r}")
     if rho.n < 2:
         raise ValueError("degree needs at least two subsystems")
-    if kind == "classical":
-        rho, kind = multipartite_quantum_Q(rho, cfg).chi, "total"
     for k in range(rho.n, 1, -1):
         if kind == "total":
             value = genuine_total_Ik(rho, k, symmetries).value_bits
-        else:
+        elif kind == "quantum":
             value = genuine_quantum_Qk(rho, k, cfg, symmetries).value_bits
+        else:
+            value = genuine_classical_Ck(rho, k, cfg, symmetries).value_bits
         if value > tau:
             return k
     return 1

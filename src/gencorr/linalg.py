@@ -104,10 +104,11 @@ class DensityMatrix:
 
     The backing array is immutable after construction, so values are safe to
     share between concurrent workers.  Each state also carries a private memo
-    of its partial traces (keyed by the sorted kept subsystems), its spectrum
-    and its von Neumann entropy, so a quantifier that asks for the same
-    reduction again gets the same object and the same float.  The memo never
-    goes stale, as dims and mat never change; it holds at most 2**n - 2
+    of its partial traces (keyed by the sorted kept subsystems), its spectrum,
+    its von Neumann entropy and its multipartite_quantum_Q reports (one per
+    SearchConfig), so a quantifier that asks for the same reduction or search
+    again gets the same object and the same float.  The memo never goes
+    stale, as dims and mat never change; it holds at most 2**n - 2
     reductions and dies with its state.
     """
 
@@ -296,7 +297,9 @@ def state_from_json(text: str) -> DensityMatrix | PureState:
     missing = [k for k in ("dims", "re", "im") if k not in obj]
     if missing:
         raise ValueError(f"state JSON lacks the key(s) {missing}")
-    dims = tuple(obj["dims"])
+    dims = obj["dims"]
+    if not isinstance(dims, list) or any(type(d) is not int for d in dims):
+        raise ValueError(f"dims must be a list of integers, got {dims!r}")
     arr = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
     if arr.ndim == 2:
         return DensityMatrix(dims, arr)

@@ -20,7 +20,6 @@ def search_cells(monkeypatch):
     """The cell count of every search the quantifiers and sweeps run, one
     entry per job of each closest_classical_states call."""
     import gencorr.classical_search as cs
-    import gencorr.experiments as experiments
     import gencorr.genuine_correlations as gc
 
     calls = []
@@ -31,6 +30,6 @@ def search_cells(monkeypatch):
         calls.extend(len(cells) for cells in partitions)
         return search(rhos, partitions, cfg)
 
-    for module in (cs, gc, experiments):
+    for module in (cs, gc):
         monkeypatch.setattr(module, "closest_classical_states", counting)
     return calls

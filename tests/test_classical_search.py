@@ -366,6 +366,8 @@ def test_search_config_validation():
         SearchConfig(starts=0)
     with pytest.raises(ValueError):
         SearchConfig(max_evals=0)
+    with pytest.raises(ValueError, match="rng_seed"):
+        SearchConfig(rng_seed=-2)
     for bad in (dict(starts=1.5), dict(max_evals=2.5), dict(rng_seed=0.5)):
         with pytest.raises(ValueError):
             SearchConfig(**bad)

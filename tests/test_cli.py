@@ -33,6 +33,17 @@ def test_sweep_rejects_unknown_measure(tmp_path, capsys):
     assert "unsupported measures" in capsys.readouterr().err
 
 
+def test_sweep_rejects_a_negative_seed(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    code = main([
+        "sweep", "--channel", "ad", "--c", "0.5", "--grid", "2", "--measures", "Q4",
+        "--starts", "2", "--seed", "-2", "--output", str(out),
+    ])
+    assert code == 2
+    assert "rng_seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sudden_change_cli_finds_the_w_point(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     main(["sweep", "--channel", "ad", "--c", "1.0", "--grid", "101",
@@ -71,6 +82,11 @@ def test_state_info_rejects_wrong_dims(tmp_path, capsys):
     path.write_text(json.dumps({"re": [1.0, 0.0], "im": [0.0, 0.0]}))  # no "dims"
     assert main(["state-info", str(path)]) == 2
     assert "'dims'" in capsys.readouterr().err
+
+    for dims in (4, None, [2.7, 2]):
+        path.write_text(json.dumps({"dims": dims, "re": [1.0, 0.0], "im": [0.0, 0.0]}))
+        assert main(["state-info", str(path)]) == 2
+        assert "dims must be a list of integers" in capsys.readouterr().err
 
     cube = np.zeros((2, 2, 2)).tolist()
     path.write_text(json.dumps({"dims": [2], "re": cube, "im": cube}))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import gencorr.experiments as experiments
+import gencorr.genuine_correlations as gc
 import gencorr.linalg as linalg
 from gencorr import (
     SUPPORTED_MEASURES,
@@ -148,7 +149,7 @@ def test_optimizer_failure_is_flagged_not_fatal(tmp_path, monkeypatch):
     def boom(*args, **kwargs):
         raise RuntimeError("search exploded")
 
-    monkeypatch.setattr(experiments, "closest_classical_states", boom)
+    monkeypatch.setattr(gc, "closest_classical_states", boom)
     spec = SweepSpec(channel="ad", c_values=(0.5,), p_count=3, measures=("I4", "Q4"))
     rows = run_sweep(spec)
     assert all(math.isnan(r["Q4"]) for r in rows)
@@ -177,7 +178,7 @@ def test_a_raising_search_flags_only_its_row(monkeypatch):
     # the batched call raises, so each search runs again alone, and only the
     # search on the p = 0.5 state raises then
     bad = evolve_global(0.5, 0.5, "ad").mat
-    search = experiments.closest_classical_states
+    search = gc.closest_classical_states
 
     def picky(rhos, partitions, cfg):
         rhos = list(rhos)
@@ -188,7 +189,7 @@ def test_a_raising_search_flags_only_its_row(monkeypatch):
     spec = SweepSpec(channel="ad", c_values=(0.5,), p_count=3, measures=("I4", "Q4", "C4"),
                      search=SearchConfig(starts=1, max_evals=40))
     clean = run_sweep(spec)
-    monkeypatch.setattr(experiments, "closest_classical_states", picky)
+    monkeypatch.setattr(gc, "closest_classical_states", picky)
     rows = run_sweep(spec)
     assert [r["p"] for r in rows] == [0.0, 0.5, 1.0]
     assert rows[1]["_flags"] == ["Q4: search exploded", "C4: search exploded"]
@@ -197,15 +198,34 @@ def test_a_raising_search_flags_only_its_row(monkeypatch):
     assert [rows[0], rows[2]] == [clean[0], clean[2]]
 
 
+def test_a_series_runs_one_batched_search_per_kind(monkeypatch):
+    batches = []
+    search = gc.closest_classical_states
+
+    def recording(rhos, partitions, cfg):
+        rhos = list(rhos)
+        batches.append(len(rhos))
+        return search(rhos, partitions, cfg)
+
+    monkeypatch.setattr(gc, "closest_classical_states", recording)
+    spec = SweepSpec(channel="pd", c_values=(0.6,), p_count=3, measures=("Q4", "Q3", "C4", "C3"),
+                     search=SearchConfig(starts=1, max_evals=40))
+    rows = run_sweep(spec)
+    assert batches == [3, 3 * 2]  # the states, then their two triple classes
+    assert all("_flags" not in row for row in rows)
+
+
 @pytest.mark.parametrize("symmetries", [SWAP_SYMMETRY, ()])
 def test_every_column_is_its_library_quantifier(symmetries, search_cells):
-    """Bit for bit; Q4, C4 and C3 share one four-qubit search, Q3 searches each triple."""
+    """Bit for bit, against a copy of the state with an empty memo; Q4, C4 and
+    C3 share one four-qubit search, Q3 searches each triple."""
     rho = evolve_global(0.7, 0.4, "ad")
     cfg = SearchConfig(starts=1, max_evals=40, rng_seed=0)
     values, flags = evaluate_measures(rho, SUPPORTED_MEASURES, cfg, symmetries)
     assert flags == []
     triples = [(0, 1, 2), (0, 1, 3)] if symmetries else list(itertools.combinations(range(4), 3))
     assert sorted(search_cells) == [3] * len(triples) + [4]
+    rho = DensityMatrix(rho.dims, rho.mat)
     assert values == {
         "I4": genuine_total_In(rho, symmetries).value_bits,
         "I3": max(genuine_total_In(partial_trace(rho, t)).value_bits for t in triples),

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 
@@ -19,6 +20,7 @@ from gencorr import (
     genuine_total_Ik,
     genuine_total_In,
     multipartite_quantum_Q,
+    multipartite_quantum_Qs,
     partial_trace,
     permute_subsystems,
     random_unitary,
@@ -368,6 +370,33 @@ def test_classical_degree_runs_the_n_party_search_once(search_cells):
     assert degree == degree_of(multipartite_quantum_Q(rho, cfg).chi, "total") == 2
 
 
+def test_the_qubit_cell_search_is_memoized_per_config(search_cells):
+    rho = evolve_global(0.7, 0.4, "pd")
+    cfg = SearchConfig(starts=1, max_evals=40, rng_seed=0)
+    rep = multipartite_quantum_Q(rho, cfg)
+    assert search_cells == [4]
+    assert multipartite_quantum_Q(rho, cfg) is rep
+    assert multipartite_quantum_Q(rho, SearchConfig(starts=1, max_evals=40, rng_seed=0)) is rep
+    genuine_classical_Cn(rho, cfg)
+    genuine_classical_Ck(rho, 3, cfg)
+    degree_of(rho, "classical", cfg)
+    assert search_cells == [4]
+    other = SearchConfig(starts=1, max_evals=40, rng_seed=1)
+    assert multipartite_quantum_Q(rho, other) is not rep
+    assert search_cells == [4, 4]
+
+
+def test_batched_Q_searches_only_the_states_without_a_report(search_cells):
+    cfg = SearchConfig(starts=1, max_evals=40, rng_seed=0)
+    first, second = evolve_global(0.7, 0.4, "pd"), evolve_global(0.7, 0.6, "pd")
+    lone = multipartite_quantum_Q(first, cfg)
+    reps = multipartite_quantum_Qs([first, second, second], cfg)
+    assert search_cells == [4, 4]  # the lone search, then second's alone
+    assert reps[0] is lone and reps[1] is reps[2]
+    fresh = DensityMatrix(second.dims, second.mat)
+    assert multipartite_quantum_Q(fresh, cfg).value_bits == reps[1].value_bits
+
+
 def test_degree_of_rejects_unknown_kind(rng):
     with pytest.raises(ValueError):
         degree_of(random_density_matrix((2, 2), rng), "other")
@@ -381,3 +410,9 @@ def test_report_json_schema():
     assert set(doc) == {"name", "value_bits", "witness", "evals"}
     assert doc["value_bits"] == pytest.approx(2.0)
     assert doc["witness"] == "[0]|[1, 2, 3]"
+
+
+def test_reports_are_frozen():
+    rep = genuine_total_In(ghz(4).to_density())
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rep.value_bits = 0.0

@@ -1,4 +1,5 @@
 import itertools
+import json
 import sys
 import threading
 
@@ -212,6 +213,13 @@ def test_density_matrix_json_roundtrip_exact(rng):
     assert isinstance(back, DensityMatrix)
     assert back.dims.dims == rho.dims.dims
     assert np.array_equal(back.mat, rho.mat)
+
+
+@pytest.mark.parametrize("dims", [4, None, "22", [2.7], [2.0, 2], [True, 2], [[2], [2]]])
+def test_state_json_rejects_dims_that_are_not_a_list_of_integers(dims):
+    text = json.dumps({"dims": dims, "re": np.eye(4).tolist(), "im": np.zeros((4, 4)).tolist()})
+    with pytest.raises(ValueError, match="dims must be a list of integers"):
+        state_from_json(text)
 
 
 def test_pure_state_json_roundtrip_exact():
