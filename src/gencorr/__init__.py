@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .linalg import (
     DEFAULT_TOL,
-    CompositeDims,
     DensityMatrix,
     PureState,
     Tolerances,
@@ -35,7 +34,6 @@ from .classical_search import (
 from .genuine_correlations import (
     Bipartition,
     CorrelationReport,
-    SubsetSelection,
     all_bipartitions,
     degree_of,
     genuine_classical_Ck,

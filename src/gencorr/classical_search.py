@@ -16,6 +16,7 @@ closest_classical_state).
 from __future__ import annotations
 
 import itertools
+import math
 import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -25,7 +26,6 @@ import numpy as np
 from .entropy import _spectrum, shannon, von_neumann_entropy
 from .linalg import (
     DEFAULT_TOL,
-    CompositeDims,
     DensityMatrix,
     hermitize,
     kron_all,
@@ -111,25 +111,23 @@ class LocalBasisSet:
         object.__setattr__(self, "cells", cells)
         object.__setattr__(self, "unitaries", unitaries)
 
-    def validate_partition(self, dims: CompositeDims) -> None:
-        flat = [i for cell in self.cells for i in cell]
-        if sorted(flat) != list(range(dims.n)):
-            raise ValueError(f"cells {self.cells} do not partition 0..{dims.n - 1}")
-        for cell, u in zip(self.cells, self.unitaries):
-            d = int(np.prod([dims[i] for i in cell]))
-            if u.shape[0] != d:
-                raise ValueError(
-                    f"cell {cell} has dimension {d} but unitary is {u.shape[0]}x{u.shape[0]}"
-                )
+
+def _cell_dims(dims: tuple[int, ...], cells) -> tuple[int, ...]:
+    """The dimension of each cell; ValueError unless the cells partition the subsystems."""
+    if sorted(i for cell in cells for i in cell) != list(range(len(dims))):
+        raise ValueError(f"cells {cells} do not partition 0..{len(dims) - 1}")
+    return tuple(math.prod(dims[i] for i in cell) for cell in cells)
 
 
 def _pinch(rho: DensityMatrix, basis: LocalBasisSet) -> tuple[np.ndarray, np.ndarray]:
     """Product-basis matrix B in the original subsystem order, and diag(B† rho B)."""
-    basis.validate_partition(rho.dims)
+    cdims = _cell_dims(rho.dims, basis.cells)
+    if cdims != tuple(u.shape[0] for u in basis.unitaries):
+        raise ValueError(f"cells {basis.cells} have dimensions {cdims}, unlike their unitaries")
     b = kron_all(basis.unitaries)
     perm = [i for cell in basis.cells for i in cell]
-    if perm != list(range(rho.dims.n)):
-        idx = permutation_indices(rho.dims.dims, perm)
+    if perm != list(range(rho.n)):
+        idx = permutation_indices(rho.dims, perm)
         inv = np.empty_like(idx)
         inv[idx] = np.arange(idx.size)
         b = b[inv]
@@ -275,6 +273,7 @@ class _LaneSearch:
     def __init__(self, mats, cdims, max_evals, mass_caps, rng_seed):
         self.mats, self.cdims, self.max_evals = mats, cdims, max_evals
         self.mass_caps, self.rng_seed = mass_caps, rng_seed
+        self.draws = {}  # start k -> its cell unitaries, which every job shares
         # (d, count) per run of equal consecutive cell dimensions
         self.runs = [(d, len(list(run))) for d, run in itertools.groupby(cdims)]
         self.nvec = 2 * sum(d * d for d in cdims)  # real length of the generator vector
@@ -343,15 +342,18 @@ class _LaneSearch:
         """Lane rows for the new (job, start) pairs, at their first iterate.
 
         Start 0 is the computational basis (exact for classical inputs);
-        start k draws Haar unitaries from a generator seeded rng_seed + k.
+        start k draws Haar unitaries from a generator seeded rng_seed + k,
+        once for all the jobs.
         """
         per_start = []
         for _, k in new:
-            if k == 0:
-                per_start.append([np.eye(d, dtype=complex) for d in self.cdims])
-            else:
-                rng = np.random.default_rng(self.rng_seed + k)
-                per_start.append([random_unitary(d, rng) for d in self.cdims])
+            if k not in self.draws:
+                if k == 0:
+                    self.draws[k] = [np.eye(d, dtype=complex) for d in self.cdims]
+                else:
+                    rng = np.random.default_rng(self.rng_seed + k)
+                    self.draws[k] = [random_unitary(d, rng) for d in self.cdims]
+            per_start.append(self.draws[k])
         u, at = [], 0
         for _, c in self.runs:
             u.append(np.array([us[at:at + c] for us in per_start]))
@@ -525,40 +527,38 @@ def closest_classical_state(
 def closest_classical_states(
     rhos, partitions, cfg: SearchConfig = SearchConfig()
 ) -> list[SearchResult]:
-    """closest_classical_state of each rho for its partition, from one lane search.
+    """closest_classical_state of each rho for its partition, in input order.
 
-    Every partition must give the same list of cell dimensions.  The starts
-    of all the searches advance together as lanes, up to 128 in all, so they
-    share the fixed cost of each step; each result is bit for bit that of a
-    lone closest_classical_state call.
+    The partitions may differ in their cell dimensions.  The searches with
+    equal cell dimensions run in one lane search, one per distinct list of
+    cell dimensions in order of first appearance: their starts advance
+    together as lanes, up to 128 in all, so they share the fixed cost of
+    each step.  Each result is bit for bit that of a lone
+    closest_classical_state call.
     """
     rhos, partitions = list(rhos), list(partitions)
     if len(rhos) != len(partitions):
         raise ValueError(f"{len(rhos)} states but {len(partitions)} partitions")
     clip = DEFAULT_TOL.clip
     cells, mats, caps = [], [], []
-    cdims = None
-    for rho, partition in zip(rhos, partitions):
-        dims = rho.dims
+    jobs_by_cdims: dict[tuple[int, ...], list[int]] = {}
+    for j, (rho, partition) in enumerate(zip(rhos, partitions)):
         job_cells = tuple(tuple(int(i) for i in cell) for cell in partition)
-        if sorted(i for cell in job_cells for i in cell) != list(range(dims.n)):
-            raise ValueError(f"cells {job_cells} do not partition 0..{dims.n - 1}")
-        job_cdims = [int(np.prod([dims[i] for i in cell])) for cell in job_cells]
-        if cdims is not None and job_cdims != cdims:
-            raise ValueError(f"cell dimensions {job_cdims} differ from the first job's {cdims}")
-        cdims = job_cdims
+        jobs_by_cdims.setdefault(_cell_dims(rho.dims, job_cells), []).append(j)
         cells.append(job_cells)
-        mats.append(permute_subsystems(rho.mat, dims.dims, [i for cell in job_cells for i in cell]))
+        mats.append(permute_subsystems(rho.mat, rho.dims, [i for cell in job_cells for i in cell]))
         w = _spectrum(rho)
         caps.append(clip * w[w > clip].min())
-    if not rhos:
-        return []
 
-    search = _LaneSearch(np.array(mats), cdims, cfg.max_evals, np.array(caps), cfg.rng_seed)
-    return [
-        _result(rho, job_cells, outcomes)
-        for rho, job_cells, outcomes in zip(rhos, cells, search.run(cfg.starts))
-    ]
+    results = [None] * len(rhos)
+    for cdims, jobs in jobs_by_cdims.items():
+        search = _LaneSearch(
+            np.array([mats[j] for j in jobs]), cdims, cfg.max_evals,
+            np.array([caps[j] for j in jobs]), cfg.rng_seed,
+        )
+        for j, outcomes in zip(jobs, search.run(cfg.starts)):
+            results[j] = _result(rhos[j], cells[j], outcomes)
+    return results
 
 
 def _result(rho: DensityMatrix, cells, outcomes) -> SearchResult:

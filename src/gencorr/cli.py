@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands: sweep, verify-anchors, verify-appendix, state-info, sudden-change.
+Subcommands: sweep, verify-anchors, state-info, sudden-change.
 Exit codes: 0 on success, 1 when any reference check fails, 2 on usage errors.
 
 Every setting is a flag.  The flags default to the library's defaults:
@@ -20,7 +20,6 @@ from .classical_search import SearchConfig
 from .experiments import (
     SUPPORTED_MEASURES,
     SweepSpec,
-    appendix_deviations,
     detect_sudden_change,
     evaluate_measures,
     read_csv,
@@ -85,22 +84,13 @@ def _cmd_verify_anchors(args) -> int:
     return 1 if failed else 0
 
 
-def _cmd_verify_appendix(args) -> int:
-    worst = 0.0
-    for kind, c, p, dev in appendix_deviations(args.grid):
-        print(f"{kind} c={c:.2f} p={p:.2f} max|delta|={dev:.3e}")
-        worst = max(worst, dev)
-    print(f"worst deviation: {worst:.3e}")
-    return 0 if worst <= 1e-10 else 1
-
-
 def _cmd_state_info(args) -> int:
     cfg = _search_config(args)
     state = load_state(args.file)
     rho = state if isinstance(state, DensityMatrix) else state.to_density()
     measures = _names(args.measures) if args.measures else ("I4", "I3")
     values, flags = evaluate_measures(rho, measures, cfg)
-    doc = {"dims": list(rho.dims.dims), "measures": values}
+    doc = {"dims": list(rho.dims), "measures": values}
     if flags:
         doc["flags"] = flags
     print(json.dumps(doc, indent=2))
@@ -149,11 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-anchors", help="check built-in reference values")
     add_search_flags(p)
     p.set_defaults(func=_cmd_verify_anchors)
-
-    p = sub.add_parser("verify-appendix",
-                       help="compare the evolved states against the golden construction")
-    p.add_argument("--grid", type=int, default=11)
-    p.set_defaults(func=_cmd_verify_appendix)
 
     p = sub.add_parser("state-info", help="measures of a serialized state")
     p.add_argument("file")

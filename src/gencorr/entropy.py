@@ -63,8 +63,8 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     Returns the +inf sentinel when the support of rho is not contained in the
     support of sigma.
     """
-    if rho.dims.dims != sigma.dims.dims:
-        raise ValueError(f"dimension mismatch: {rho.dims.dims} vs {sigma.dims.dims}")
+    if rho.dims != sigma.dims:
+        raise ValueError(f"dimension mismatch: {rho.dims} vs {sigma.dims}")
     wr, vr = np.linalg.eigh(hermitize(np.asarray(rho.mat)))
     ws, vs = np.linalg.eigh(hermitize(np.asarray(sigma.mat)))
     clip = DEFAULT_TOL.clip

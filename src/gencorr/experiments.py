@@ -56,7 +56,6 @@ __all__ = [
     "write_manifest",
     "detect_sudden_change",
     "verify_anchors",
-    "appendix_deviations",
 ]
 
 # exact relabeling symmetry of the evolved states: (a,E_a) <-> (b,E_b)
@@ -134,8 +133,8 @@ def evaluate_measures(
     symmetries are subsystem relabelings under which rho is invariant.
     """
     _check_measures(measures)
-    if rho.dims.dims != (2, 2, 2, 2):
-        raise ValueError(f"the measures expect a 4-qubit state, got dims {rho.dims.dims}")
+    if rho.dims != (2, 2, 2, 2):
+        raise ValueError(f"the measures expect a 4-qubit state, got dims {rho.dims}")
     return next(_evaluate([rho], measures, cfg, symmetries))
 
 
@@ -462,18 +461,3 @@ def verify_anchors(cfg: SearchConfig = SearchConfig()) -> list[dict]:
     )
     res.append(_anchor("w_marginal_quantumness_positive", 0.01, qmin, 0.0, "ge"))
     return res
-
-
-def appendix_deviations(grid_count: int = 11) -> list[tuple[str, float, float, float]]:
-    """Max elementwise |dilation - golden| per (kind, c, p) cell."""
-    grid = np.linspace(0.0, 1.0, grid_count)
-    out = []
-    for kind in ("ad", "pd"):
-        for c in grid:
-            for p in grid:
-                dev = float(np.abs(
-                    np.asarray(evolve_global(c, p, kind).mat)
-                    - np.asarray(appendix_golden_state(c, p, kind).mat)
-                ).max())
-                out.append((kind, float(c), float(p), dev))
-    return out

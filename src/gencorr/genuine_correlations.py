@@ -23,7 +23,6 @@ from .linalg import DensityMatrix, partial_trace
 __all__ = [
     "TAU_DEGREE",
     "Bipartition",
-    "SubsetSelection",
     "CorrelationReport",
     "all_bipartitions",
     "genuine_total_In",
@@ -83,25 +82,6 @@ def all_bipartitions(n: int) -> list[Bipartition]:
 
 
 @dataclass(frozen=True)
-class SubsetSelection:
-    """An ordered subset of k subsystem indices."""
-
-    indices: tuple[int, ...]
-
-    def __init__(self, indices) -> None:
-        indices = tuple(int(i) for i in indices)
-        if list(indices) != sorted(set(indices)):
-            raise ValueError(f"indices must be strictly increasing, got {indices}")
-        if len(indices) < 2:
-            raise ValueError("a subset selection needs at least two subsystems")
-        object.__setattr__(self, "indices", indices)
-
-    @property
-    def k(self) -> int:
-        return len(self.indices)
-
-
-@dataclass(frozen=True)
 class CorrelationReport:
     """A named quantifier value with its witness and optimizer metadata.
 
@@ -110,15 +90,15 @@ class CorrelationReport:
 
     name: str
     value_bits: float
-    witness: Bipartition | SubsetSelection | None = None
+    witness: Bipartition | tuple[int, ...] | None = None
     evals: int = 0
     chi: DensityMatrix | None = field(default=None, repr=False)
 
     def witness_label(self) -> str | None:
         if isinstance(self.witness, Bipartition):
             return self.witness.label()
-        if isinstance(self.witness, SubsetSelection):
-            return str(list(self.witness.indices))
+        if isinstance(self.witness, tuple):
+            return str(list(self.witness))
         return None
 
     def to_json_dict(self) -> dict:
@@ -174,7 +154,7 @@ def max_over_subsets(name: str, rho: DensityMatrix, k: int, quantifier, symmetri
     Subsets that a relabeling in symmetries maps onto each other are evaluated
     once.  The symmetries are handed on only when k equals rho.n, since a
     proper reduction need not share them.  The witness is the first maximizing
-    subset; evals adds up over the reductions.
+    subset, a tuple of subsystem indices; evals adds up over the reductions.
     """
     _check_k(rho.n, k)
     inner = symmetries if k == rho.n else ()
@@ -184,7 +164,7 @@ def max_over_subsets(name: str, rho: DensityMatrix, k: int, quantifier, symmetri
         rep = quantifier(partial_trace(rho, sub), inner)
         evals += rep.evals
         if best is None or rep.value_bits > best:
-            best, witness = rep.value_bits, SubsetSelection(sub)
+            best, witness = rep.value_bits, sub
     return CorrelationReport(name, best, witness, evals=evals)
 
 
@@ -226,30 +206,21 @@ def genuine_quantum_Qn(
     """min over bipartite cuts of the distance to the cut-classical states.
 
     Each cut dephases in arbitrary orthonormal bases of the two grouped cells,
-    so the cut search space is wider than per-subsystem product bases.  Cuts
-    with the same cell dimensions share one closest_classical_states call (on
-    four qubits: 2|8, 4|4 and 8|2).  evals adds up over the cuts searched.
+    so the cut search space is wider than per-subsystem product bases.  All
+    the cuts go to one closest_classical_states call, which runs the cuts
+    with equal cell dimensions side by side (on four qubits: 2|8, 4|4 and
+    8|2).  evals adds up over the cuts searched.
     """
     if rho.n < 2:
         raise ValueError("genuine quantum correlation needs at least two subsystems")
     cuts = _cuts(rho.n, symmetries)
-    by_shape: dict[tuple, list[Bipartition]] = {}
-    for cut in cuts:
-        shape = tuple(rho.dims.subset(cell).total for cell in cut.cells())
-        by_shape.setdefault(shape, []).append(cut)
-    found = {}
-    for group in by_shape.values():
-        results = closest_classical_states([rho] * len(group), [cut.cells() for cut in group], cfg)
-        found.update(zip(group, results))
+    results = closest_classical_states([rho] * len(cuts), [cut.cells() for cut in cuts], cfg)
     best = None
     witness = None
-    evals = 0
-    for cut in cuts:
-        result = found[cut]
-        evals += result.evals
+    for cut, result in zip(cuts, results):
         if best is None or result.q < best:
             best, witness = result.q, cut
-    return CorrelationReport("Q_n", best, witness, evals=evals)
+    return CorrelationReport("Q_n", best, witness, evals=sum(r.evals for r in results))
 
 
 def genuine_quantum_Qk(
@@ -278,8 +249,7 @@ def multipartite_quantum_Qs(rhos, cfg: SearchConfig = SearchConfig()) -> list[Co
     The report is memoized on its state, one per SearchConfig, so a repeat
     call with an equal cfg, and the classical quantifiers after it, run no
     search.  The states without one are searched together in one
-    closest_classical_states call, so they must have equal dimensions; if
-    that call raises, nothing is memoized.
+    closest_classical_states call; if that call raises, nothing is memoized.
     """
     rhos = list(rhos)
     if any(rho.n < 2 for rho in rhos):

@@ -1,15 +1,18 @@
 """Dense complex linear algebra on small composite Hilbert spaces.
 
 Carries the two state types (DensityMatrix, PureState) used throughout, plus
-Kronecker products, partial traces and subsystem permutations.  Basis
-convention: the computational-basis index is the big-endian mixed-radix number
-over the subsystem dimensions (subsystem 0 most significant), which is exactly
-numpy's Kronecker-product ordering.
+Kronecker products, partial traces and subsystem permutations.  A state's
+dims is a plain tuple of its subsystem dimensions.  Basis convention: the
+computational-basis index is the big-endian mixed-radix number over the
+subsystem dimensions (subsystem 0 most significant), which is exactly numpy's
+Kronecker-product ordering.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,7 +20,6 @@ import numpy as np
 __all__ = [
     "Tolerances",
     "DEFAULT_TOL",
-    "CompositeDims",
     "DensityMatrix",
     "PureState",
     "kron_all",
@@ -47,43 +49,14 @@ class Tolerances:
 DEFAULT_TOL = Tolerances()
 
 
-@dataclass(frozen=True)
-class CompositeDims:
-    """Ordered per-subsystem dimensions of a composite Hilbert space."""
-
-    dims: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        dims = tuple(int(d) for d in self.dims)
-        if len(dims) < 1:
-            raise ValueError("need at least one subsystem")
-        if any(d < 2 for d in dims):
-            raise ValueError(f"subsystem dimensions must be >= 2, got {dims}")
-        object.__setattr__(self, "dims", dims)
-
-    @property
-    def n(self) -> int:
-        return len(self.dims)
-
-    @property
-    def total(self) -> int:
-        return int(np.prod(self.dims))
-
-    def __iter__(self):
-        return iter(self.dims)
-
-    def __len__(self) -> int:
-        return len(self.dims)
-
-    def __getitem__(self, i):
-        return self.dims[i]
-
-    def subset(self, indices) -> "CompositeDims":
-        return CompositeDims(tuple(self.dims[i] for i in indices))
-
-
-def _as_dims(dims) -> CompositeDims:
-    return dims if isinstance(dims, CompositeDims) else CompositeDims(tuple(dims))
+def _check_dims(dims) -> tuple[int, ...]:
+    """dims as a tuple of ints: at least one subsystem, each an integer >= 2."""
+    dims = tuple(dims)
+    if not dims:
+        raise ValueError("need at least one subsystem")
+    if any(not isinstance(d, numbers.Integral) or d < 2 for d in dims):
+        raise ValueError(f"subsystem dimensions must be integers >= 2, got {dims}")
+    return tuple(int(d) for d in dims)
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
@@ -95,8 +68,9 @@ def hermitize(m: np.ndarray) -> np.ndarray:
 class DensityMatrix:
     """Hermitian, unit-trace, PSD operator with explicit subsystem structure.
 
-    DensityMatrix(dims, mat) validates its input: Hermiticity, unit trace and
-    an eigvalsh PSD check, all to DEFAULT_TOL.  Every state built from outside
+    DensityMatrix(dims, mat) validates its input: dims (a tuple of integer
+    subsystem dimensions, each at least 2) and, to DEFAULT_TOL, Hermiticity,
+    unit trace and an eigvalsh PSD check.  Every state built from outside
     data goes through it, including state_from_json, werner_state,
     classical_state and appendix_golden_state.  Derived states are valid by
     construction and skip the checks: the outputs of partial_trace, dephase,
@@ -112,19 +86,17 @@ class DensityMatrix:
     reductions and dies with its state.
     """
 
-    dims: CompositeDims
+    dims: tuple[int, ...]
     mat: np.ndarray
     _memo: dict = field(init=False, repr=False, compare=False)
 
     def __init__(self, dims, mat) -> None:
-        dims = _as_dims(dims)
+        dims = _check_dims(dims)
         mat = np.asarray(mat, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"density matrix must be square, got {mat.shape}")
-        if mat.shape[0] != dims.total:
-            raise ValueError(
-                f"matrix side {mat.shape[0]} does not match dims {dims.dims}"
-            )
+        if mat.shape[0] != math.prod(dims):
+            raise ValueError(f"matrix side {mat.shape[0]} does not match dims {dims}")
         herm_dev = np.abs(mat - mat.conj().T).max()
         if herm_dev > DEFAULT_TOL.herm:
             raise ValueError(f"not Hermitian: max|M - M†| = {herm_dev:.3e}")
@@ -136,41 +108,42 @@ class DensityMatrix:
             raise ValueError(f"negative eigenvalue {lo:.3e} below -{DEFAULT_TOL.psd:.0e}")
         self._set(dims, mat.copy())
 
-    def _set(self, dims: CompositeDims, mat: np.ndarray) -> None:
+    def _set(self, dims: tuple[int, ...], mat: np.ndarray) -> None:
         mat.setflags(write=False)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "_memo", {})
 
     @classmethod
-    def _derived(cls, dims, mat: np.ndarray) -> "DensityMatrix":
-        """Unchecked state for a fresh complex array that nothing else holds
-        and that is PSD, unit-trace and Hermitian by construction."""
+    def _derived(cls, dims: tuple[int, ...], mat: np.ndarray) -> "DensityMatrix":
+        """Unchecked state for valid dims and a fresh complex array that
+        nothing else holds and that is PSD, unit-trace and Hermitian by
+        construction."""
         rho = object.__new__(cls)
-        rho._set(_as_dims(dims), mat)
+        rho._set(dims, mat)
         return rho
 
     @property
     def n(self) -> int:
-        return self.dims.n
+        return len(self.dims)
 
     @property
     def dim(self) -> int:
-        return self.dims.total
+        return self.mat.shape[0]
 
 
 @dataclass(frozen=True)
 class PureState:
     """Normalized state vector on a composite space."""
 
-    dims: CompositeDims
+    dims: tuple[int, ...]
     vec: np.ndarray
 
     def __init__(self, dims, vec) -> None:
-        dims = _as_dims(dims)
+        dims = _check_dims(dims)
         vec = np.asarray(vec, dtype=complex).reshape(-1)
-        if vec.shape[0] != dims.total:
-            raise ValueError(f"vector length {vec.shape[0]} does not match dims {dims.dims}")
+        if vec.shape[0] != math.prod(dims):
+            raise ValueError(f"vector length {vec.shape[0]} does not match dims {dims}")
         nrm = float(np.linalg.norm(vec))
         if abs(nrm - 1.0) > DEFAULT_TOL.norm:
             raise ValueError(f"norm must be 1, got {nrm}")
@@ -181,7 +154,7 @@ class PureState:
 
     @property
     def n(self) -> int:
-        return self.dims.n
+        return len(self.dims)
 
     def to_density(self) -> DensityMatrix:
         return DensityMatrix._derived(self.dims, np.outer(self.vec, self.vec.conj()))
@@ -240,8 +213,9 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
         return rho
     red = rho._memo.get(keep)
     if red is None:
-        mat = hermitize(_ptrace_arr(np.asarray(rho.mat), rho.dims.dims, keep))
-        red = rho._memo.setdefault(keep, DensityMatrix._derived(rho.dims.subset(keep), mat))
+        mat = hermitize(_ptrace_arr(np.asarray(rho.mat), rho.dims, keep))
+        dims = tuple(rho.dims[i] for i in keep)
+        red = rho._memo.setdefault(keep, DensityMatrix._derived(dims, mat))
     return red
 
 
@@ -285,7 +259,7 @@ def state_to_json(state: DensityMatrix | PureState) -> str:
     else:
         vec = np.asarray(state.vec)
         re, im = vec.real.tolist(), vec.imag.tolist()
-    return json.dumps({"dims": list(state.dims.dims), "re": re, "im": im})
+    return json.dumps({"dims": list(state.dims), "re": re, "im": im})
 
 
 def state_from_json(text: str) -> DensityMatrix | PureState:

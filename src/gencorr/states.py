@@ -45,8 +45,8 @@ def classical_state(dims, probs) -> DensityMatrix:
 
 def fidelity(psi: PureState, rho: DensityMatrix) -> float:
     """sqrt(<psi|rho|psi>), clamped to [0, 1]."""
-    if psi.dims.dims != rho.dims.dims:
-        raise ValueError(f"dimension mismatch: {psi.dims.dims} vs {rho.dims.dims}")
+    if psi.dims != rho.dims:
+        raise ValueError(f"dimension mismatch: {psi.dims} vs {rho.dims}")
     overlap = float(np.real(np.vdot(psi.vec, rho.mat @ psi.vec)))
     if overlap < -1e-12:
         raise ValueError(f"negative overlap {overlap:.3e}")

@@ -238,4 +238,4 @@ def test_upsilon_is_normalized(builder):
 def test_golden_state_validates_as_density_matrix():
     rho = appendix_golden_state(0.42, 0.77, "ad")
     assert isinstance(rho, DensityMatrix)
-    assert rho.dims.dims == GLOBAL_DIMS
+    assert rho.dims == GLOBAL_DIMS

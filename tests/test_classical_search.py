@@ -346,19 +346,35 @@ def test_batched_searches_equal_lone_searches(starts, width, monkeypatch):
               evolve_global(1.0, 0.9, "ad")]
     qubits = [[(0,), (1,), (2,), (3,)]] * len(states)
     cuts = [cut.cells() for cut in all_bipartitions(4) if len(cut.mask) == 2]
-    for rhos, partitions in ((states, qubits), ([states[1]] * len(cuts), cuts)):
+    # cell dimensions (2, 2, 2, 2), (4, 4), (2, 8), (8, 2), then qubits again
+    mixed = [[(0,), (1,), (2,), (3,)], [(0, 2), (1, 3)], [(1,), (0, 2, 3)],
+             [(0, 1, 3), (2,)], [(3,), (2,), (1,), (0,)]]
+    mixed_states = [states[j % len(states)] for j in range(len(mixed))]
+    for rhos, partitions in ((states, qubits), ([states[1]] * len(cuts), cuts),
+                             (mixed_states, mixed)):
         batch = cs.closest_classical_states(rhos, partitions, cfg)
         lone = [closest_classical_state(rho, cells, cfg) for rho, cells in zip(rhos, partitions)]
         assert [_fields(res) for res in batch] == [_fields(res) for res in lone]
 
 
-def test_batched_searches_need_equal_cell_dimensions():
+def test_batched_searches_need_one_partition_per_state():
     rho = evolve_global(0.8, 0.4, "ad")
-    with pytest.raises(ValueError):
-        cs.closest_classical_states([rho, rho], [[(0, 1), (2, 3)], [(0,), (1, 2, 3)]])
     with pytest.raises(ValueError):
         cs.closest_classical_states([rho, rho], [[(0, 1), (2, 3)]])
     assert cs.closest_classical_states([], []) == []
+
+
+def test_a_lane_search_draws_each_starts_unitaries_once(monkeypatch):
+    # start k's unitaries depend only on rng_seed + k and the cell
+    # dimensions, so every job of a lane search shares them
+    drawn = []
+    draw = cs.random_unitary
+    monkeypatch.setattr(cs, "random_unitary", lambda d, rng: drawn.append(d) or draw(d, rng))
+    rhos = [evolve_global(0.8, 0.4, "ad"), evolve_global(0.6, 0.3, "pd"),
+            evolve_global(1.0, 0.9, "ad")]
+    cs.closest_classical_states(rhos, [[(0,), (1,), (2,), (3,)]] * len(rhos),
+                                SearchConfig(starts=3, max_evals=100))
+    assert drawn == [2] * 8  # starts 1 and 2, one draw per qubit cell
 
 
 def test_search_config_validation():

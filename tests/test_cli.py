@@ -56,11 +56,6 @@ def test_sudden_change_cli_finds_the_w_point(tmp_path, capsys):
     assert json.loads(text.splitlines()[0])["p_star"] == 0.5
 
 
-def test_verify_appendix_cli(capsys):
-    assert main(["verify-appendix", "--grid", "3"]) == 0
-    assert "worst deviation" in capsys.readouterr().out
-
-
 def test_state_info_cli(tmp_path, capsys):
     path = tmp_path / "state.json"
     save_state(evolve_global(0.9, 0.4, "pd"), path)

@@ -29,7 +29,6 @@ from gencorr import (
 )
 from gencorr.channels import upsilon_pd
 from gencorr.experiments import (
-    appendix_deviations,
     evaluate_measures,
     read_csv,
     verify_anchors,
@@ -387,12 +386,6 @@ def test_phase_sweeps_kink_at_intermediate_purity():
 
 
 # --- reference values ---
-
-def test_appendix_deviations_are_tiny():
-    devs = appendix_deviations(3)
-    assert len(devs) == 18
-    assert max(d for *_req, d in devs) <= 1e-10
-
 
 def test_verify_anchors_report_structure():
     report = verify_anchors(FAST)

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gencorr import (
-    CompositeDims,
     DensityMatrix,
     LocalBasisSet,
     PureState,
@@ -103,8 +102,13 @@ def test_density_matrix_validation():
         DensityMatrix((2,), np.diag([1.5, -0.5]))  # negative eigenvalue
     with pytest.raises(ValueError):
         DensityMatrix((2, 2), np.eye(2) / 2)  # dims mismatch
-    with pytest.raises(ValueError):
-        CompositeDims((1, 2))
+    for dims in ((), (1, 4), (2.7, 2), (2.0, 2)):  # no subsystem, too small, not integers
+        with pytest.raises(ValueError):
+            DensityMatrix(dims, np.eye(4) / 4)
+        with pytest.raises(ValueError):
+            PureState(dims, np.eye(4)[0])
+    dims = DensityMatrix((np.int64(2), 2), np.eye(4) / 4).dims
+    assert dims == (2, 2) and all(type(d) is int for d in dims)
 
 
 def test_pure_state_validation():
@@ -211,7 +215,7 @@ def test_density_matrix_json_roundtrip_exact(rng):
     rho = random_density_matrix((2, 2), rng)
     back = state_from_json(state_to_json(rho))
     assert isinstance(back, DensityMatrix)
-    assert back.dims.dims == rho.dims.dims
+    assert back.dims == rho.dims
     assert np.array_equal(back.mat, rho.mat)
 
 
@@ -226,5 +230,5 @@ def test_pure_state_json_roundtrip_exact():
     psi = psi_minus()
     back = state_from_json(state_to_json(psi))
     assert isinstance(back, PureState)
-    assert back.dims.dims == psi.dims.dims
+    assert back.dims == psi.dims
     assert np.array_equal(back.vec, psi.vec)
