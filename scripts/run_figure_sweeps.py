@@ -6,8 +6,9 @@ correlation sweeps plus the two fidelity surfaces, then scans every
 genuine-total series for sudden changes.  Output lands in --outdir as one CSV
 (plus manifest) per sweep; plot them with any tool that reads CSV.
 
-The quantum and classical series come from one sweep per channel, so each
-(c, p) runs its four-qubit basis search once.  The basis searches dominate
+Each channel runs two sweeps: one for the total and fidelity series, one for
+the quantum and classical series.  So each (c, p) state of a grid is evolved
+once, and runs its four-qubit basis search once.  The basis searches dominate
 the runtime; tune --grid-q / --starts for a faster pass.
 """
 
@@ -31,9 +32,14 @@ def write_one(name: str, spec: SweepSpec, rows: list[dict], outdir: pathlib.Path
     print(f"{name}: {len(rows)} rows -> {csv_path}")
 
 
-def run_one(name: str, spec: SweepSpec, outdir: pathlib.Path) -> list[dict]:
+def run_series(kind, c_values, grid, groups, cfg, workers, outdir) -> list[dict]:
+    """One sweep of every column of the (name, measures) groups; one CSV and
+    manifest per group."""
+    spec = SweepSpec(kind, c_values, grid, sum((m for _, m in groups), ()),
+                     search=cfg, workers=workers)
     rows = run_sweep(spec)
-    write_one(name, spec, rows, outdir)
+    for name, measures in groups:
+        write_one(f"{kind}_{name}", dataclasses.replace(spec, measures=measures), rows, outdir)
     return rows
 
 
@@ -58,25 +64,17 @@ def main() -> None:
 
     total_rows = {}
     for kind in ("ad", "pd"):
-        total_rows[kind] = run_one(
-            f"{kind}_total",
-            SweepSpec(kind, c_values, args.grid_i, TOTAL_MEASURES,
-                      search=cfg, workers=args.workers),
-            outdir,
+        total_rows[kind] = run_series(
+            kind, c_values, args.grid_i,
+            (("total", TOTAL_MEASURES), ("fidelity", FIDELITY_MEASURES)),
+            cfg, args.workers, outdir,
         )
-        run_one(
-            f"{kind}_fidelity",
-            SweepSpec(kind, c_values, args.grid_i, FIDELITY_MEASURES,
-                      search=cfg, workers=args.workers),
-            outdir,
-        )
-        if args.skip_search:
-            continue
-        spec = SweepSpec(kind, c_values, args.grid_q, QUANTUM_MEASURES + CLASSICAL_MEASURES,
-                         search=cfg, workers=args.workers)
-        rows = run_sweep(spec)
-        for name, measures in (("quantum", QUANTUM_MEASURES), ("classical", CLASSICAL_MEASURES)):
-            write_one(f"{kind}_{name}", dataclasses.replace(spec, measures=measures), rows, outdir)
+        if not args.skip_search:
+            run_series(
+                kind, c_values, args.grid_q,
+                (("quantum", QUANTUM_MEASURES), ("classical", CLASSICAL_MEASURES)),
+                cfg, args.workers, outdir,
+            )
 
     print("\nsudden changes in the genuine-total series:")
     for kind in ("ad", "pd"):

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import LinAlgError
+from numpy.linalg import _umath_linalg
 
 from .entropy import _spectrum, shannon, von_neumann_entropy
 from .linalg import (
@@ -56,6 +58,17 @@ _FLOOR = 1e-300  # outcomes are floored here, so that log2 stays finite
 # search; this bounds the memory of a wide batch, and 1 runs the starts one
 # after another.  The results never depend on it.
 _WIDTH = 128
+_MASS = 2 * DEFAULT_TOL.clip  # outcomes at or below this count toward mass_cap
+# The LAPACK kernels of np.linalg.eigh (lower triangle) and np.linalg.inv,
+# called directly: np.linalg enters an errstate on every call, and a search
+# enters one per run (see _LaneSearch.run).
+_eigh, _inv = _umath_linalg.eigh_lo, _umath_linalg.inv
+_sum = np.add.reduce  # ndarray.sum without its Python layer
+
+
+def _invalid(err, flag):
+    """The errstate call of a search: np.linalg's LinAlgError."""
+    raise LinAlgError(f"{err} value in a basis-search step, such as a failed LAPACK routine")
 
 
 @dataclass(frozen=True)
@@ -168,16 +181,16 @@ class SearchResult(NamedTuple):
     grad_norm: float
 
 
-def _gradient(sigma: np.ndarray, p: np.ndarray, cdims) -> tuple[list[np.ndarray], np.ndarray]:
-    """Per-cell G_i = Tr_(other cells) -i[sigma, diag(log2 p)], and |(G_1, ..., G_m)|.
+def _gradient(sigma: np.ndarray, logp: np.ndarray, cdims) -> tuple[np.ndarray, np.ndarray]:
+    """The per-cell G_i = Tr_(other cells) -i[sigma, diag(log2 p)], raveled
+    one after another into one vector, and |(G_1, ..., G_m)|.
 
     Moving U_i to U_i exp(-i eta X) changes the objective at rate Tr(X G_i),
     so U_i exp(i eta G_i) is the steepest-descent direction.  Entries of sigma
     next to a vanishing p_k vanish with it, so the floor on p only guards log2.
-    sigma (..., N, N) and p (..., N) may carry leading lane axes, which the
-    G_i (..., d_i, d_i) and the norm keep.
+    sigma (..., N, N) and logp = log2 p (..., N) may carry leading lane axes,
+    which the vector (..., sum d_i^2) and the norm keep.
     """
-    logp = np.log2(np.maximum(p, _FLOOR))
     t = sigma * (logp[..., :, None] - logp[..., None, :])  # i t is -i[sigma, diag(log2 p)]
     lead, before, parts = t.shape[:-2], 1, []
     for d in cdims:
@@ -191,12 +204,8 @@ def _gradient(sigma: np.ndarray, p: np.ndarray, cdims) -> tuple[list[np.ndarray]
         parts.append(g.reshape(lead + (d * d,)))
         before *= d
     vec = 1j * np.concatenate(parts, axis=-1)
-    at, grad = 0, []
-    for d in cdims:
-        grad.append(vec[..., at:at + d * d].reshape(lead + (d, d)))
-        at += d * d
     v = vec.view(float)
-    return grad, np.sqrt((v * v).sum(-1))
+    return vec, np.sqrt(_sum(v * v, -1))
 
 
 _UPPER = np.triu(np.ones((_MEMORY, _MEMORY)))
@@ -220,7 +229,7 @@ def _lbfgs_direction(g: np.ndarray, pairs: np.ndarray, gamma: np.ndarray) -> np.
     gram = pairs @ pairs_t
     sy, yy = gram[:, :mem, mem:], gram[:, mem:, mem:]
     dsy = sy.diagonal(0, 1, 2)  # s_i . y_i > 0 on used rows, 0 on unused
-    rinv = np.linalg.inv(sy * _UPPER + _EYE * (dsy == 0)[:, None, :])
+    rinv = _inv(sy * _UPPER + _EYE * (dsy == 0)[:, None, :])
     pg = pairs @ g[:, :, None]
     u = rinv @ pg[:, :mem]
     gam = gamma[:, None, None]
@@ -228,14 +237,30 @@ def _lbfgs_direction(g: np.ndarray, pairs: np.ndarray, gamma: np.ndarray) -> np.
     return gamma[:, None] * g + (pairs_t @ np.concatenate([w, -gam * u], axis=1))[:, :, 0]
 
 
-def _neg_entropy_rows(p: np.ndarray) -> np.ndarray:
-    """sum p log2 p over each row of p >= _FLOOR: minus the descent objective."""
-    return (p * np.log2(p)).sum(-1)
+def _entropy_terms(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sum p log2 p over each row of p >= _FLOOR, minus the descent objective,
+    and log2 p, which the gradient reads."""
+    logp = np.log2(p)
+    return _sum(p * logp, -1), logp
 
 
 def _diag_rows(x: np.ndarray, xr: np.ndarray) -> np.ndarray:
     """Real diagonal of x r x† for each lane, from x and xr = x r, floored at _FLOOR."""
-    return np.maximum((xr.view(float) * x.view(float)).sum(-1), _FLOOR)
+    return np.maximum(_sum(xr.view(float) * x.view(float), -1), _FLOOR)
+
+
+def _kron(cells: list[np.ndarray]) -> np.ndarray:
+    """kron_all of the (m, d_i, d_i) stacks of a lane search, bit for bit.
+
+    kron_all starts from a ones factor; its complex multiply by 1 sets the
+    signs of the first factor's zeros, so this one multiplies by 1 too.
+    """
+    out = (1 + 0j) * cells[0]
+    for c in cells[1:]:
+        out = out[:, :, None, :, None] * c[:, None, :, None, :]
+        m, r1, r2, c1, c2 = out.shape
+        out = out.reshape(m, r1 * r2, c1 * c2)
+    return out
 
 
 def _take(lanes: dict, rows) -> dict:
@@ -291,15 +316,21 @@ class _LaneSearch:
             )
 
     def run(self, starts: int) -> list[list[tuple]]:
-        """Per job, (p, unitaries, |G|, evals) of starts 0..starts-1, in start order."""
+        """Per job, (p, unitaries, |G|, evals) of starts 0..starts-1, in start order.
+
+        One errstate serves every step: a LAPACK failure in eigh or inv, or
+        any other invalid value, raises LinAlgError, as np.linalg does.
+        """
         queue = itertools.product(range(len(self.mats)), range(starts))
         out = [[None] * starts for _ in self.mats]
         lanes = None
-        while True:
-            new = list(itertools.islice(queue, _WIDTH - (0 if lanes is None else len(lanes["h"]))))
-            if lanes is None and not new:
-                return out
-            lanes = self._step(lanes, new, out)
+        with np.errstate(call=_invalid, invalid="call"):
+            while True:
+                free = _WIDTH - (0 if lanes is None else len(lanes["h"]))
+                new = list(itertools.islice(queue, free))
+                if lanes is None and not new:
+                    return out
+                lanes = self._step(lanes, new, out)
 
     def _step(self, lanes, new, out):
         """One iteration of every lane in flight and the first of each new start."""
@@ -313,16 +344,17 @@ class _LaneSearch:
         lanes = self._iterate(lanes)
         # stops by itself: converged, out of evaluations, or stalled already
         # at the first trial step eta = 1
-        stopped = (lanes["gn"] < GRAD_TOL) | (lanes["evals"] >= self.max_evals)
+        evals = lanes["evals"]
+        stopped = (lanes["gn"] < GRAD_TOL) | (evals >= self.max_evals)
         stopped |= lanes["slope"] < _STALL
         # the best iterate is the last whose probability mass at or below
-        # 2*DEFAULT_TOL.clip is at most its job's mass_cap (see
-        # closest_classical_state); until one is, the start's first iterate,
-        # the only one at a single evaluation
+        # _MASS is at most its job's mass_cap (see closest_classical_state);
+        # until one is, the start's first iterate, the only one at a single
+        # evaluation
         p, gn = lanes.pop("p"), lanes.pop("gn")
-        take = (p * (p <= 2 * DEFAULT_TOL.clip)).sum(-1) <= lanes["cap"]
-        take |= lanes["evals"] == 1
-        if take.all():
+        take = _sum(p * (p <= _MASS), -1) <= lanes["cap"]
+        take |= evals == 1
+        if np.count_nonzero(take) == len(take):
             lanes.update(bp=p, bu=lanes["u"], bg=gn)
         else:
             lanes.update(
@@ -331,7 +363,7 @@ class _LaneSearch:
                 bg=np.where(take, gn, lanes["bg"]),
             )
         if np.count_nonzero(stopped):
-            self._finish(lanes, stopped, out, lanes["evals"])
+            self._finish(lanes, stopped, out, evals)
             keep = (~stopped).nonzero()[0]
             if not keep.size:
                 return None
@@ -360,14 +392,15 @@ class _LaneSearch:
             at += c
         job = np.array([j for j, _ in new])
         mat = self.mats[job]
-        b = kron_all(self._cells(u))
+        b = _kron(self._cells(u))
         sigma = b.conj().swapaxes(1, 2) @ mat @ b
         p = np.maximum(sigma.diagonal(0, 1, 2).real, _FLOOR)
+        h, logp = _entropy_terms(p)
         n = len(new)
         return {
             "job": job, "ids": np.array([k for _, k in new]), "mat": mat, "cap": self.mass_caps[job],
-            "u": u, "sigma": sigma, "p": p,
-            "h": _neg_entropy_rows(p), "evals": np.ones(n, dtype=int), "g": np.zeros((n, self.nvec)),
+            "u": u, "sigma": sigma, "p": p, "logp": logp,
+            "h": h, "evals": np.ones(n, dtype=int), "g": np.zeros((n, self.nvec)),
             "step": np.zeros((n, self.nvec)), "pairs": np.zeros((n, 2 * _MEMORY, self.nvec)),
             "gamma": np.ones(n), "bp": p, "bu": u, "bg": np.zeros(n),
         }
@@ -380,15 +413,15 @@ class _LaneSearch:
         """
         k, r, ws, slope = lanes.pop("k"), lanes.pop("r"), lanes.pop("ws"), lanes.pop("slope")
         h = lanes["h"]
-        m = len(h)
         evals = lanes["evals"] + 1
         x = k * np.exp(-1j * ws)[:, None, :]
         xr = x @ r
         pt = _diag_rows(x, xr)
-        ht = _neg_entropy_rows(pt)
+        ht, logp = _entropy_terms(pt)
         pend = (~(ht >= h + _ARMIJO * slope)).nonzero()[0]  # Armijo fails (or NaN)
         eta = None  # every lane took the full step eta = 1
         if pend.size:
+            m = len(h)
             eta, stopped = np.ones(m), np.zeros(m, dtype=bool)
             while pend.size:
                 eta[pend] /= 2
@@ -400,11 +433,12 @@ class _LaneSearch:
                 xt = k[pend] * np.exp(-1j * eta[pend, None] * ws[pend])[:, None, :]
                 xrt = xt @ r[pend]
                 ptt = _diag_rows(xt, xrt)
-                htt = _neg_entropy_rows(ptt)
+                htt, logpt = _entropy_terms(ptt)
                 evals[pend] += 1
                 ok = htt >= h[pend] + _ARMIJO * eta[pend] * slope[pend]
                 acc = pend[ok]
-                x[acc], xr[acc], pt[acc], ht[acc] = xt[ok], xrt[ok], ptt[ok], htt[ok]
+                x[acc], xr[acc], pt[acc] = xt[ok], xrt[ok], ptt[ok]
+                ht[acc], logp[acc] = htt[ok], logpt[ok]
                 pend = pend[~ok]
             if np.count_nonzero(stopped):
                 self._finish(lanes, stopped, out, evals)
@@ -412,7 +446,8 @@ class _LaneSearch:
                 if not keep.size:
                     return None
                 lanes = _take(lanes, keep)
-                eta, evals, x, xr, pt, ht = eta[keep], evals[keep], x[keep], xr[keep], pt[keep], ht[keep]
+                eta, evals, x, xr = eta[keep], evals[keep], x[keep], xr[keep]
+                pt, ht, logp = pt[keep], ht[keep], logp[keep]
         d = lanes.pop("d")
         lanes["u"] = [
             (uv * np.exp(1j * w if eta is None else 1j * eta[:, None, None] * w)[:, :, None, :])
@@ -420,33 +455,32 @@ class _LaneSearch:
             for uv, v, w in zip(lanes.pop("uv"), lanes.pop("v"), lanes.pop("w"))
         ]
         lanes.update(
-            sigma=xr @ x.conj().swapaxes(1, 2), p=pt, h=ht, evals=evals,
+            sigma=xr @ x.conj().swapaxes(1, 2), p=pt, logp=logp, h=ht, evals=evals,
             step=d if eta is None else eta[:, None] * d,
         )
         return lanes
 
     def _iterate(self, lanes) -> dict:
         """Gradient, curvature pair and next direction."""
-        grad, gn = _gradient(lanes.pop("sigma"), lanes["p"], self.cdims)
-        m = len(gn)
-        g = np.concatenate([x.reshape(m, -1) for x in grad], axis=1).view(float)
+        vec, gn = _gradient(lanes.pop("sigma"), lanes.pop("logp"), self.cdims)
+        g = vec.view(float)
         pairs, gamma, step = lanes["pairs"], lanes["gamma"], lanes.pop("step")
         dy = lanes["g"] - g
-        sy = (step * dy).sum(-1)
-        add = sy > 1e-12 * (step * step).sum(-1)
-        n_add = np.count_nonzero(add)
+        sy = _sum(step * dy, -1)
+        add = sy > 1e-12 * _sum(step * step, -1)
+        m, n_add = len(gn), np.count_nonzero(add)
         if n_add:
             mem = _MEMORY
             shifted = np.concatenate(
                 [pairs[:, 1:mem], step[:, None], pairs[:, mem + 1:], dy[:, None]], axis=1
             )
             if n_add == m:
-                pairs, gamma = shifted, sy / (dy * dy).sum(-1)
+                pairs, gamma = shifted, sy / _sum(dy * dy, -1)
             else:
                 pairs = np.where(add[:, None, None], shifted, pairs)
-                gamma = np.where(add, sy / np.where(add, (dy * dy).sum(-1), 1.0), gamma)
+                gamma = np.where(add, sy / np.where(add, _sum(dy * dy, -1), 1.0), gamma)
         d = _lbfgs_direction(g, pairs, gamma)
-        slope = (g * d).sum(-1)  # decrease rate of the objective along d
+        slope = _sum(g * d, -1)  # decrease rate of the objective along d
         restart = slope <= 0  # not a descent direction: restart from the gradient
         if np.count_nonzero(restart):
             d = np.where(restart[:, None], g, d)
@@ -468,18 +502,18 @@ class _LaneSearch:
         dc = lanes["d"].view(complex)
         uv, v, w, at = [], [], [], 0
         for (d, c), u in zip(self.runs, lanes.pop("u")):
-            wi, vi = np.linalg.eigh(dc[:, at:at + c * d * d].reshape(m, c, d, d))
+            wi, vi = _eigh(dc[:, at:at + c * d * d].reshape(m, c, d, d))
             at += c * d * d
             uv.append(u @ vi)
             v.append(vi)
             w.append(wi)
-        a = kron_all(self._cells(uv))
+        a = _kron(self._cells(uv))
         cw = self._cells(w)
         ws = cw[0]
         for wc in cw[1:]:
             ws = (ws[:, :, None] + wc[:, None, :]).reshape(m, -1)
         lanes.update(
-            uv=uv, v=v, w=w, ws=ws, k=kron_all(self._cells(v)),
+            uv=uv, v=v, w=w, ws=ws, k=_kron(self._cells(v)),
             r=a.conj().swapaxes(1, 2) @ lanes["mat"] @ a,
         )
         return lanes

@@ -228,9 +228,14 @@ def write_csv(rows: list[dict], measures, path) -> None:
 
 
 def read_csv(path) -> list[dict]:
+    """The rows of a write_csv file; ValueError unless it has channel, c and p columns."""
     rows = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for rec in csv.DictReader(fh):
+        reader = csv.DictReader(fh)
+        missing = [key for key in ("channel", "c", "p") if key not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path}: no {', '.join(missing)} column in the CSV header")
+        for rec in reader:
             row: dict = {"channel": rec["channel"]}
             for key, val in rec.items():
                 if key != "channel":
@@ -294,8 +299,13 @@ def detect_sudden_change(
     points still registers).  Points without a full window on both sides are
     never flagged: near the grid edge a kink is not separable from ordinary
     boundary steepness, e.g. a sqrt- or entropy-like onset.  Adjacent flags
-    merge to the largest jump.  Requires a uniform p grid with >= 11 points.
+    merge to the largest jump.  Requires a uniform p grid with >= 11 points,
+    a finite kappa > 0 and a window >= 1.
     """
+    if not (math.isfinite(kappa) and kappa > 0):
+        raise ValueError(f"kappa must be finite and > 0, got {kappa!r}")
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window!r}")
     if not any(measure in r for r in rows):
         raise ValueError(f"measure {measure!r} not present in the data table")
     groups: dict[tuple[str, float], list[dict]] = {}

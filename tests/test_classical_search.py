@@ -197,7 +197,9 @@ def test_gradient_matches_central_difference(cell, rng):
     us = [random_unitary(d, rng) for d in cdims]
     b = np.kron(us[0], us[1])
     sigma = b.conj().T @ rho.mat @ b
-    grad, _ = _gradient(sigma, np.diagonal(sigma).real, cdims)
+    vec, _ = _gradient(sigma, np.log2(np.diagonal(sigma).real), cdims)
+    grad = np.split(vec, np.cumsum([d * d for d in cdims])[:-1])
+    grad = [g.reshape(d, d) for g, d in zip(grad, cdims)]
     d = cdims[cell]
     x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     x = (x + x.conj().T) / 2
@@ -291,7 +293,7 @@ def test_grad_norm_certifies_stationarity_on_full_rank_inputs(dims, cells):
         b = np.kron(*res.basis.unitaries)
         sigma = b.conj().T @ rho.mat @ b
         cdims = [u.shape[0] for u in res.basis.unitaries]
-        _, norm = _gradient(sigma, np.diagonal(sigma).real, cdims)
+        _, norm = _gradient(sigma, np.log2(np.diagonal(sigma).real), cdims)
         assert norm == pytest.approx(res.grad_norm, rel=1e-6, abs=1e-12)
 
 
@@ -389,3 +391,30 @@ def test_search_config_validation():
             SearchConfig(**bad)
     assert SearchConfig().starts == 14
     assert SearchConfig(starts=5).starts == 5
+
+
+# --- the LAPACK kernels the search calls directly ---
+
+@pytest.mark.parametrize("lanes", [1, 128])
+def test_search_lapack_kernels_equal_np_linalg_bit_for_bit(lanes):
+    # the search calls the gufuncs behind np.linalg.eigh and np.linalg.inv
+    rng = np.random.default_rng(lanes)
+    x = rng.normal(size=(lanes, 2, 4, 4)) + 1j * rng.normal(size=(lanes, 2, 4, 4))
+    w, v = cs._eigh(x)
+    ref_w, ref_v = np.linalg.eigh(x)
+    assert w.tobytes() == ref_w.tobytes() and v.tobytes() == ref_v.tobytes()
+    r = np.triu(rng.normal(size=(lanes, 8, 8))) + 4 * np.eye(8)
+    assert cs._inv(r).tobytes() == np.linalg.inv(r).tobytes()
+
+
+@pytest.mark.parametrize("kernel", ["_eigh", "_inv"])
+def test_a_lapack_failure_in_a_step_raises_linalg_error(kernel, monkeypatch):
+    # a NaN matrix fails zheevd and a zero matrix is singular; without the
+    # search's errstate the raw gufuncs would only warn
+    raw = getattr(cs, kernel)
+    fail = np.full_like if kernel == "_eigh" else np.zeros_like
+    args = (np.nan,) if kernel == "_eigh" else ()
+    monkeypatch.setattr(cs, kernel, lambda a: raw(fail(a, *args)))
+    rho = evolve_global(0.85, 0.88, "ad")
+    with pytest.raises(np.linalg.LinAlgError):
+        closest_classical_state(rho, [(0, 2), (1, 3)], SearchConfig(starts=2))

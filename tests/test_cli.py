@@ -56,6 +56,20 @@ def test_sudden_change_cli_finds_the_w_point(tmp_path, capsys):
     assert json.loads(text.splitlines()[0])["p_star"] == 0.5
 
 
+
+def test_sudden_change_cli_rejects_bad_input(tmp_path, capsys):
+    # a CSV without a channel column, and a bad kappa or window, are usage errors
+    path = tmp_path / "rows.csv"
+    path.write_text("c,p,I4\n" + "".join(f"1.0,{k / 20},0.5\n" for k in range(21)))
+    assert main(["sudden-change", str(path), "--measure", "I4"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("gencorr: error:") and "no channel column" in err
+    path.write_text("channel,c,p,I4\n" + "".join(f"ad,1.0,{k / 20},0.5\n" for k in range(21)))
+    for flags, name in ((["--kappa", "nan"], "kappa"), (["--kappa", "-1"], "kappa"),
+                        (["--window", "0"], "window")):
+        assert main(["sudden-change", str(path), "--measure", "I4", *flags]) == 2
+        assert f"gencorr: error: {name}" in capsys.readouterr().err
+
 def test_state_info_cli(tmp_path, capsys):
     path = tmp_path / "state.json"
     save_state(evolve_global(0.9, 0.4, "pd"), path)
