@@ -183,13 +183,14 @@ class SearchResult(NamedTuple):
 
 def _gradient(sigma: np.ndarray, logp: np.ndarray, cdims) -> tuple[np.ndarray, np.ndarray]:
     """The per-cell G_i = Tr_(other cells) -i[sigma, diag(log2 p)], raveled
-    one after another into one vector, and |(G_1, ..., G_m)|.
+    one after another into one complex vector and returned as its real view,
+    and |(G_1, ..., G_m)|.
 
     Moving U_i to U_i exp(-i eta X) changes the objective at rate Tr(X G_i),
     so U_i exp(i eta G_i) is the steepest-descent direction.  Entries of sigma
     next to a vanishing p_k vanish with it, so the floor on p only guards log2.
     sigma (..., N, N) and logp = log2 p (..., N) may carry leading lane axes,
-    which the vector (..., sum d_i^2) and the norm keep.
+    which the vector (..., 2 sum d_i^2) and the norm keep.
     """
     t = sigma * (logp[..., :, None] - logp[..., None, :])  # i t is -i[sigma, diag(log2 p)]
     lead, before, parts = t.shape[:-2], 1, []
@@ -198,14 +199,14 @@ def _gradient(sigma: np.ndarray, logp: np.ndarray, cdims) -> tuple[np.ndarray, n
         g = t.reshape(lead + (before, d, after) * 2)
         if after > 1:  # trace out the cells after this one, then those before
             g = g.trace(axis1=-4, axis2=-1)
-        g = g.reshape(lead + (before, d) * 2)
-        if before > 1:
-            g = g.trace(axis1=-4, axis2=-2)
+            if before > 1:
+                g = g.trace(axis1=-4, axis2=-2)
+        elif before > 1:
+            g = g.trace(axis1=-6, axis2=-3)
         parts.append(g.reshape(lead + (d * d,)))
         before *= d
-    vec = 1j * np.concatenate(parts, axis=-1)
-    v = vec.view(float)
-    return vec, np.sqrt(_sum(v * v, -1))
+    v = (1j * np.concatenate(parts, axis=-1)).view(float)
+    return v, np.sqrt(_sum(v * v, -1))
 
 
 _UPPER = np.triu(np.ones((_MEMORY, _MEMORY)))
@@ -249,20 +250,6 @@ def _diag_rows(x: np.ndarray, xr: np.ndarray) -> np.ndarray:
     return np.maximum(_sum(xr.view(float) * x.view(float), -1), _FLOOR)
 
 
-def _kron(cells: list[np.ndarray]) -> np.ndarray:
-    """kron_all of the (m, d_i, d_i) stacks of a lane search, bit for bit.
-
-    kron_all starts from a ones factor; its complex multiply by 1 sets the
-    signs of the first factor's zeros, so this one multiplies by 1 too.
-    """
-    out = (1 + 0j) * cells[0]
-    for c in cells[1:]:
-        out = out[:, :, None, :, None] * c[:, None, :, None, :]
-        m, r1, r2, c1, c2 = out.shape
-        out = out.reshape(m, r1 * r2, c1 * c2)
-    return out
-
-
 def _take(lanes: dict, rows) -> dict:
     """The given rows of every lane array."""
     return {k: [a[rows] for a in v] if isinstance(v, list) else v[rows] for k, v in lanes.items()}
@@ -303,8 +290,22 @@ class _LaneSearch:
         self.runs = [(d, len(list(run))) for d, run in itertools.groupby(cdims)]
         self.nvec = 2 * sum(d * d for d in cdims)  # real length of the generator vector
 
-    def _cells(self, stacks) -> list[np.ndarray]:
-        return [a[:, j] for a, (_, c) in zip(stacks, self.runs) for j in range(c)]
+    def _kron(self, stacks) -> np.ndarray:
+        """kron_all of each lane's cell matrices, from their run stacks, bit for bit.
+
+        kron_all starts from a ones factor; its complex multiply by 1 sets the
+        signs of the first factor's zeros, so this one multiplies by 1 too.
+        """
+        out = None
+        for a, (_, c) in zip(stacks, self.runs):
+            for j in range(c):
+                if out is None:
+                    out = (1 + 0j) * a[:, j]
+                else:
+                    out = out[:, :, None, :, None] * a[:, j, None, :, None, :]
+                    m, r1, r2, c1, c2 = out.shape
+                    out = out.reshape(m, r1 * r2, c1 * c2)
+        return out
 
     def _finish(self, lanes, stopped, out, evals) -> None:
         """Record the (p, unitaries, |G|, evals) of each stopped lane's best
@@ -350,10 +351,11 @@ class _LaneSearch:
         # the best iterate is the last whose probability mass at or below
         # _MASS is at most its job's mass_cap (see closest_classical_state);
         # until one is, the start's first iterate, the only one at a single
-        # evaluation
+        # evaluation: the lanes opened in this step
         p, gn = lanes.pop("p"), lanes.pop("gn")
         take = _sum(p * (p <= _MASS), -1) <= lanes["cap"]
-        take |= evals == 1
+        if new:
+            take |= evals == 1
         if np.count_nonzero(take) == len(take):
             lanes.update(bp=p, bu=lanes["u"], bg=gn)
         else:
@@ -392,7 +394,7 @@ class _LaneSearch:
             at += c
         job = np.array([j for j, _ in new])
         mat = self.mats[job]
-        b = _kron(self._cells(u))
+        b = self._kron(u)
         sigma = b.conj().swapaxes(1, 2) @ mat @ b
         p = np.maximum(sigma.diagonal(0, 1, 2).real, _FLOOR)
         h, logp = _entropy_terms(p)
@@ -418,10 +420,10 @@ class _LaneSearch:
         xr = x @ r
         pt = _diag_rows(x, xr)
         ht, logp = _entropy_terms(pt)
-        pend = (~(ht >= h + _ARMIJO * slope)).nonzero()[0]  # Armijo fails (or NaN)
+        ok = ht >= h + _ARMIJO * slope  # False where Armijo fails (or NaN)
         eta = None  # every lane took the full step eta = 1
-        if pend.size:
-            m = len(h)
+        if np.count_nonzero(ok) < len(ok):
+            m, pend = len(h), (~ok).nonzero()[0]
             eta, stopped = np.ones(m), np.zeros(m, dtype=bool)
             while pend.size:
                 eta[pend] /= 2
@@ -462,8 +464,7 @@ class _LaneSearch:
 
     def _iterate(self, lanes) -> dict:
         """Gradient, curvature pair and next direction."""
-        vec, gn = _gradient(lanes.pop("sigma"), lanes.pop("logp"), self.cdims)
-        g = vec.view(float)
+        g, gn = _gradient(lanes.pop("sigma"), lanes.pop("logp"), self.cdims)
         pairs, gamma, step = lanes["pairs"], lanes["gamma"], lanes.pop("step")
         dy = lanes["g"] - g
         sy = _sum(step * dy, -1)
@@ -507,13 +508,14 @@ class _LaneSearch:
             uv.append(u @ vi)
             v.append(vi)
             w.append(wi)
-        a = _kron(self._cells(uv))
-        cw = self._cells(w)
-        ws = cw[0]
-        for wc in cw[1:]:
-            ws = (ws[:, :, None] + wc[:, None, :]).reshape(m, -1)
+        a = self._kron(uv)
+        ws = None  # w_1 ⊕ ... ⊕ w_m, in the order of the kron of the V_i
+        for wr, (_, c) in zip(w, self.runs):
+            for j in range(c):
+                wc = wr[:, j]
+                ws = wc if ws is None else (ws[:, :, None] + wc[:, None, :]).reshape(m, -1)
         lanes.update(
-            uv=uv, v=v, w=w, ws=ws, k=_kron(self._cells(v)),
+            uv=uv, v=v, w=w, ws=ws, k=self._kron(v),
             r=a.conj().swapaxes(1, 2) @ lanes["mat"] @ a,
         )
         return lanes

@@ -198,7 +198,7 @@ def test_gradient_matches_central_difference(cell, rng):
     b = np.kron(us[0], us[1])
     sigma = b.conj().T @ rho.mat @ b
     vec, _ = _gradient(sigma, np.log2(np.diagonal(sigma).real), cdims)
-    grad = np.split(vec, np.cumsum([d * d for d in cdims])[:-1])
+    grad = np.split(vec.view(complex), np.cumsum([d * d for d in cdims])[:-1])
     grad = [g.reshape(d, d) for g, d in zip(grad, cdims)]
     d = cdims[cell]
     x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
