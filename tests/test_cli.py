@@ -56,7 +56,6 @@ def test_sudden_change_cli_finds_the_w_point(tmp_path, capsys):
     assert json.loads(text.splitlines()[0])["p_star"] == 0.5
 
 
-
 def test_sudden_change_cli_rejects_bad_input(tmp_path, capsys):
     # a CSV without a channel column, and a bad kappa or window, are usage errors
     path = tmp_path / "rows.csv"
@@ -69,6 +68,7 @@ def test_sudden_change_cli_rejects_bad_input(tmp_path, capsys):
                         (["--window", "0"], "window")):
         assert main(["sudden-change", str(path), "--measure", "I4", *flags]) == 2
         assert f"gencorr: error: {name}" in capsys.readouterr().err
+
 
 def test_state_info_cli(tmp_path, capsys):
     path = tmp_path / "state.json"

@@ -363,7 +363,6 @@ def test_detection_requirements():
         detect_sudden_change(bad, "y")
 
 
-
 @pytest.mark.parametrize("bad", [
     dict(kappa=float("nan")), dict(kappa=float("inf")), dict(kappa=-1.0), dict(kappa=0.0),
     dict(window=0), dict(window=-5),
@@ -374,6 +373,7 @@ def test_detection_rejects_bad_kappa_and_window(bad):
     rows = synthetic_rows(lambda p: -abs(p - 0.5))
     with pytest.raises(ValueError, match="kappa" if "kappa" in bad else "window"):
         detect_sudden_change(rows, "y", **bad)
+
 
 def test_groups_are_detected_independently():
     rows = synthetic_rows(lambda p: -abs(p - 0.5), c=1.0)

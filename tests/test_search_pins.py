@@ -14,8 +14,6 @@ import hashlib
 import json
 import pathlib
 
-import pytest
-
 from gencorr import SearchConfig, closest_classical_state, evolve_global
 from gencorr.classical_search import closest_classical_states
 
@@ -64,13 +62,6 @@ def test_one_batch_of_every_search_matches_the_pins():
     results = closest_classical_states([rhos[s] for s, _ in CASES], [c for _, c in CASES], CFG)
     pins = [_pin(state, cells, res) for (state, cells), res in zip(CASES, results)]
     assert pins == json.loads(PINS.read_text())
-
-
-@pytest.mark.parametrize("field", ["q", "grad_norm"])
-def test_pins_keep_every_digit(field):
-    # repr round-trips a float exactly, so equal strings mean equal bits
-    for pin in json.loads(PINS.read_text()):
-        assert repr(float(pin[field])) == pin[field]
 
 
 if __name__ == "__main__":
