@@ -281,11 +281,16 @@ def test_sweep_columns_reproduce_their_golden_csvs(kind, series, measures, grid,
     --grid-q 5` at the default search config.  The I and F files were written
     before partial traces and entropies were memoized and derived states
     skipped validation, the Q and C files before every start that gets budget
-    ran to its own stop; every column stays bit for bit."""
+    ran to its own stop; every column stays bit for bit.  Each CSV's
+    write_manifest sidecar is pinned beside it."""
     spec = SweepSpec(kind, (0.4, 1.0), grid, measures)
+    rows = run_sweep(spec)
     path = tmp_path / "out.csv"
-    write_csv(run_sweep(spec), measures, path)
+    write_csv(rows, measures, path)
     assert path.read_bytes() == (GOLDEN / f"{kind}_{series}.csv").read_bytes()
+    manifest = tmp_path / "out.manifest.json"
+    write_manifest(spec, rows, manifest)
+    assert manifest.read_bytes() == (GOLDEN / f"{kind}_{series}.manifest.json").read_bytes()
 
 
 def test_manifest_lists_only_the_flags_of_its_measures(tmp_path, monkeypatch):
