@@ -51,9 +51,9 @@ def _check_p(p: float) -> float:
     return p
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausChannel:
-    """Trace-preserving qubit channel as an operator list."""
+    """Trace-preserving qubit channel as an operator list; equal by identity only."""
 
     operators: tuple[np.ndarray, ...]
     label: str
@@ -134,7 +134,7 @@ def evolve_global(c: float, p: float, kind: str) -> DensityMatrix:
     """Four-party state after both qubits interact with their environments.
 
     Starts from werner(c) x |0_Ea><0_Ea| x |0_Eb><0_Eb|, reorders to
-    (a, E_a, b, E_b) with an exact index map, and conjugates with the product
+    (a, E_a, b, E_b) with permute_subsystems, and conjugates with the product
     of the two local dilation unitaries.
     """
     rho_ab = werner_state(c).mat

@@ -27,11 +27,11 @@ from numpy.linalg import _umath_linalg
 
 from .entropy import _spectrum, shannon, von_neumann_entropy
 from .linalg import (
+    _subsystem_axes,
     DEFAULT_TOL,
     DensityMatrix,
     hermitize,
     kron_all,
-    permutation_indices,
     permute_subsystems,
     random_unitary,
 )
@@ -98,11 +98,11 @@ class SearchConfig:
             raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LocalBasisSet:
     """One unitary per cell of a partition of the subsystems.
 
-    Column j of each unitary is the j-th basis vector of that cell.
+    Column j of each unitary is the j-th basis vector of that cell; equal by identity only.
     """
 
     cells: tuple[tuple[int, ...], ...]
@@ -137,13 +137,10 @@ def _pinch(rho: DensityMatrix, basis: LocalBasisSet) -> tuple[np.ndarray, np.nda
     cdims = _cell_dims(rho.dims, basis.cells)
     if cdims != tuple(u.shape[0] for u in basis.unitaries):
         raise ValueError(f"cells {basis.cells} have dimensions {cdims}, unlike their unitaries")
-    b = kron_all(basis.unitaries)
+    # the rows of the product run over the subsystems in cell order
     perm = [i for cell in basis.cells for i in cell]
-    if perm != list(range(rho.n)):
-        idx = permutation_indices(rho.dims, perm)
-        inv = np.empty_like(idx)
-        inv[idx] = np.arange(idx.size)
-        b = b[inv]
+    b = _subsystem_axes(kron_all(basis.unitaries), [rho.dims[i] for i in perm],
+                        np.argsort(perm), cols=False).reshape(rho.dim, rho.dim)
     p = np.real(np.einsum("ij,ij->j", b.conj(), np.asarray(rho.mat) @ b))
     return b, np.clip(p, 0.0, None)
 

@@ -58,6 +58,9 @@ def _cmd_sweep(args) -> int:
         output=args.output,
         workers=args.workers,
     )
+    outdir = os.path.dirname(spec.output) or "."
+    if not os.path.isdir(outdir):  # fail before the sweep, not after it
+        raise FileNotFoundError(f"output directory {outdir} does not exist")
     rows = run_sweep(spec)
     write_csv(rows, spec.measures, spec.output)
     manifest = os.path.splitext(spec.output)[0] + ".manifest.json"

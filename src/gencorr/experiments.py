@@ -299,8 +299,8 @@ def detect_sudden_change(
     points still registers).  Points without a full window on both sides are
     never flagged: near the grid edge a kink is not separable from ordinary
     boundary steepness, e.g. a sqrt- or entropy-like onset.  Adjacent flags
-    merge to the largest jump.  Requires a uniform p grid with >= 11 points,
-    a finite kappa > 0 and a window >= 1.
+    merge to the largest jump.  Requires a finite measure in every row, a
+    uniform p grid with >= 11 points, a finite kappa > 0 and a window >= 1.
     """
     if not (math.isfinite(kappa) and kappa > 0):
         raise ValueError(f"kappa must be finite and > 0, got {kappa!r}")
@@ -315,7 +315,10 @@ def detect_sudden_change(
     for (channel, c), grp in groups.items():
         grp = sorted(grp, key=lambda r: r["p"])
         ps = np.array([r["p"] for r in grp])
-        ys = np.array([float(r[measure]) for r in grp])
+        ys = np.array([float(r.get(measure, math.nan)) for r in grp])
+        if not np.isfinite(ys).all():
+            p_bad = ps[~np.isfinite(ys)][0]
+            raise ValueError(f"{measure} is missing or not finite at {channel} c={c} p={p_bad}")
         if len(ps) < 11:
             raise ValueError(f"grid too coarse for kink detection: {len(ps)} points")
         steps = np.diff(ps)

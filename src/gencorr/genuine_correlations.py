@@ -86,13 +86,14 @@ class CorrelationReport:
     """A named quantifier value with its witness and optimizer metadata.
 
     Frozen, as the memoized multipartite_quantum_Q reports are shared.
+    Equality and hashing leave out chi, a state that is equal by identity.
     """
 
     name: str
     value_bits: float
     witness: Bipartition | tuple[int, ...] | None = None
     evals: int = 0
-    chi: DensityMatrix | None = field(default=None, repr=False)
+    chi: DensityMatrix | None = field(default=None, repr=False, compare=False)
 
     def witness_label(self) -> str | None:
         if isinstance(self.witness, Bipartition):

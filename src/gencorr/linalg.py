@@ -5,7 +5,8 @@ Kronecker products, partial traces and subsystem permutations.  A state's
 dims is a plain tuple of its subsystem dimensions.  Basis convention: the
 computational-basis index is the big-endian mixed-radix number over the
 subsystem dimensions (subsystem 0 most significant), which is exactly numpy's
-Kronecker-product ordering.
+Kronecker-product ordering, so subsystems are reordered in one way: a matrix
+is reshaped to one axis per subsystem, and those axes are transposed.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ __all__ = [
     "kron_all",
     "partial_trace",
     "hermitize",
-    "permutation_indices",
     "permute_subsystems",
     "random_unitary",
     "state_to_json",
@@ -64,7 +64,7 @@ def hermitize(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().T) / 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian, unit-trace, PSD operator with explicit subsystem structure.
 
@@ -83,7 +83,7 @@ class DensityMatrix:
     SearchConfig), so a quantifier that asks for the same reduction or search
     again gets the same object and the same float.  The memo never goes
     stale, as dims and mat never change; it holds at most 2**n - 2
-    reductions and dies with its state.
+    reductions and dies with its state.  Equality and hashing go by identity.
     """
 
     dims: tuple[int, ...]
@@ -132,9 +132,9 @@ class DensityMatrix:
         return self.mat.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureState:
-    """Normalized state vector on a composite space."""
+    """Normalized state vector on a composite space; equal by identity only."""
 
     dims: tuple[int, ...]
     vec: np.ndarray
@@ -190,16 +190,21 @@ def _check_subset(n: int, subset) -> tuple[int, ...]:
     return subset
 
 
+def _subsystem_axes(mat: np.ndarray, dims, order, cols: bool = True) -> np.ndarray:
+    """mat viewed with one row axis per subsystem of dims, listed in order,
+    and one column axis per subsystem too when cols (else one column axis)."""
+    dims, order, n = tuple(dims), list(order), len(dims)
+    if cols:
+        return mat.reshape(dims + dims).transpose(order + [n + i for i in order])
+    return mat.reshape(dims + (-1,)).transpose(order + [n])
+
+
 def _ptrace_arr(mat: np.ndarray, dims, keep) -> np.ndarray:
     """Partial trace on a raw array; keep indices must be validated & sorted."""
-    dims = list(dims)
-    n = len(dims)
-    traced = [i for i in range(n) if i not in keep]
-    t = mat.reshape(dims + dims)
-    perm = list(keep) + traced + [i + n for i in keep] + [i + n for i in traced]
-    t = np.transpose(t, perm)
-    dk = int(np.prod([dims[i] for i in keep]))
-    dt = int(np.prod([dims[i] for i in traced]))
+    traced = [i for i in range(len(dims)) if i not in keep]
+    t = _subsystem_axes(mat, dims, list(keep) + traced)
+    dk = math.prod(dims[i] for i in keep)
+    dt = math.prod(dims[i] for i in traced)
     return np.einsum("abcb->ac", t.reshape(dk, dt, dk, dt))
 
 
@@ -219,29 +224,14 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     return red
 
 
-def permutation_indices(dims, perm) -> np.ndarray:
-    """Basis-index map realizing a subsystem reordering.
-
-    perm lists source subsystems in their new order; entry m of the result is
-    the original composite index of permuted composite index m.
-    """
-    dims = list(dims)
-    n = len(dims)
-    perm = list(perm)
-    if sorted(perm) != list(range(n)):
-        raise ValueError(f"perm {perm} is not a permutation of 0..{n - 1}")
-    total = int(np.prod(dims))
-    coords = np.unravel_index(np.arange(total), [dims[p] for p in perm])
-    orig = [None] * n
-    for slot, p in enumerate(perm):
-        orig[p] = coords[slot]
-    return np.ravel_multi_index(orig, dims)
-
-
 def permute_subsystems(mat: np.ndarray, dims, perm) -> np.ndarray:
-    """Reorder the subsystems of an operator via an exact index map."""
-    idx = permutation_indices(dims, perm)
-    return np.asarray(mat)[np.ix_(idx, idx)]
+    """Reorder the subsystems of an operator; perm lists the source
+    subsystems in their new order.  The identity perm returns a view of mat."""
+    perm = list(perm)
+    if sorted(perm) != list(range(len(dims))):
+        raise ValueError(f"perm {perm} is not a permutation of 0..{len(dims) - 1}")
+    d = math.prod(dims)
+    return _subsystem_axes(np.asarray(mat), dims, perm).reshape(d, d)
 
 
 def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 
+import gencorr.cli as cli
 from gencorr import evolve_global, save_state
 from gencorr.cli import main
 from gencorr.experiments import read_csv
@@ -44,6 +45,20 @@ def test_sweep_rejects_a_negative_seed(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sweep_rejects_a_missing_output_directory_before_it_runs(tmp_path, capsys, monkeypatch):
+    def never(spec):
+        raise AssertionError("run_sweep ran before the output path was checked")
+
+    monkeypatch.setattr(cli, "run_sweep", never)
+    out = tmp_path / "missing" / "x.csv"
+    code = main(["sweep", "--c", "0.6,1.0", "--grid", "21", "--measures", "Q4,Q3",
+                 "--output", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"gencorr: error: output directory {out.parent} does not exist\n")
+    assert not out.parent.exists()
+
+
 def test_sudden_change_cli_finds_the_w_point(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     main(["sweep", "--channel", "ad", "--c", "1.0", "--grid", "101",
@@ -68,6 +83,17 @@ def test_sudden_change_cli_rejects_bad_input(tmp_path, capsys):
                         (["--window", "0"], "window")):
         assert main(["sudden-change", str(path), "--measure", "I4", *flags]) == 2
         assert f"gencorr: error: {name}" in capsys.readouterr().err
+
+
+def test_sudden_change_cli_rejects_a_nan_row(tmp_path, capsys):
+    # before, the NaN hid the kink at p = 0.5: "0 sudden change(s)" and exit 0
+    path = tmp_path / "rows.csv"
+    ys = [repr(abs(k / 40 - 0.5)) if k != 21 else "nan" for k in range(41)]
+    path.write_text("channel,c,p,I4\n" + "".join(f"ad,0.6,{k / 40},{y}\n" for k, y in enumerate(ys)))
+    assert main(["sudden-change", str(path), "--measure", "I4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "gencorr: error: I4 is missing or not finite at ad c=0.6 p=0.525\n"
 
 
 def test_state_info_cli(tmp_path, capsys):

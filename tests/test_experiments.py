@@ -380,6 +380,21 @@ def test_detection_rejects_bad_kappa_and_window(bad):
         detect_sudden_change(rows, "y", **bad)
 
 
+@pytest.mark.parametrize("p_bad", [0.5, 0.525, 0.625])
+def test_detection_rejects_a_missing_or_nan_value(p_bad):
+    # before, one NaN blanked the noise of its window, so the kink at 0.5 was lost
+    rows = synthetic_rows(lambda p: abs(p - 0.5), n=41, channel="ad", c=0.6)
+    assert [h.p_star for h in detect_sudden_change(rows, "y")] == [0.5]
+    row = next(r for r in rows if r["p"] == p_bad)
+    for value in (math.nan, math.inf, None):
+        if value is None:
+            del row["y"]
+        else:
+            row["y"] = value
+        with pytest.raises(ValueError, match=f"y is missing or not finite at ad c=0.6 p={p_bad}$"):
+            detect_sudden_change(rows, "y")
+
+
 def test_groups_are_detected_independently():
     rows = synthetic_rows(lambda p: -abs(p - 0.5), c=1.0)
     rows += synthetic_rows(lambda p: p * p, c=0.3)

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import json
 import sys
@@ -8,9 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gencorr import (
+    CorrelationReport,
     DensityMatrix,
     LocalBasisSet,
     PureState,
+    amplitude_damping_kraus,
     dephase,
     evolve_global,
     ghz,
@@ -122,6 +125,24 @@ def test_density_matrix_is_immutable(rng):
     rho = random_density_matrix((2, 2), rng)
     with pytest.raises(ValueError):
         rho.mat[0, 0] = 0.0
+
+
+def test_array_holders_compare_and_hash_by_identity():
+    """==, `in` and hash on states, bases and channels go by identity and
+    never ask an array for its truth value; a report leaves out its chi."""
+    rho = evolve_global(0.5, 0.5, "ad")
+    assert rho == rho and rho != evolve_global(0.5, 0.5, "ad")
+    psi = ghz(2)
+    assert psi in [w4(), psi] and ghz(2) not in [w4(), psi]
+    basis = LocalBasisSet([(0,), (1,)], [I2, I2])
+    channel = amplitude_damping_kraus(0.3)
+    for obj in (rho, psi, basis, channel):
+        assert {obj: 1}[obj] == 1 and hash(obj) == hash(obj)
+        assert obj != copy.copy(obj)
+    report = CorrelationReport("Q", 0.25, (0, 1), 3, chi=rho)
+    twin = CorrelationReport("Q", 0.25, (0, 1), 3, chi=evolve_global(0.5, 0.5, "ad"))
+    assert report == twin and hash(report) == hash(twin)
+    assert report != CorrelationReport("Q", 0.5, (0, 1), 3, chi=rho)
 
 
 # --- derived states skip validation, so each must pass it when rebuilt ---
