@@ -228,7 +228,8 @@ def write_csv(rows: list[dict], measures, path) -> None:
 
 
 def read_csv(path) -> list[dict]:
-    """The rows of a write_csv file; ValueError unless it has channel, c and p columns."""
+    """The rows of a write_csv file; ValueError unless it has channel, c and p
+    columns and a number in every other cell."""
     rows = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
@@ -239,7 +240,11 @@ def read_csv(path) -> list[dict]:
             row: dict = {"channel": rec["channel"]}
             for key, val in rec.items():
                 if key != "channel":
-                    row[key] = float(val)
+                    try:
+                        row[key] = float(val)
+                    except (TypeError, ValueError):  # a short, long or non-numeric row
+                        raise ValueError(
+                            f"{path} line {reader.line_num}: {key} is {val!r}") from None
             rows.append(row)
     return rows
 
@@ -316,9 +321,9 @@ def detect_sudden_change(
         grp = sorted(grp, key=lambda r: r["p"])
         ps = np.array([r["p"] for r in grp])
         ys = np.array([float(r.get(measure, math.nan)) for r in grp])
-        if not np.isfinite(ys).all():
-            p_bad = ps[~np.isfinite(ys)][0]
-            raise ValueError(f"{measure} is missing or not finite at {channel} c={c} p={p_bad}")
+        bad = ps[~np.isfinite(ys)]
+        if bad.size:
+            raise ValueError(f"{measure} is missing or not finite at {channel} c={c} p={bad[0]}")
         if len(ps) < 11:
             raise ValueError(f"grid too coarse for kink detection: {len(ps)} points")
         steps = np.diff(ps)

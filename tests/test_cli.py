@@ -94,6 +94,12 @@ def test_sudden_change_cli_rejects_a_nan_row(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "gencorr: error: I4 is missing or not finite at ad c=0.6 p=0.525\n"
+    # a row that lacks the measure's field, or has one too many, names its line
+    text = path.read_text()
+    for bad, field in (("ad,0.6,0.525", "I4 is None"), ("ad,0.6,0.525,0.025,7", "None is ['7']")):
+        path.write_text(text.replace("ad,0.6,0.525,nan", bad))
+        assert main(["sudden-change", str(path), "--measure", "I4"]) == 2
+        assert capsys.readouterr().err == f"gencorr: error: {path} line 23: {field}\n"
 
 
 def test_state_info_cli(tmp_path, capsys):

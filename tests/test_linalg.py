@@ -228,6 +228,9 @@ def test_permute_subsystems_roundtrip(rng):
     inverse = tuple(np.argsort(perm))
     back = permute_subsystems(permute_subsystems(rho, (2, 2, 2), perm), (2, 2, 2), inverse)
     assert np.array_equal(back, rho)
+    for bad in ((0, 0, 1), (0, 1), (1, 2, 3)):
+        with pytest.raises(ValueError, match="not a permutation"):
+            permute_subsystems(rho, (2, 2, 2), bad)
 
 
 # --- serialization ---
