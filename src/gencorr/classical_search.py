@@ -146,9 +146,17 @@ def _pinch(rho: DensityMatrix, basis: LocalBasisSet) -> tuple[np.ndarray, np.nda
 
 
 def dephase(rho: DensityMatrix, basis: LocalBasisSet) -> DensityMatrix:
-    """Pinch rho in the given product basis: chi = sum_k |b_k><b_k| rho |b_k><b_k|."""
+    """Pinch rho in the given product basis: chi = sum_k |b_k><b_k| rho |b_k><b_k|.
+
+    chi's memo keeps the pinched outcome distribution p = diag(B† rho B),
+    one axis per cell of the basis, for the classical quantifiers to read.
+    """
     b, p = _pinch(rho, basis)
-    return DensityMatrix._derived(rho.dims, hermitize((b * p) @ b.conj().T))
+    chi = DensityMatrix._derived(rho.dims, hermitize((b * p) @ b.conj().T))
+    p = p.reshape(tuple(u.shape[0] for u in basis.unitaries))
+    p.setflags(write=False)
+    chi._memo["p"] = p
+    return chi
 
 
 def quantumness_in_basis(rho: DensityMatrix, basis: LocalBasisSet) -> float:
@@ -505,14 +513,16 @@ class _LaneSearch:
             uv.append(u @ vi)
             v.append(vi)
             w.append(wi)
-        a = self._kron(uv)
+        # K and A from one kron of the stacked [V; UV]: its products are elementwise
+        ka = self._kron([np.concatenate(pair) for pair in zip(v, uv)])
+        k, a = ka[:m], ka[m:]
         ws = None  # w_1 ⊕ ... ⊕ w_m, in the order of the kron of the V_i
         for wr, (_, c) in zip(w, self.runs):
             for j in range(c):
                 wc = wr[:, j]
                 ws = wc if ws is None else (ws[:, :, None] + wc[:, None, :]).reshape(m, -1)
         lanes.update(
-            uv=uv, v=v, w=w, ws=ws, k=self._kron(v),
+            uv=uv, v=v, w=w, ws=ws, k=k,
             r=a.conj().swapaxes(1, 2) @ lanes["mat"] @ a,
         )
         return lanes

@@ -58,8 +58,13 @@ def _cmd_sweep(args) -> int:
         output=args.output,
         workers=args.workers,
     )
+    # fail before the sweep, not after it
+    if not spec.output:
+        raise ValueError("the output path is empty")
+    if os.path.isdir(spec.output):
+        raise IsADirectoryError(f"output {spec.output} is a directory")
     outdir = os.path.dirname(spec.output) or "."
-    if not os.path.isdir(outdir):  # fail before the sweep, not after it
+    if not os.path.isdir(outdir):
         raise FileNotFoundError(f"output directory {outdir} does not exist")
     rows = run_sweep(spec)
     write_csv(rows, spec.measures, spec.output)

@@ -85,10 +85,13 @@ _MEASURES = {
 SUPPORTED_MEASURES = tuple(_MEASURES)
 
 
-def _check_measures(measures) -> None:
+def _check_measures(measures: tuple[str, ...]) -> None:
     bad = [m for m in measures if m not in _MEASURES]
     if bad:
         raise ValueError(f"unsupported measures {bad}; choose from {SUPPORTED_MEASURES}")
+    repeated = sorted({m for m in measures if measures.count(m) > 1})
+    if repeated:
+        raise ValueError(f"measures {repeated} are repeated")
 
 
 def _evaluate(rhos, measures, cfg, symmetries):
@@ -132,6 +135,7 @@ def evaluate_measures(
     A measure that raises is NaN with a "name: error" flag, never fatal.
     symmetries are subsystem relabelings under which rho is invariant.
     """
+    measures = tuple(measures)
     _check_measures(measures)
     if rho.dims != (2, 2, 2, 2):
         raise ValueError(f"the measures expect a 4-qubit state, got dims {rho.dims}")
@@ -158,6 +162,7 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.channel not in ("ad", "pd"):
             raise ValueError(f"channel must be 'ad' or 'pd', got {self.channel!r}")
+        object.__setattr__(self, "measures", tuple(self.measures))
         _check_measures(self.measures)
         if not self.measures:
             raise ValueError("a sweep needs at least one measure")
@@ -175,7 +180,6 @@ class SweepSpec:
         bad_c = [c for c in self.c_values if not 0.0 <= c <= 1.0]
         if bad_c:
             raise ValueError(f"c values must lie in [0, 1], got {bad_c}")
-        object.__setattr__(self, "measures", tuple(self.measures))
 
     def resolved_p_count(self) -> int:
         if self.p_count is not None:

@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass, field
 
 from .classical_search import SearchConfig, closest_classical_states
-from .entropy import von_neumann_entropy
+from .entropy import shannon, von_neumann_entropy
 from .linalg import DensityMatrix, partial_trace
 
 __all__ = [
@@ -265,16 +265,53 @@ def multipartite_quantum_Qs(rhos, cfg: SearchConfig = SearchConfig()) -> list[Co
     return [rho._memo[key] for rho in rhos]
 
 
-def _from_chi(name: str, q_rep: CorrelationReport, rep: CorrelationReport):
-    return CorrelationReport(name, rep.value_bits, rep.witness, evals=q_rep.evals, chi=q_rep.chi)
+def _outcome_entropy(chi: DensityMatrix, keep: tuple[int, ...]) -> float:
+    """Shannon entropy of the marginal on keep of chi's outcome distribution.
+
+    chi is a closest fully-classical state, so its memo holds the pinched
+    outcome distribution p with one axis per subsystem (see dephase), and
+    chi's reduction on keep has the marginal of p as its spectrum.  Computed
+    once per chi and keep.
+    """
+    key = ("H", keep)
+    h = chi._memo.get(key)
+    if h is None:
+        p = chi._memo["p"]
+        marginal = p.sum(axis=tuple(i for i in range(p.ndim) if i not in keep))
+        h = chi._memo.setdefault(key, shannon(marginal))
+    return h
+
+
+def _outcome_In(chi: DensityMatrix, sub: tuple[int, ...], symmetries) -> tuple[float, Bipartition]:
+    """genuine_total_In of chi's reduction on sub, and its witness cut of sub,
+    from the Shannon entropies H(p_A) + H(p_B) - H(p_sub)."""
+    h_sub = _outcome_entropy(chi, sub)
+    best = None
+    witness = None
+    for cut in _cuts(len(sub), symmetries):
+        value = (
+            _outcome_entropy(chi, tuple(sub[i] for i in cut.mask))
+            + _outcome_entropy(chi, tuple(sub[i] for i in cut.complement))
+            - h_sub
+        )
+        if best is None or value < best:
+            best, witness = value, cut
+    return best, witness
 
 
 def genuine_classical_Cn(
     rho: DensityMatrix, cfg: SearchConfig = SearchConfig(), symmetries=()
 ) -> CorrelationReport:
-    """C_n = I_n of the closest fully-classical state chi."""
+    """C_n = I_n of the closest fully-classical state chi.
+
+    chi is diagonal in the product basis of its search, so every entropy of
+    I_n is the Shannon entropy of a marginal of chi's outcome distribution p
+    (Modi et al., PRL 104, 080501 (2010)): C_n is the min over cuts of
+    H(p_A) + H(p_B) - H(p), with no dense algebra on chi.
+    """
     q_rep = multipartite_quantum_Q(rho, cfg)
-    return _from_chi("C_n", q_rep, genuine_total_In(q_rep.chi, symmetries))
+    value, cut = _outcome_In(q_rep.chi, tuple(range(rho.n)), symmetries)
+    return CorrelationReport("C_n", value, cut, evals=q_rep.evals, chi=q_rep.chi)
 
 
 def genuine_classical_Ck(
@@ -283,11 +320,20 @@ def genuine_classical_Ck(
     """C_k = I_k of the closest fully-classical state chi.
 
     chi comes from the single n-party search; the reductions are never
-    re-optimized.
+    re-optimized.  As for C_n, each k-subsystem reduction's I_n comes from
+    the marginal of chi's outcome distribution on those subsystems.  The
+    witness is the first maximizing subset, and the symmetries apply to the
+    cuts only when k equals rho.n (see max_over_subsets).
     """
     _check_k(rho.n, k)
     q_rep = multipartite_quantum_Q(rho, cfg)
-    return _from_chi("C_k", q_rep, genuine_total_Ik(q_rep.chi, k, symmetries))
+    inner = symmetries if k == rho.n else ()
+    best = None
+    for sub in _subsets(rho.n, k, symmetries):
+        value, _ = _outcome_In(q_rep.chi, sub, inner)
+        if best is None or value > best:
+            best, witness = value, sub
+    return CorrelationReport("C_k", best, witness, evals=q_rep.evals, chi=q_rep.chi)
 
 
 def degree_of(

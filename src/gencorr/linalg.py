@@ -81,7 +81,10 @@ class DensityMatrix:
     of its partial traces (keyed by the sorted kept subsystems), its spectrum,
     its von Neumann entropy and its multipartite_quantum_Q reports (one per
     SearchConfig), so a quantifier that asks for the same reduction or search
-    again gets the same object and the same float.  The memo never goes
+    again gets the same object and the same float.  A state made by dephase
+    also keeps its pinched outcome distribution ("p") and the Shannon
+    entropies of that distribution's marginals that the classical quantifiers
+    asked for (keyed by ("H", kept subsystems)).  The memo never goes
     stale, as dims and mat never change; it holds at most 2**n - 2
     reductions and dies with its state.  Equality and hashing go by identity.
     """

@@ -57,6 +57,12 @@ def test_sweep_rejects_a_missing_output_directory_before_it_runs(tmp_path, capsy
     assert capsys.readouterr().err == (
         f"gencorr: error: output directory {out.parent} does not exist\n")
     assert not out.parent.exists()
+    for bad, error in ((tmp_path, f"output {tmp_path} is a directory"),
+                       ("", "the output path is empty")):
+        code = main(["sweep", "--c", "0.6,1.0", "--grid", "21", "--measures", "Q4,Q3",
+                     "--output", str(bad)])
+        assert code == 2
+        assert capsys.readouterr().err == f"gencorr: error: {error}\n"
 
 
 def test_sudden_change_cli_finds_the_w_point(tmp_path, capsys):

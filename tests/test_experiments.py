@@ -52,9 +52,11 @@ def test_sweep_spec_rejects_unknown_measure():
     with pytest.raises(ValueError):
         SweepSpec(channel="ad", measures=("I4", "bogus"))
     for bad in (dict(measures=()), dict(c_values=()), dict(workers=0), dict(workers=-3),
-                dict(p_count=2.5), dict(workers=1.5)):
+                dict(p_count=2.5), dict(workers=1.5), dict(measures=("I4", "C4", "I4"))):
         with pytest.raises(ValueError):
             SweepSpec(channel="ad", **bad)
+    with pytest.raises(ValueError, match=r"measures \['I4'\] are repeated"):
+        SweepSpec(channel="ad", measures=("I4", "I4"))
 
 
 def test_sweep_spec_rejects_bad_channel():
@@ -280,9 +282,12 @@ def test_sweep_columns_reproduce_their_golden_csvs(kind, series, measures, grid,
     """tests/data holds `scripts/run_figure_sweeps.py --c 0.4,1.0 --grid-i 11
     --grid-q 5` at the default search config.  The I and F files were written
     before partial traces and entropies were memoized and derived states
-    skipped validation, the Q and C files before every start that gets budget
-    ran to its own stop; every column stays bit for bit.  Each CSV's
-    write_manifest sidecar is pinned beside it."""
+    skipped validation, the Q files before every start that gets budget ran
+    to its own stop; every column stays bit for bit.  The C files were
+    re-written when C_n and C_k came to be read off the search's outcome
+    distribution instead of the dense chi: 13 of their 40 cells moved, by at
+    most 6.7e-15, as Shannon and eigvalsh entropies round differently.  Each
+    CSV's write_manifest sidecar is pinned beside it."""
     spec = SweepSpec(kind, (0.4, 1.0), grid, measures)
     rows = run_sweep(spec)
     path = tmp_path / "out.csv"

@@ -25,8 +25,10 @@ from gencorr import (
     random_unitary,
     relative_entropy,
     total_correlation,
+    von_neumann_entropy,
 )
 from gencorr.channels import evolve_global, psi_minus
+from gencorr.experiments import SWAP_SYMMETRY
 from gencorr.states import ghz, w4
 from random_states import random_classical_state, random_density_matrix, random_pure_state
 
@@ -331,6 +333,50 @@ def test_Ck_of_w_state_is_seed_stable():
     a = genuine_classical_Ck(w4().to_density(), 3, SearchConfig(starts=6, rng_seed=1))
     b = genuine_classical_Ck(w4().to_density(), 3, SearchConfig(starts=6, rng_seed=99))
     assert abs(a.value_bits - b.value_bits) <= 1e-3
+
+
+def _assert_the_dense_oracle_agrees(rho, cfg, symmetries):
+    """C_n and C_k (k = 2, 3) against I_n and I_k of the dense chi, to 1e-12.
+
+    Where cuts or subsets tie to within rounding, the two may name different
+    witnesses, so each witness is checked to attain the oracle's optimum.
+    """
+    chi = multipartite_quantum_Q(rho, cfg).chi
+    s_chi = von_neumann_entropy(chi)
+    rep, oracle = genuine_classical_Cn(rho, cfg, symmetries), genuine_total_In(chi, symmetries)
+    assert rep.chi is chi
+    assert abs(rep.value_bits - oracle.value_bits) <= 1e-12
+    at_witness = sum(von_neumann_entropy(partial_trace(chi, cell))
+                     for cell in rep.witness.cells()) - s_chi
+    assert abs(at_witness - oracle.value_bits) <= 1e-12
+    for k in (2, 3):
+        rep, oracle = genuine_classical_Ck(rho, k, cfg, symmetries), genuine_total_Ik(chi, k, symmetries)
+        assert abs(rep.value_bits - oracle.value_bits) <= 1e-12
+        inner = symmetries if k == rho.n else ()
+        at_witness = genuine_total_In(partial_trace(chi, rep.witness), inner).value_bits
+        assert abs(at_witness - oracle.value_bits) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["ad", "pd"])
+def test_C_from_outcomes_matches_the_dense_oracle_on_the_golden_grid(kind):
+    cfg = SearchConfig()
+    rhos = [evolve_global(c, p, kind) for c in (0.4, 1.0) for p in np.linspace(0, 1, 5)]
+    multipartite_quantum_Qs(rhos, cfg)
+    for rho in rhos:
+        for symmetries in ((), SWAP_SYMMETRY):
+            _assert_the_dense_oracle_agrees(rho, cfg, symmetries)
+
+
+@pytest.mark.parametrize("dims", [(2, 3, 2), (3, 2, 2), (2, 2, 3)])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_C_from_outcomes_matches_the_dense_oracle_in_random_product_bases(dims, seed):
+    rng = np.random.default_rng(seed)
+    base = random_classical_state(dims, rng)
+    u = np.array([[1.0 + 0j]])
+    for d in dims:
+        u = np.kron(u, random_unitary(d, rng))
+    rho = DensityMatrix(dims, u @ base.mat @ u.conj().T)
+    _assert_the_dense_oracle_agrees(rho, SearchConfig(starts=2, max_evals=300, rng_seed=seed), ())
 
 
 # --- degrees ---
