@@ -43,7 +43,6 @@ from .genuine_correlations import (
     genuine_total_Ik,
     genuine_total_In,
     multipartite_quantum_Q,
-    multipartite_quantum_Qs,
 )
 from .channels import (
     KrausChannel,

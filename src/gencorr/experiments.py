@@ -3,12 +3,11 @@
 run_sweep drives the evolved four-party states over a (c, p) grid and
 evaluates the requested correlation and fidelity measures per row through
 one table of library quantifiers (evaluate_measures).  Before the rows of a
-(channel, c) series, each kind of basis search its columns read runs over
-the whole series in one lane search (multipartite_quantum_Qs), which
-memoizes the reports on the states for the rows to read.  The evolved
-states are exactly invariant under swapping (a,E_a) with (b,E_b), so a
-sweep evaluates one cut or triple per swap class: of the four triples of
-the 3-party measures, only {a,E_a,b} and {a,E_a,E_b}.
+(channel, c) series, every basis search its columns read runs in one
+batched search, which memoizes the results on the states for the rows to
+read.  The evolved states are exactly invariant under swapping (a,E_a)
+with (b,E_b), so a sweep evaluates one cut or triple per swap class: of the
+four triples of the 3-party measures, only {a,E_a,b} and {a,E_a,E_b}.
 
 detect_sudden_change flags interior grid points where the finite-difference
 slope of a series jumps by more than kappa times the local slope noise, the
@@ -32,6 +31,8 @@ from .classical_search import SearchConfig
 from .entropy import shannon
 from .genuine_correlations import (
     Bipartition,
+    _one_cell_each,
+    _searches,
     _subsets,
     genuine_classical_Ck,
     genuine_classical_Cn,
@@ -39,7 +40,6 @@ from .genuine_correlations import (
     genuine_total_In,
     max_over_subsets,
     multipartite_quantum_Q,
-    multipartite_quantum_Qs,
 )
 from .linalg import DEFAULT_TOL, DensityMatrix, partial_trace
 from .states import fidelity, ghz, ppt_min_eigenvalue, w4
@@ -64,9 +64,9 @@ SWAP_SYMMETRY = ((2, 3, 0, 1),)
 
 # column -> (k of the k-subsystem reductions whose qubit-cell searches it
 # reads, or None; its value for (rho, cfg, symmetries)).  Q4, C4 and C3
-# share the four-party chi search, which multipartite_quantum_Q memoizes on
-# rho.  The lambdas look the library functions up when a row is evaluated,
-# so a patched module binding (a test double, a tracer) sees every call.
+# read one four-party search, memoized on rho.  The lambdas look the library
+# functions up when a row is evaluated, so a patched module binding (a test
+# double, a tracer) sees every call.
 _MEASURES = {
     "I4": (None, lambda rho, _, syms: genuine_total_Ik(rho, 4, syms).value_bits),
     "I3": (None, lambda rho, _, syms: genuine_total_Ik(rho, 3, syms).value_bits),
@@ -97,24 +97,22 @@ def _check_measures(measures: tuple[str, ...]) -> None:
 def _evaluate(rhos, measures, cfg, symmetries):
     """Values and failure flags of the named measures for each state, in order.
 
-    First, for each kind of basis search the measures read, one
-    multipartite_quantum_Qs call searches the k-subsystem reductions of all
-    the states (one per symmetry class) and memoizes the reports.  If that
-    call raises, nothing is memoized and each row runs its own searches, so
-    a search that raises flags only its row.  Without searches, each state
-    can go once its row is done.  A measure that raises is NaN with a
-    "name: error" flag.
+    First, one batched search runs the qubit-cell searches of every
+    k-subsystem reduction the measures read, over all the states (one per
+    symmetry class), and memoizes the results.  If that call raises,
+    nothing is memoized and each row runs its own searches, so a search that
+    raises flags only its row.  Without searches, each state can go once its
+    row is done.  A measure that raises is NaN with a "name: error" flag.
     """
     ks = sorted({_MEASURES[m][0] for m in measures} - {None}, reverse=True)
     if ks:
         rhos = list(rhos)
-        for k in ks:
-            reds = [partial_trace(rho, sub)
-                    for rho in rhos for sub in _subsets(rho.n, k, symmetries)]
-            try:
-                multipartite_quantum_Qs(reds, cfg)
-            except Exception:  # noqa: BLE001 - each row then runs its own searches
-                pass
+        reds = [partial_trace(rho, sub)
+                for k in ks for rho in rhos for sub in _subsets(rho.n, k, symmetries)]
+        try:
+            _searches([(red, _one_cell_each(red.n)) for red in reds], cfg)
+        except Exception:  # noqa: BLE001 - each row then runs its own searches
+            pass
     for rho in rhos:
         values: dict[str, float] = {}
         flags: list[str] = []
@@ -203,8 +201,8 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     """One row per (c, p) with all requested measures.
 
     Each (channel, c) series is one task: its states are built first, then
-    each kind of basis search its measures read runs once over the whole
-    series (see multipartite_quantum_Qs), then its rows are evaluated.
+    every basis search its measures read runs in one batched search (see
+    _evaluate), then its rows are evaluated.
     With workers > 1 a process pool runs the series side by side.  Rows are
     deterministic for a fixed rng_seed, equal for any workers, and ordered by
     the given c values, then ascending p.

@@ -30,7 +30,6 @@ __all__ = [
     "genuine_quantum_Qn",
     "genuine_quantum_Qk",
     "multipartite_quantum_Q",
-    "multipartite_quantum_Qs",
     "genuine_classical_Cn",
     "genuine_classical_Ck",
     "max_over_subsets",
@@ -38,6 +37,7 @@ __all__ = [
 ]
 
 TAU_DEGREE = 1e-6
+_TIE = 1e-12  # values this close to the optimum tie, and the first item wins
 
 
 @dataclass(frozen=True)
@@ -85,8 +85,8 @@ def all_bipartitions(n: int) -> list[Bipartition]:
 class CorrelationReport:
     """A named quantifier value with its witness and optimizer metadata.
 
-    Frozen, as the memoized multipartite_quantum_Q reports are shared.
-    Equality and hashing leave out chi, a state that is equal by identity.
+    Frozen.  Equality and hashing leave out chi, a state that is equal by
+    identity.
     """
 
     name: str
@@ -149,24 +149,29 @@ def _subsets(n: int, k: int, symmetries: tuple) -> tuple[tuple[int, ...], ...]:
     )
 
 
+def _optimum(pick, values: list, items):
+    """pick(values), min or max, and the first of items whose value lies
+    within _TIE of it, so that rounding does not pick the witness."""
+    best = pick(values)
+    for value, item in zip(values, items):
+        if not abs(value - best) > _TIE:  # a NaN optimum goes to the first item
+            return best, item
+
+
 def max_over_subsets(name: str, rho: DensityMatrix, k: int, quantifier, symmetries=()):
     """max over k-subsystem reductions of quantifier(reduction, symmetries).
 
     Subsets that a relabeling in symmetries maps onto each other are evaluated
     once.  The symmetries are handed on only when k equals rho.n, since a
-    proper reduction need not share them.  The witness is the first maximizing
-    subset, a tuple of subsystem indices; evals adds up over the reductions.
+    proper reduction need not share them.  The witness, a tuple of subsystem
+    indices, is chosen by _optimum; evals adds up over the reductions.
     """
     _check_k(rho.n, k)
     inner = symmetries if k == rho.n else ()
-    best = None
-    evals = 0
-    for sub in _subsets(rho.n, k, symmetries):
-        rep = quantifier(partial_trace(rho, sub), inner)
-        evals += rep.evals
-        if best is None or rep.value_bits > best:
-            best, witness = rep.value_bits, sub
-    return CorrelationReport(name, best, witness, evals=evals)
+    subs = _subsets(rho.n, k, symmetries)
+    reps = [quantifier(partial_trace(rho, sub), inner) for sub in subs]
+    value, witness = _optimum(max, [rep.value_bits for rep in reps], subs)
+    return CorrelationReport(name, value, witness, evals=sum(rep.evals for rep in reps))
 
 
 def genuine_total_In(rho: DensityMatrix, symmetries=()) -> CorrelationReport:
@@ -178,17 +183,10 @@ def genuine_total_In(rho: DensityMatrix, symmetries=()) -> CorrelationReport:
     if rho.n < 2:
         raise ValueError("genuine total correlation needs at least two subsystems")
     s_full = von_neumann_entropy(rho)
-    best = None
-    witness = None
-    for cut in _cuts(rho.n, symmetries):
-        value = (
-            von_neumann_entropy(partial_trace(rho, cut.mask))
-            + von_neumann_entropy(partial_trace(rho, cut.complement))
-            - s_full
-        )
-        if best is None or value < best:
-            best, witness = value, cut
-    return CorrelationReport("I_n", best, witness)
+    cuts = _cuts(rho.n, symmetries)
+    values = [von_neumann_entropy(partial_trace(rho, cut.mask))
+              + von_neumann_entropy(partial_trace(rho, cut.complement)) - s_full for cut in cuts]
+    return CorrelationReport("I_n", *_optimum(min, values, cuts))
 
 
 def genuine_total_Ik(rho: DensityMatrix, k: int, symmetries=()) -> CorrelationReport:
@@ -207,21 +205,18 @@ def genuine_quantum_Qn(
     """min over bipartite cuts of the distance to the cut-classical states.
 
     Each cut dephases in arbitrary orthonormal bases of the two grouped cells,
-    so the cut search space is wider than per-subsystem product bases.  All
-    the cuts go to one closest_classical_states call, which runs the cuts
-    with equal cell dimensions side by side (on four qubits: 2|8, 4|4 and
-    8|2).  evals adds up over the cuts searched.
+    so the cut search space is wider than per-subsystem product bases.  The
+    cut searches are memoized on rho (see _searches); those it lacks run in
+    one closest_classical_states call, which runs the cuts with equal cell
+    dimensions side by side (on four qubits: 2|8, 4|4 and 8|2).  evals adds
+    up over the cuts.
     """
     if rho.n < 2:
         raise ValueError("genuine quantum correlation needs at least two subsystems")
     cuts = _cuts(rho.n, symmetries)
-    results = closest_classical_states([rho] * len(cuts), [cut.cells() for cut in cuts], cfg)
-    best = None
-    witness = None
-    for cut, result in zip(cuts, results):
-        if best is None or result.q < best:
-            best, witness = result.q, cut
-    return CorrelationReport("Q_n", best, witness, evals=sum(r.evals for r in results))
+    results = _searches([(rho, cut.cells()) for cut in cuts], cfg)
+    value, cut = _optimum(min, [r.q for r in results], cuts)
+    return CorrelationReport("Q_n", value, cut, evals=sum(r.evals for r in results))
 
 
 def genuine_quantum_Qk(
@@ -233,36 +228,38 @@ def genuine_quantum_Qk(
     )
 
 
+def _one_cell_each(n: int) -> tuple[tuple[int, ...], ...]:
+    """The cells of the fully multipartite search: one per subsystem."""
+    return tuple((i,) for i in range(n))
+
+
+def _searches(jobs: list, cfg: SearchConfig) -> list:
+    """The SearchResult of each (rho, cells) job, memoized on rho under
+    ("search", cells, cfg) with the cells as given (reordered cells are
+    another search).  The jobs without a result run once each, in one
+    closest_classical_states call; if it raises, nothing is memoized."""
+    todo = list(dict.fromkeys(
+        (rho, cells) for rho, cells in jobs if ("search", cells, cfg) not in rho._memo))
+    if todo:
+        found = closest_classical_states([rho for rho, _ in todo], [c for _, c in todo], cfg)
+        for (rho, cells), res in zip(todo, found):
+            rho._memo.setdefault(("search", cells, cfg), res)
+    return [rho._memo["search", cells, cfg] for rho, cells in jobs]
+
+
 def multipartite_quantum_Q(
     rho: DensityMatrix, cfg: SearchConfig = SearchConfig()
 ) -> CorrelationReport:
     """Distance to the closest fully-classical state (one cell per subsystem).
 
-    The minimizing chi is attached to the report for reuse by the classical
-    quantifiers.  This is multipartite_quantum_Qs with one state.
+    The search is memoized on rho (see _searches), so a repeat call with an
+    equal cfg, and the classical quantifiers after it, run no search.  The
+    minimizing chi is attached to the report for the classical quantifiers.
     """
-    return multipartite_quantum_Qs([rho], cfg)[0]
-
-
-def multipartite_quantum_Qs(rhos, cfg: SearchConfig = SearchConfig()) -> list[CorrelationReport]:
-    """multipartite_quantum_Q of each rho, from one lane search.
-
-    The report is memoized on its state, one per SearchConfig, so a repeat
-    call with an equal cfg, and the classical quantifiers after it, run no
-    search.  The states without one are searched together in one
-    closest_classical_states call; if that call raises, nothing is memoized.
-    """
-    rhos = list(rhos)
-    if any(rho.n < 2 for rho in rhos):
+    if rho.n < 2:
         raise ValueError("multipartite quantum correlation needs at least two subsystems")
-    key = ("Q", cfg)
-    todo = list({id(rho): rho for rho in rhos if key not in rho._memo}.values())
-    if todo:
-        found = closest_classical_states(todo, [[(i,) for i in range(rho.n)] for rho in todo], cfg)
-        for rho, res in zip(todo, found):
-            rep = CorrelationReport("Q", res.q, None, evals=res.evals, chi=res.chi)
-            rho._memo.setdefault(key, rep)
-    return [rho._memo[key] for rho in rhos]
+    (res,) = _searches([(rho, _one_cell_each(rho.n))], cfg)
+    return CorrelationReport("Q", res.q, None, evals=res.evals, chi=res.chi)
 
 
 def _outcome_entropy(chi: DensityMatrix, keep: tuple[int, ...]) -> float:
@@ -286,17 +283,11 @@ def _outcome_In(chi: DensityMatrix, sub: tuple[int, ...], symmetries) -> tuple[f
     """genuine_total_In of chi's reduction on sub, and its witness cut of sub,
     from the Shannon entropies H(p_A) + H(p_B) - H(p_sub)."""
     h_sub = _outcome_entropy(chi, sub)
-    best = None
-    witness = None
-    for cut in _cuts(len(sub), symmetries):
-        value = (
-            _outcome_entropy(chi, tuple(sub[i] for i in cut.mask))
-            + _outcome_entropy(chi, tuple(sub[i] for i in cut.complement))
-            - h_sub
-        )
-        if best is None or value < best:
-            best, witness = value, cut
-    return best, witness
+    cuts = _cuts(len(sub), symmetries)
+    values = [_outcome_entropy(chi, tuple(sub[i] for i in cut.mask))
+              + _outcome_entropy(chi, tuple(sub[i] for i in cut.complement)) - h_sub
+              for cut in cuts]
+    return _optimum(min, values, cuts)
 
 
 def genuine_classical_Cn(
@@ -322,18 +313,14 @@ def genuine_classical_Ck(
     chi comes from the single n-party search; the reductions are never
     re-optimized.  As for C_n, each k-subsystem reduction's I_n comes from
     the marginal of chi's outcome distribution on those subsystems.  The
-    witness is the first maximizing subset, and the symmetries apply to the
-    cuts only when k equals rho.n (see max_over_subsets).
+    witness and the symmetries are those of max_over_subsets.
     """
     _check_k(rho.n, k)
     q_rep = multipartite_quantum_Q(rho, cfg)
     inner = symmetries if k == rho.n else ()
-    best = None
-    for sub in _subsets(rho.n, k, symmetries):
-        value, _ = _outcome_In(q_rep.chi, sub, inner)
-        if best is None or value > best:
-            best, witness = value, sub
-    return CorrelationReport("C_k", best, witness, evals=q_rep.evals, chi=q_rep.chi)
+    subs = _subsets(rho.n, k, symmetries)
+    value, witness = _optimum(max, [_outcome_In(q_rep.chi, sub, inner)[0] for sub in subs], subs)
+    return CorrelationReport("C_k", value, witness, evals=q_rep.evals, chi=q_rep.chi)
 
 
 def degree_of(

@@ -79,9 +79,10 @@ class DensityMatrix:
     The backing array is immutable after construction, so values are safe to
     share between concurrent workers.  Each state also carries a private memo
     of its partial traces (keyed by the sorted kept subsystems), its spectrum,
-    its von Neumann entropy and its multipartite_quantum_Q reports (one per
-    SearchConfig), so a quantifier that asks for the same reduction or search
-    again gets the same object and the same float.  A state made by dephase
+    its von Neumann entropy and the basis searches the quantifiers ran on it
+    (keyed by ("search", cells, SearchConfig)), so a quantifier that asks for
+    the same reduction or search again gets the same object and the same
+    float.  A state made by dephase
     also keeps its pinched outcome distribution ("p") and the Shannon
     entropies of that distribution's marginals that the classical quantifiers
     asked for (keyed by ("H", kept subsystems)).  The memo never goes
@@ -267,7 +268,10 @@ def state_from_json(text: str) -> DensityMatrix | PureState:
     dims = obj["dims"]
     if not isinstance(dims, list) or any(type(d) is not int for d in dims):
         raise ValueError(f"dims must be a list of integers, got {dims!r}")
-    arr = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
+    re, im = np.asarray(obj["re"], dtype=float), np.asarray(obj["im"], dtype=float)
+    if re.shape != im.shape:
+        raise ValueError(f"re and im must have one shape, got {re.shape} and {im.shape}")
+    arr = re + 1j * im
     if arr.ndim == 2:
         return DensityMatrix(dims, arr)
     if arr.ndim != 1:

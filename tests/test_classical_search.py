@@ -359,6 +359,20 @@ def test_batched_searches_equal_lone_searches(starts, width, monkeypatch):
         assert [_fields(res) for res in batch] == [_fields(res) for res in lone]
 
 
+def test_the_public_searches_memoize_nothing(search_cells):
+    """Only the quantifiers memoize searches on a state.  The benchmark's
+    cut_search workload runs the same state objects in every block, so a
+    memo here would turn every block after the first into lookups."""
+    rho = evolve_global(0.7, 0.4, "pd")
+    cfg = SearchConfig(starts=1, max_evals=40)
+    cells = [(0, 1), (2, 3)]
+    first = closest_classical_state(rho, cells, cfg)
+    cs.closest_classical_states([rho], [cells], cfg)
+    assert search_cells == [2, 2]
+    assert not [key for key in rho._memo if isinstance(key, tuple) and key[0] == "search"]
+    assert closest_classical_state(rho, cells, cfg) is not first
+
+
 def test_batched_searches_need_one_partition_per_state():
     rho = evolve_global(0.8, 0.4, "ad")
     with pytest.raises(ValueError):

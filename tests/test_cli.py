@@ -135,6 +135,10 @@ def test_state_info_rejects_wrong_dims(tmp_path, capsys):
         assert main(["state-info", str(path)]) == 2
         assert "dims must be a list of integers" in capsys.readouterr().err
 
+    path.write_text(json.dumps({"dims": [2, 2], "re": [0.5, 0.5, 0.5, 0.5], "im": [0.0]}))
+    assert main(["state-info", str(path)]) == 2
+    assert "re and im must have one shape" in capsys.readouterr().err
+
     cube = np.zeros((2, 2, 2)).tolist()
     path.write_text(json.dumps({"dims": [2], "re": cube, "im": cube}))
     assert main(["state-info", str(path)]) == 2

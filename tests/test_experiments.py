@@ -199,20 +199,11 @@ def test_a_raising_search_flags_only_its_row(monkeypatch):
     assert [rows[0], rows[2]] == [clean[0], clean[2]]
 
 
-def test_a_series_runs_one_batched_search_per_kind(monkeypatch):
-    batches = []
-    search = gc.closest_classical_states
-
-    def recording(rhos, partitions, cfg):
-        rhos = list(rhos)
-        batches.append(len(rhos))
-        return search(rhos, partitions, cfg)
-
-    monkeypatch.setattr(gc, "closest_classical_states", recording)
+def test_a_series_runs_one_batched_search(search_batches):
     spec = SweepSpec(channel="pd", c_values=(0.6,), p_count=3, measures=("Q4", "Q3", "C4", "C3"),
                      search=SearchConfig(starts=1, max_evals=40))
     rows = run_sweep(spec)
-    assert batches == [3, 3 * 2]  # the states, then their two triple classes
+    assert search_batches == [3 + 3 * 2]  # the states and their two triple classes
     assert all("_flags" not in row for row in rows)
 
 

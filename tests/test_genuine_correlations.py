@@ -19,7 +19,6 @@ from gencorr import (
     genuine_total_Ik,
     genuine_total_In,
     multipartite_quantum_Q,
-    multipartite_quantum_Qs,
     partial_trace,
     permute_subsystems,
     random_unitary,
@@ -29,6 +28,7 @@ from gencorr import (
 )
 from gencorr.channels import evolve_global, psi_minus
 from gencorr.experiments import SWAP_SYMMETRY
+from gencorr.genuine_correlations import _one_cell_each, _searches
 from gencorr.states import ghz, w4
 from random_states import random_classical_state, random_density_matrix, random_pure_state
 
@@ -338,20 +338,23 @@ def test_Ck_of_w_state_is_seed_stable():
 def _assert_the_dense_oracle_agrees(rho, cfg, symmetries):
     """C_n and C_k (k = 2, 3) against I_n and I_k of the dense chi, to 1e-12.
 
-    Where cuts or subsets tie to within rounding, the two may name different
-    witnesses, so each witness is checked to attain the oracle's optimum.
+    Both paths name the same witness, since values within 1e-12 of the
+    optimum tie and the first wins, and each witness attains the oracle's
+    optimum.
     """
     chi = multipartite_quantum_Q(rho, cfg).chi
     s_chi = von_neumann_entropy(chi)
     rep, oracle = genuine_classical_Cn(rho, cfg, symmetries), genuine_total_In(chi, symmetries)
     assert rep.chi is chi
     assert abs(rep.value_bits - oracle.value_bits) <= 1e-12
+    assert rep.witness == oracle.witness
     at_witness = sum(von_neumann_entropy(partial_trace(chi, cell))
                      for cell in rep.witness.cells()) - s_chi
     assert abs(at_witness - oracle.value_bits) <= 1e-12
     for k in (2, 3):
         rep, oracle = genuine_classical_Ck(rho, k, cfg, symmetries), genuine_total_Ik(chi, k, symmetries)
         assert abs(rep.value_bits - oracle.value_bits) <= 1e-12
+        assert rep.witness == oracle.witness
         inner = symmetries if k == rho.n else ()
         at_witness = genuine_total_In(partial_trace(chi, rep.witness), inner).value_bits
         assert abs(at_witness - oracle.value_bits) <= 1e-12
@@ -361,7 +364,7 @@ def _assert_the_dense_oracle_agrees(rho, cfg, symmetries):
 def test_C_from_outcomes_matches_the_dense_oracle_on_the_golden_grid(kind):
     cfg = SearchConfig()
     rhos = [evolve_global(c, p, kind) for c in (0.4, 1.0) for p in np.linspace(0, 1, 5)]
-    multipartite_quantum_Qs(rhos, cfg)
+    _searches([(rho, _one_cell_each(rho.n)) for rho in rhos], cfg)  # one batched search
     for rho in rhos:
         for symmetries in ((), SWAP_SYMMETRY):
             _assert_the_dense_oracle_agrees(rho, cfg, symmetries)
@@ -410,28 +413,63 @@ def test_classical_degree_runs_the_n_party_search_once(search_cells):
 def test_the_qubit_cell_search_is_memoized_per_config(search_cells):
     rho = evolve_global(0.7, 0.4, "pd")
     cfg = SearchConfig(starts=1, max_evals=40, rng_seed=0)
-    rep = multipartite_quantum_Q(rho, cfg)
+    chi = multipartite_quantum_Q(rho, cfg).chi
     assert search_cells == [4]
-    assert multipartite_quantum_Q(rho, cfg) is rep
-    assert multipartite_quantum_Q(rho, SearchConfig(starts=1, max_evals=40, rng_seed=0)) is rep
-    genuine_classical_Cn(rho, cfg)
-    genuine_classical_Ck(rho, 3, cfg)
+    assert multipartite_quantum_Q(rho, cfg).chi is chi
+    assert multipartite_quantum_Q(rho, SearchConfig(starts=1, max_evals=40, rng_seed=0)).chi is chi
+    assert genuine_classical_Cn(rho, cfg).chi is chi
+    assert genuine_classical_Ck(rho, 3, cfg).chi is chi
     degree_of(rho, "classical", cfg)
     assert search_cells == [4]
     other = SearchConfig(starts=1, max_evals=40, rng_seed=1)
-    assert multipartite_quantum_Q(rho, other) is not rep
+    assert multipartite_quantum_Q(rho, other).chi is not chi
     assert search_cells == [4, 4]
 
 
-def test_batched_Q_searches_only_the_states_without_a_report(search_cells):
+def test_batched_searches_run_only_the_jobs_without_a_result(search_batches):
     cfg = SearchConfig(starts=1, max_evals=40, rng_seed=0)
     first, second = evolve_global(0.7, 0.4, "pd"), evolve_global(0.7, 0.6, "pd")
+    cells = _one_cell_each(4)
     lone = multipartite_quantum_Q(first, cfg)
-    reps = multipartite_quantum_Qs([first, second, second], cfg)
-    assert search_cells == [4, 4]  # the lone search, then second's alone
-    assert reps[0] is lone and reps[1] is reps[2]
+    found = _searches([(first, cells), (second, cells), (second, cells)], cfg)
+    assert search_batches == [1, 1]  # the lone search, then second's alone
+    assert found[0].chi is lone.chi and found[1] is found[2]
     fresh = DensityMatrix(second.dims, second.mat)
-    assert multipartite_quantum_Q(fresh, cfg).value_bits == reps[1].value_bits
+    assert multipartite_quantum_Q(fresh, cfg).value_bits == found[1].q
+
+
+def test_a_repeated_job_is_searched_once(search_cells):
+    rho = evolve_global(0.7, 0.4, "pd")
+    cfg = SearchConfig(starts=1, max_evals=40, rng_seed=0)
+    cut = ((0, 1), (2, 3))
+    found = _searches([(rho, cut), (rho, _one_cell_each(4)), (rho, cut)], cfg)
+    assert search_cells == [2, 4]
+    assert found[0] is found[2]
+
+
+def test_reordered_cells_are_another_search(search_cells):
+    """The order of the cells picks the search's parametrization, so the
+    result can differ in the last digits."""
+    rho = evolve_global(0.85, 0.88, "ad")
+    cfg = SearchConfig(starts=3)
+    one, other = _searches([(rho, ((0,), (1, 2, 3))), (rho, ((1, 2, 3), (0,)))], cfg)
+    assert search_cells == [2, 2]
+    assert (one.q, other.q) == (0.3129525468620693, 0.3129525468620633)
+
+
+@pytest.mark.parametrize("first", [
+    lambda rho, cfg: genuine_quantum_Qn(rho, cfg),
+    lambda rho, cfg: genuine_quantum_Qk(rho, rho.n, cfg),
+])
+def test_Qn_reads_the_memoized_cut_searches(first, search_batches):
+    """A second Q_n, or Q_n after Q_k with k = n (whose one reduction is rho
+    itself), runs no search."""
+    rho = evolve_global(0.7, 0.4, "pd")
+    cfg = SearchConfig(starts=1, max_evals=40, rng_seed=0)
+    rep = first(rho, cfg)
+    again = genuine_quantum_Qn(rho, cfg)
+    assert search_batches == [7]
+    assert (again.value_bits, again.evals) == (rep.value_bits, rep.evals)
 
 
 def test_degree_of_rejects_unknown_kind(rng):

@@ -250,6 +250,18 @@ def test_state_json_rejects_dims_that_are_not_a_list_of_integers(dims):
         state_from_json(text)
 
 
+@pytest.mark.parametrize("re,im", [
+    ([0.5, 0.5, 0.5, 0.5], [0.0]),  # a vector with a length-1 im
+    ((np.eye(2) / 2).tolist(), [0.0, 0.0]),  # a matrix with a length-2 im
+    ([0.6, 0.8], [[0.0, 0.0], [0.0, 0.0]]),
+])
+def test_state_json_rejects_re_and_im_of_different_shapes(re, im):
+    """numpy would broadcast them into a state nobody wrote."""
+    text = json.dumps({"dims": [2, 2] if len(re) == 4 else [2], "re": re, "im": im})
+    with pytest.raises(ValueError, match="re and im must have one shape"):
+        state_from_json(text)
+
+
 def test_pure_state_json_roundtrip_exact():
     psi = psi_minus()
     back = state_from_json(state_to_json(psi))
