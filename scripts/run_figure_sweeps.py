@@ -9,12 +9,15 @@ genuine-total series for sudden changes.  Output lands in --outdir as one CSV
 Each channel runs two sweeps: one for the total and fidelity series, one for
 the quantum and classical series.  So each (c, p) state of a grid is evolved
 once, and runs its four-qubit basis search once.  The basis searches dominate
-the runtime; tune --grid-q / --starts for a faster pass.
+the runtime; tune --grid-q / --starts for a faster pass.  The wall seconds
+of each sweep and of the whole pass go to stdout only, never into a CSV or
+manifest, so the files stay byte-identical from run to run.
 """
 
 import argparse
 import dataclasses
 import pathlib
+import time
 
 from gencorr import SearchConfig, SweepSpec, detect_sudden_change, run_sweep
 from gencorr.experiments import write_csv, write_manifest
@@ -37,7 +40,10 @@ def run_series(kind, c_values, grid, groups, cfg, workers, outdir) -> list[dict]
     manifest per group."""
     spec = SweepSpec(kind, c_values, grid, sum((m for _, m in groups), ()),
                      search=cfg, workers=workers)
+    start = time.perf_counter()
     rows = run_sweep(spec)
+    names = "+".join(f"{kind}_{name}" for name, _ in groups)
+    print(f"{names}: {len(rows)} rows in {time.perf_counter() - start:.2f} s")
     for name, measures in groups:
         write_one(f"{kind}_{name}", dataclasses.replace(spec, measures=measures), rows, outdir)
     return rows
@@ -62,6 +68,7 @@ def main() -> None:
     c_values = tuple(float(s) for s in args.c.split(","))
     cfg = SearchConfig(starts=args.starts, rng_seed=args.seed)
 
+    start = time.perf_counter()
     total_rows = {}
     for kind in ("ad", "pd"):
         total_rows[kind] = run_series(
@@ -75,6 +82,7 @@ def main() -> None:
                 (("quantum", QUANTUM_MEASURES), ("classical", CLASSICAL_MEASURES)),
                 cfg, args.workers, outdir,
             )
+    print(f"pass: {time.perf_counter() - start:.2f} s")
 
     print("\nsudden changes in the genuine-total series:")
     for kind in ("ad", "pd"):

@@ -53,14 +53,17 @@ def _check_p(p: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class KrausChannel:
-    """Trace-preserving qubit channel as an operator list; equal by identity only."""
+    """Trace-preserving qubit channel as an operator list; equal by identity only.
+
+    The operators are read-only copies, so the caller's arrays stay writable.
+    """
 
     operators: tuple[np.ndarray, ...]
     label: str
     p: float
 
     def __init__(self, operators, label: str, p: float) -> None:
-        ops = tuple(np.asarray(k, dtype=complex) for k in operators)
+        ops = tuple(np.array(k, dtype=complex) for k in operators)
         d = ops[0].shape[0]
         comp = sum(k.conj().T @ k for k in ops)
         if np.abs(comp - np.eye(d)).max() > 1e-12:

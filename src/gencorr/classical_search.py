@@ -25,7 +25,7 @@ import numpy as np
 from numpy.linalg import LinAlgError
 from numpy.linalg import _umath_linalg
 
-from .entropy import _spectrum, shannon, von_neumann_entropy
+from .entropy import _spectrum, _sum, shannon, von_neumann_entropy
 from .linalg import (
     _subsystem_axes,
     DEFAULT_TOL,
@@ -63,7 +63,6 @@ _MASS = 2 * DEFAULT_TOL.clip  # outcomes at or below this count toward mass_cap
 # called directly: np.linalg enters an errstate on every call, and a search
 # enters one per run (see _LaneSearch.run).
 _eigh, _inv = _umath_linalg.eigh_lo, _umath_linalg.inv
-_sum = np.add.reduce  # ndarray.sum without its Python layer
 
 
 def _invalid(err, flag):
@@ -103,6 +102,7 @@ class LocalBasisSet:
     """One unitary per cell of a partition of the subsystems.
 
     Column j of each unitary is the j-th basis vector of that cell; equal by identity only.
+    The unitaries are read-only copies, so the caller's arrays stay writable.
     """
 
     cells: tuple[tuple[int, ...], ...]
@@ -110,7 +110,7 @@ class LocalBasisSet:
 
     def __init__(self, cells, unitaries) -> None:
         cells = tuple(tuple(int(i) for i in cell) for cell in cells)
-        unitaries = tuple(np.asarray(u, dtype=complex) for u in unitaries)
+        unitaries = tuple(np.array(u, dtype=complex) for u in unitaries)
         if len(cells) != len(unitaries):
             raise ValueError("one unitary per cell required")
         for u in unitaries:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .linalg import DEFAULT_TOL, DensityMatrix, hermitize, partial_trace
 
@@ -22,28 +23,50 @@ __all__ = [
 ]
 
 INF_RELATIVE_ENTROPY = math.inf
+# The LAPACK kernel of np.linalg.eigvalsh (lower triangle), called directly
+# under the errstate that np.linalg enters on every call (see _spectrum).
+_eigvalsh = _umath_linalg.eigvalsh_lo
+_sum = np.add.reduce  # np.sum without its Python layer: the same pairwise sum
+
+
+def _nonconvergence(err, flag):
+    """The errstate call of _spectrum: np.linalg.eigvalsh's LinAlgError."""
+    raise LinAlgError("Eigenvalues did not converge")
 
 
 def shannon(probs: np.ndarray) -> float:
     """Shannon entropy in bits of a probability vector.
 
-    Entries at or below DEFAULT_TOL.clip are skipped.
+    Entries at or below DEFAULT_TOL.clip are skipped.  Raises ValueError
+    unless every entry is finite and at least -DEFAULT_TOL.psd, and the
+    entries sum to 1 within DEFAULT_TOL.trace.
     """
-    return _entropy_bits(np.asarray(probs, dtype=float))
+    w = np.asarray(probs, dtype=float)
+    total = float(_sum(w, axis=None))  # not finite if an entry is not
+    if not abs(total - 1.0) <= DEFAULT_TOL.trace:
+        raise ValueError(f"probabilities must sum to 1, got a sum of {total}")
+    if w.min() < -DEFAULT_TOL.psd:
+        raise ValueError(f"negative probability {w.min():.3e} below -{DEFAULT_TOL.psd:.0e}")
+    return _entropy_bits(w)
 
 
 def _entropy_bits(w: np.ndarray) -> float:
     w = w[w > DEFAULT_TOL.clip]
     if w.size == 0:
         return 0.0
-    return float(-np.sum(w * np.log2(w)))
+    return float(-_sum(w * np.log2(w)))
 
 
 def _spectrum(rho: DensityMatrix) -> np.ndarray:
-    """The eigenvalues of rho, ascending (read-only).  Computed once per state."""
+    """The eigenvalues of rho, ascending (read-only).  Computed once per state.
+
+    A LAPACK failure raises LinAlgError, as np.linalg.eigvalsh does.
+    """
     w = rho._memo.get("eig")
     if w is None:
-        w = np.linalg.eigvalsh(np.asarray(rho.mat))
+        with np.errstate(call=_nonconvergence, invalid="call", over="ignore",
+                         divide="ignore", under="ignore"):
+            w = _eigvalsh(rho.mat, signature="D->d")
         w.setflags(write=False)
         w = rho._memo.setdefault("eig", w)
     return w

@@ -58,8 +58,10 @@ class Bipartition:
         object.__setattr__(self, "mask", mask)
         object.__setattr__(self, "n", int(n))
 
-    @property
+    @functools.cached_property
     def complement(self) -> tuple[int, ...]:
+        """The other cell, computed once per cut.  It is not a field, so
+        equality, hashing and repr still go by (mask, n)."""
         return tuple(i for i in range(self.n) if i not in self.mask)
 
     def cells(self) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -216,13 +216,17 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     """Reduced state on the kept subsystems, in original subsystem order.
 
     Computed once per rho and kept subset; a repeat returns the same object.
+    keep is validated unless it is the tuple key of a memoized reduction.
     """
+    red = rho._memo.get(keep) if type(keep) is tuple else None
+    if type(red) is DensityMatrix:  # the memo's other keys hold no states
+        return red
     keep = tuple(sorted(_check_subset(rho.n, keep)))
     if len(keep) == rho.n:
         return rho
     red = rho._memo.get(keep)
     if red is None:
-        mat = hermitize(_ptrace_arr(np.asarray(rho.mat), rho.dims, keep))
+        mat = hermitize(_ptrace_arr(rho.mat, rho.dims, keep))
         dims = tuple(rho.dims[i] for i in keep)
         red = rho._memo.setdefault(keep, DensityMatrix._derived(dims, mat))
     return red

@@ -72,6 +72,14 @@ def test_kraus_channel_rejects_non_trace_preserving():
         KrausChannel((np.eye(2) * 0.5,), "ad", 0.1)
 
 
+def test_kraus_channel_copies_its_operators():
+    k0 = np.eye(2, dtype=complex)
+    channel = KrausChannel([k0], "id", 0.0)
+    assert k0.flags.writeable and not channel.operators[0].flags.writeable
+    k0[0, 0] = 5.0
+    assert channel.operators[0][0, 0] == 1.0
+
+
 def test_damping_parameter_range():
     with pytest.raises(ValueError):
         amplitude_damping_kraus(1.5)

@@ -88,6 +88,14 @@ def test_local_basis_set_rejects_non_unitary():
         LocalBasisSet([(0,)], [np.array([[1.0, 0.0], [1.0, 1.0]])])
 
 
+def test_local_basis_set_copies_its_unitaries():
+    u = np.eye(2, dtype=complex)
+    basis = LocalBasisSet([(0,)], [u])
+    assert u.flags.writeable and not basis.unitaries[0].flags.writeable
+    u[0, 0] = 5.0
+    assert basis.unitaries[0][0, 0] == 1.0
+
+
 # --- quantumness in a fixed basis ---
 
 def test_quantumness_zero_for_classical_state_in_own_basis(rng):

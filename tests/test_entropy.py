@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from gencorr import (
     DensityMatrix,
     random_unitary,
     relative_entropy,
+    shannon,
     total_correlation,
     von_neumann_entropy,
 )
@@ -21,6 +23,31 @@ S_WERNER_06 = 1.3567796494470394
 
 def test_pure_state_has_zero_entropy():
     assert von_neumann_entropy(psi_minus().to_density()) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_a_spectrum_lapack_cannot_compute_raises_linalgerror():
+    """A failed eigensolver raises LinAlgError, with no RuntimeWarning on the
+    way, and memoizes nothing."""
+    rho = DensityMatrix._derived((2, 2), np.full((4, 4), np.nan, dtype=complex))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(2):
+            with pytest.raises(np.linalg.LinAlgError):
+                von_neumann_entropy(rho)
+    assert "eig" not in rho._memo and "S" not in rho._memo
+
+
+@pytest.mark.parametrize("probs", [
+    [np.nan, 1.0], [np.inf, 1.0], [-np.inf, 1.0], [0.5, 0.5, -0.3], [2.0], [0.5, 0.4], [],
+])
+def test_shannon_rejects_what_is_not_a_distribution(probs):
+    with pytest.raises(ValueError):
+        shannon(probs)
+
+
+def test_shannon_takes_rounding_within_the_tolerances():
+    assert shannon([0.25, 0.75]) == shannon(np.array([[0.25], [0.75]]))
+    assert shannon([0.5 + 4e-10, 0.5 + 4e-10, -8e-10]) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_maximally_mixed_qubit():

@@ -79,6 +79,18 @@ def test_bipartition_canonicalizes_to_contain_first_subsystem():
         Bipartition((0, 1, 2), 3)
 
 
+def test_bipartition_equality_hash_and_repr_go_by_mask_and_n():
+    cut = Bipartition((2, 3), 4)
+    assert cut.complement == (2, 3) and cut.cells() == ((0, 1), (2, 3))
+    assert cut.label() == "[0, 1]|[2, 3]"
+    twin = Bipartition((0, 1), 4)
+    assert cut == twin and hash(cut) == hash(twin) == hash(((0, 1), 4))
+    assert repr(cut) == repr(twin) == "Bipartition(mask=(0, 1), n=4)"
+    assert cut != Bipartition((0, 1), 5) and cut != Bipartition((0,), 4)
+    assert [f.name for f in dataclasses.fields(cut)] == ["mask", "n"]
+    assert {cut: 1}[twin] == 1
+
+
 # --- genuine total correlations ---
 
 def test_I4_of_ghz_is_two():

@@ -13,9 +13,12 @@ from gencorr import (
     DensityMatrix,
     LocalBasisSet,
     PureState,
+    SearchConfig,
     amplitude_damping_kraus,
     dephase,
     evolve_global,
+    genuine_classical_Cn,
+    genuine_total_In,
     ghz,
     kron_all,
     partial_trace,
@@ -79,6 +82,29 @@ def test_partial_trace_rejects_bad_subsets(rng):
         partial_trace(rho, (0, 2))
     with pytest.raises(ValueError):
         partial_trace(rho, (0, 0))
+
+
+@pytest.mark.parametrize("keep", [(0, 0), (5,), (), "eig", ("H", (0,)), [1, 1]])
+def test_a_warm_memo_still_rejects_bad_subsets(keep):
+    """chi of a classical report holds "p" and ("H", ...) keys, and here also
+    its spectrum, its entropy and its reductions: no other key is a subset."""
+    rho = evolve_global(0.6, 0.3, "ad")
+    chi = genuine_classical_Cn(rho, SearchConfig(starts=1)).chi
+    genuine_total_In(chi)
+    assert {"p", "eig", "S", ("H", (0,)), (0,), (1, 2, 3)} <= set(chi._memo)
+    with pytest.raises(ValueError):
+        partial_trace(chi, keep)
+
+
+def test_an_unsorted_keep_returns_the_sorted_reduction(rng):
+    rho = random_density_matrix((2, 3, 2), rng)
+    red = partial_trace(rho, (2, 0))
+    assert partial_trace(rho, (0, 2)) is red
+    assert partial_trace(rho, [2, 0]) is red and partial_trace(rho, (np.int64(0), 2)) is red
+    assert red.dims == (2, 2)
+    other = random_density_matrix((2, 3, 2), rng)
+    assert partial_trace(other, (0, 2)) is partial_trace(other, (2, 0))
+    assert partial_trace(rho, (0, 1, 2)) is rho and partial_trace(rho, (2, 1, 0)) is rho
 
 
 @given(seed=st.integers(0, 2**32 - 1))

@@ -5,7 +5,8 @@ SearchConfig(starts=3), repr(q), evals, repr(grad_norm) and the sha256 of
 chi's matrix and of the basis unitaries.  Each search runs alone and as one
 closest_classical_states batch of all of them, and both must match the pins.
 Unlike the golden CSVs (qubit cells at the default starts), these pin the
-2|2 and 1|3 paths, the evaluation counts and the stationarity residual.
+2|2 and 1|3 paths, the qubit cells and 1|2 cuts of three-qubit reductions
+(the Q3 and Q_k paths), the evaluation counts and the stationarity residual.
 
 Run this file as a script to rewrite the pins.
 """
@@ -14,7 +15,7 @@ import hashlib
 import json
 import pathlib
 
-from gencorr import SearchConfig, closest_classical_state, evolve_global
+from gencorr import SearchConfig, closest_classical_state, evolve_global, partial_trace
 from gencorr.classical_search import closest_classical_states
 
 PINS = pathlib.Path(__file__).resolve().parent / "data" / "search_pins.json"
@@ -26,7 +27,17 @@ PARTITIONS = [
     [(0,), (1, 2, 3)],
     [(1, 2, 3), (0,)],
 ]
-CASES = [(state, cells) for state in STATES for cells in PARTITIONS]
+# three-qubit reductions: (c, p, kind, kept subsystems)
+REDUCED = [(*STATES[0], (0, 1, 2)), (*STATES[1], (0, 2, 3)), (*STATES[2], (1, 2, 3))]
+REDUCED_PARTITIONS = [[(0,), (1,), (2,)], [(0,), (1, 2)]]
+CASES = ([(state, cells) for state in STATES for cells in PARTITIONS]
+         + [(state, cells) for state in REDUCED for cells in REDUCED_PARTITIONS])
+
+
+def _rho(state):
+    """The evolved state of (c, p, kind), or its reduction (c, p, kind, keep)."""
+    rho = evolve_global(*state[:3])
+    return partial_trace(rho, state[3]) if len(state) == 4 else rho
 
 
 def _sha256(arrays) -> str:
@@ -37,8 +48,8 @@ def _sha256(arrays) -> str:
 
 
 def _pin(state, cells, res) -> dict:
-    return {
-        "state": list(state),
+    pin = {
+        "state": list(state[:3]),
         "cells": [list(cell) for cell in cells],
         "q": repr(res.q),
         "evals": res.evals,
@@ -46,10 +57,13 @@ def _pin(state, cells, res) -> dict:
         "chi_sha256": _sha256([res.chi.mat]),
         "basis_sha256": _sha256(res.basis.unitaries),
     }
+    if len(state) == 4:
+        pin["keep"] = list(state[3])
+    return pin
 
 
 def _lone() -> list[dict]:
-    return [_pin(state, cells, closest_classical_state(evolve_global(*state), cells, CFG))
+    return [_pin(state, cells, closest_classical_state(_rho(state), cells, CFG))
             for state, cells in CASES]
 
 
@@ -58,7 +72,7 @@ def test_lone_searches_match_their_pins():
 
 
 def test_one_batch_of_every_search_matches_the_pins():
-    rhos = {state: evolve_global(*state) for state in STATES}
+    rhos = {state: _rho(state) for state in STATES + REDUCED}
     results = closest_classical_states([rhos[s] for s, _ in CASES], [c for _, c in CASES], CFG)
     pins = [_pin(state, cells, res) for (state, cells), res in zip(CASES, results)]
     assert pins == json.loads(PINS.read_text())
