@@ -45,6 +45,7 @@ from .genuine_correlations import (
     multipartite_quantum_Q,
 )
 from .channels import (
+    SWAP_SYMMETRY,
     KrausChannel,
     amplitude_damping_kraus,
     appendix_golden_state,
@@ -63,7 +64,6 @@ from .states import (
 )
 from .experiments import (
     SUPPORTED_MEASURES,
-    SWAP_SYMMETRY,
     SuddenChangeReport,
     SweepSpec,
     detect_sudden_change,

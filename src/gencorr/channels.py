@@ -39,9 +39,12 @@ __all__ = [
     "upsilon_ad",
     "upsilon_pd",
     "GLOBAL_DIMS",
+    "SWAP_SYMMETRY",
 ]
 
 GLOBAL_DIMS = (2, 2, 2, 2)  # (a, E_a, b, E_b)
+# exact relabeling symmetry of the evolved states: (a,E_a) <-> (b,E_b)
+SWAP_SYMMETRY = ((2, 3, 0, 1),)
 
 
 def _check_p(p: float) -> float:
@@ -138,7 +141,7 @@ def evolve_global(c: float, p: float, kind: str) -> DensityMatrix:
 
     Starts from werner(c) x |0_Ea><0_Ea| x |0_Eb><0_Eb|, reorders to
     (a, E_a, b, E_b) with permute_subsystems, and conjugates with the product
-    of the two local dilation unitaries.
+    of the two local dilation unitaries.  It carries SWAP_SYMMETRY.
     """
     rho_ab = werner_state(c).mat
     vac = np.zeros((2, 2), dtype=complex)
@@ -147,7 +150,7 @@ def evolve_global(c: float, p: float, kind: str) -> DensityMatrix:
     rho0 = permute_subsystems(rho0, (2, 2, 2, 2), (0, 2, 1, 3))
     u_local = dilation(kind, p)
     u = np.kron(u_local, u_local)
-    return DensityMatrix._derived(GLOBAL_DIMS, u @ rho0 @ u.conj().T)
+    return DensityMatrix._derived(GLOBAL_DIMS, u @ rho0 @ u.conj().T, SWAP_SYMMETRY)
 
 
 def _close_hermitian(m: np.ndarray) -> np.ndarray:

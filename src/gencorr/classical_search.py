@@ -22,10 +22,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from numpy.linalg import LinAlgError
 from numpy.linalg import _umath_linalg
 
-from .entropy import _spectrum, _sum, shannon, von_neumann_entropy
+from .entropy import _linalg_error, _spectrum, _sum, shannon, von_neumann_entropy
 from .linalg import (
     _subsystem_axes,
     DEFAULT_TOL,
@@ -63,11 +62,6 @@ _MASS = 2 * DEFAULT_TOL.clip  # outcomes at or below this count toward mass_cap
 # called directly: np.linalg enters an errstate on every call, and a search
 # enters one per run (see _LaneSearch.run).
 _eigh, _inv = _umath_linalg.eigh_lo, _umath_linalg.inv
-
-
-def _invalid(err, flag):
-    """The errstate call of a search: np.linalg's LinAlgError."""
-    raise LinAlgError(f"{err} value in a basis-search step, such as a failed LAPACK routine")
 
 
 @dataclass(frozen=True)
@@ -330,7 +324,7 @@ class _LaneSearch:
         queue = itertools.product(range(len(self.mats)), range(starts))
         out = [[None] * starts for _ in self.mats]
         lanes = None
-        with np.errstate(call=_invalid, invalid="call"):
+        with np.errstate(call=_linalg_error, invalid="call"):
             while True:
                 free = _WIDTH - (0 if lanes is None else len(lanes["h"]))
                 new = list(itertools.islice(queue, free))

@@ -29,9 +29,10 @@ _eigvalsh = _umath_linalg.eigvalsh_lo
 _sum = np.add.reduce  # np.sum without its Python layer: the same pairwise sum
 
 
-def _nonconvergence(err, flag):
-    """The errstate call of _spectrum: np.linalg.eigvalsh's LinAlgError."""
-    raise LinAlgError("Eigenvalues did not converge")
+def _linalg_error(err, flag):
+    """The errstate call of the direct LAPACK kernel calls, here and in the
+    basis search: a LinAlgError, as np.linalg raises."""
+    raise LinAlgError(f"{err} value in a LAPACK routine or the arithmetic around it")
 
 
 def shannon(probs: np.ndarray) -> float:
@@ -64,7 +65,7 @@ def _spectrum(rho: DensityMatrix) -> np.ndarray:
     """
     w = rho._memo.get("eig")
     if w is None:
-        with np.errstate(call=_nonconvergence, invalid="call", over="ignore",
+        with np.errstate(call=_linalg_error, invalid="call", over="ignore",
                          divide="ignore", under="ignore"):
             w = _eigvalsh(rho.mat, signature="D->d")
         w.setflags(write=False)

@@ -5,9 +5,10 @@ evaluates the requested correlation and fidelity measures per row through
 one table of library quantifiers (evaluate_measures).  Before the rows of a
 (channel, c) series, every basis search its columns read runs in one
 batched search, which memoizes the results on the states for the rows to
-read.  The evolved states are exactly invariant under swapping (a,E_a)
-with (b,E_b), so a sweep evaluates one cut or triple per swap class: of the
-four triples of the 3-party measures, only {a,E_a,b} and {a,E_a,E_b}.
+read.  The evolved states carry their swap symmetry (a,E_a) <-> (b,E_b)
+(see evolve_global), so every quantifier evaluates one cut or triple per
+swap class: of the four triples of the 3-party measures, only {a,E_a,b} and
+{a,E_a,E_b}.
 
 detect_sudden_change flags interior grid points where the finite-difference
 slope of a series jumps by more than kappa times the local slope noise, the
@@ -46,7 +47,6 @@ from .states import fidelity, ghz, ppt_min_eigenvalue, w4
 
 __all__ = [
     "SUPPORTED_MEASURES",
-    "SWAP_SYMMETRY",
     "SweepSpec",
     "SuddenChangeReport",
     "evaluate_measures",
@@ -58,29 +58,26 @@ __all__ = [
     "verify_anchors",
 ]
 
-# exact relabeling symmetry of the evolved states: (a,E_a) <-> (b,E_b)
-SWAP_SYMMETRY = ((2, 3, 0, 1),)
-
-
 # column -> (k of the k-subsystem reductions whose qubit-cell searches it
-# reads, or None; its value for (rho, cfg, symmetries)).  Q4, C4 and C3
-# read one four-party search, memoized on rho.  The lambdas look the library
-# functions up when a row is evaluated, so a patched module binding (a test
-# double, a tracer) sees every call.
+# reads, or None; its value for (rho, cfg)).  Each quantifier reads rho's
+# symmetries off rho.  Q4, C4 and C3 read one four-party search, memoized
+# on rho.  The lambdas look the library functions up when a row is
+# evaluated, so a patched module binding (a test double, a tracer) sees
+# every call.
 _MEASURES = {
-    "I4": (None, lambda rho, _, syms: genuine_total_Ik(rho, 4, syms).value_bits),
-    "I3": (None, lambda rho, _, syms: genuine_total_Ik(rho, 3, syms).value_bits),
-    "I3_abEa": (None, lambda rho, *_: genuine_total_In(partial_trace(rho, (0, 1, 2))).value_bits),
-    "I3_aEaEb": (None, lambda rho, *_: genuine_total_In(partial_trace(rho, (0, 1, 3))).value_bits),
+    "I4": (None, lambda rho, _: genuine_total_Ik(rho, 4).value_bits),
+    "I3": (None, lambda rho, _: genuine_total_Ik(rho, 3).value_bits),
+    "I3_abEa": (None, lambda rho, _: genuine_total_In(partial_trace(rho, (0, 1, 2))).value_bits),
+    "I3_aEaEb": (None, lambda rho, _: genuine_total_In(partial_trace(rho, (0, 1, 3))).value_bits),
     # Q4 is the fully multipartite Q (one basis per subsystem), Q3 its max over triples
-    "Q4": (4, lambda rho, cfg, _: multipartite_quantum_Q(rho, cfg).value_bits),
-    "Q3": (3, lambda rho, cfg, syms: max_over_subsets(
-        "Q3", rho, 3, lambda red, _: multipartite_quantum_Q(red, cfg), syms
+    "Q4": (4, lambda rho, cfg: multipartite_quantum_Q(rho, cfg).value_bits),
+    "Q3": (3, lambda rho, cfg: max_over_subsets(
+        "Q3", rho, 3, lambda red: multipartite_quantum_Q(red, cfg)
     ).value_bits),
-    "C4": (4, lambda rho, cfg, syms: genuine_classical_Cn(rho, cfg, syms).value_bits),
-    "C3": (4, lambda rho, cfg, syms: genuine_classical_Ck(rho, 3, cfg, syms).value_bits),
-    "F_W": (None, lambda rho, *_: fidelity(w4(), rho)),
-    "F_GHZ": (None, lambda rho, *_: fidelity(upsilon_pd(1.0), rho)),
+    "C4": (4, lambda rho, cfg: genuine_classical_Cn(rho, cfg).value_bits),
+    "C3": (4, lambda rho, cfg: genuine_classical_Ck(rho, 3, cfg).value_bits),
+    "F_W": (None, lambda rho, _: fidelity(w4(), rho)),
+    "F_GHZ": (None, lambda rho, _: fidelity(upsilon_pd(1.0), rho)),
 }
 SUPPORTED_MEASURES = tuple(_MEASURES)
 
@@ -94,21 +91,22 @@ def _check_measures(measures: tuple[str, ...]) -> None:
         raise ValueError(f"measures {repeated} are repeated")
 
 
-def _evaluate(rhos, measures, cfg, symmetries):
+def _evaluate(rhos, measures, cfg):
     """Values and failure flags of the named measures for each state, in order.
 
     First, one batched search runs the qubit-cell searches of every
     k-subsystem reduction the measures read, over all the states (one per
-    symmetry class), and memoizes the results.  If that call raises,
-    nothing is memoized and each row runs its own searches, so a search that
-    raises flags only its row.  Without searches, each state can go once its
-    row is done.  A measure that raises is NaN with a "name: error" flag.
+    class of the state's symmetries), and memoizes the results.  If that call
+    raises, nothing is memoized and each row runs its own searches, so a
+    search that raises flags only its row.  Without searches, each state can
+    go once its row is done.  A measure that raises is NaN with a
+    "name: error" flag.
     """
     ks = sorted({_MEASURES[m][0] for m in measures} - {None}, reverse=True)
     if ks:
         rhos = list(rhos)
         reds = [partial_trace(rho, sub)
-                for k in ks for rho in rhos for sub in _subsets(rho.n, k, symmetries)]
+                for k in ks for rho in rhos for sub in _subsets(rho.n, k, rho.symmetries)]
         try:
             _searches([(red, _one_cell_each(red.n)) for red in reds], cfg)
         except Exception:  # noqa: BLE001 - each row then runs its own searches
@@ -118,7 +116,7 @@ def _evaluate(rhos, measures, cfg, symmetries):
         flags: list[str] = []
         for m in measures:
             try:
-                values[m] = _MEASURES[m][1](rho, cfg, symmetries)
+                values[m] = _MEASURES[m][1](rho, cfg)
             except Exception as exc:  # noqa: BLE001 - flagged, not fatal
                 values[m] = math.nan
                 flags.append(f"{m}: {exc}")
@@ -126,18 +124,18 @@ def _evaluate(rhos, measures, cfg, symmetries):
 
 
 def evaluate_measures(
-    rho: DensityMatrix, measures, cfg: SearchConfig = SearchConfig(), symmetries=()
+    rho: DensityMatrix, measures, cfg: SearchConfig = SearchConfig()
 ) -> tuple[dict[str, float], list[str]]:
     """Values of the named measures of a four-qubit state, and failure flags.
 
     A measure that raises is NaN with a "name: error" flag, never fatal.
-    symmetries are subsystem relabelings under which rho is invariant.
+    The cuts and triples are pruned by rho.symmetries, as in a sweep.
     """
     measures = tuple(measures)
     _check_measures(measures)
     if rho.dims != (2, 2, 2, 2):
         raise ValueError(f"the measures expect a 4-qubit state, got dims {rho.dims}")
-    return next(_evaluate([rho], measures, cfg, symmetries))
+    return next(_evaluate([rho], measures, cfg))
 
 
 @dataclass(frozen=True)
@@ -189,7 +187,7 @@ def _series_task(args) -> list[dict]:
     kind, c, ps, measures, cfg = args
     rhos = (evolve_global(c, p, kind) for p in ps)
     rows = []
-    for p, (values, flags) in zip(ps, _evaluate(rhos, measures, cfg, SWAP_SYMMETRY)):
+    for p, (values, flags) in zip(ps, _evaluate(rhos, measures, cfg)):
         row = {"channel": kind, "c": c, "p": p, **values}
         if flags:
             row["_flags"] = flags
@@ -463,12 +461,12 @@ def verify_anchors(cfg: SearchConfig = SearchConfig()) -> list[dict]:
     res.append(_anchor("ad_env_transfer_p_one", 0.0, dev, 1e-12, "max"))
 
     for c in (0.4, 1.0):
-        val = genuine_total_In(evolve_global(c, 1.0, "ad"), SWAP_SYMMETRY).value_bits
+        val = genuine_total_In(evolve_global(c, 1.0, "ad")).value_bits
         res.append(_anchor(f"ad_I4_p_one_zero_c{c}", 0.0, val, 1e-9, "max"))
-    val = genuine_total_In(evolve_global(1.0, 1.0, "pd"), SWAP_SYMMETRY).value_bits
+    val = genuine_total_In(evolve_global(1.0, 1.0, "pd")).value_bits
     res.append(_anchor("pd_I4_p_one_c_one", 2.0, val, 1e-9))
     for kind in ("ad", "pd"):
-        val = genuine_total_In(evolve_global(0.7, 0.0, kind), SWAP_SYMMETRY).value_bits
+        val = genuine_total_In(evolve_global(0.7, 0.0, kind)).value_bits
         res.append(_anchor(f"{kind}_I4_p_zero", 0.0, val, 1e-9, "max"))
 
     triples = list(itertools.combinations(range(4), 3))

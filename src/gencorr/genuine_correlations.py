@@ -160,40 +160,34 @@ def _optimum(pick, values: list, items):
             return best, item
 
 
-def max_over_subsets(name: str, rho: DensityMatrix, k: int, quantifier, symmetries=()):
-    """max over k-subsystem reductions of quantifier(reduction, symmetries).
+def max_over_subsets(name: str, rho: DensityMatrix, k: int, quantifier):
+    """max over k-subsystem reductions of quantifier(reduction).
 
-    Subsets that a relabeling in symmetries maps onto each other are evaluated
-    once.  The symmetries are handed on only when k equals rho.n, since a
-    proper reduction need not share them.  The witness, a tuple of subsystem
-    indices, is chosen by _optimum; evals adds up over the reductions.
+    Subsets that a relabeling in rho.symmetries maps onto each other are
+    evaluated once.  The witness, a tuple of subsystem indices, is chosen by
+    _optimum; evals adds up over the reductions.
     """
     _check_k(rho.n, k)
-    inner = symmetries if k == rho.n else ()
-    subs = _subsets(rho.n, k, symmetries)
-    reps = [quantifier(partial_trace(rho, sub), inner) for sub in subs]
+    subs = _subsets(rho.n, k, rho.symmetries)
+    reps = [quantifier(partial_trace(rho, sub)) for sub in subs]
     value, witness = _optimum(max, [rep.value_bits for rep in reps], subs)
     return CorrelationReport(name, value, witness, evals=sum(rep.evals for rep in reps))
 
 
-def genuine_total_In(rho: DensityMatrix, symmetries=()) -> CorrelationReport:
-    """min over bipartite cuts of S(rho_c1) + S(rho_c2) - S(rho).
-
-    symmetries, if given, is a tuple of subsystem relabelings (tuples) under
-    which rho is invariant; equivalent cuts are then evaluated once.
-    """
+def genuine_total_In(rho: DensityMatrix) -> CorrelationReport:
+    """min over bipartite cuts of S(rho_c1) + S(rho_c2) - S(rho)."""
     if rho.n < 2:
         raise ValueError("genuine total correlation needs at least two subsystems")
     s_full = von_neumann_entropy(rho)
-    cuts = _cuts(rho.n, symmetries)
+    cuts = _cuts(rho.n, rho.symmetries)
     values = [von_neumann_entropy(partial_trace(rho, cut.mask))
               + von_neumann_entropy(partial_trace(rho, cut.complement)) - s_full for cut in cuts]
     return CorrelationReport("I_n", *_optimum(min, values, cuts))
 
 
-def genuine_total_Ik(rho: DensityMatrix, k: int, symmetries=()) -> CorrelationReport:
+def genuine_total_Ik(rho: DensityMatrix, k: int) -> CorrelationReport:
     """max over k-subsystem reductions of their genuine total correlation."""
-    return max_over_subsets("I_k", rho, k, genuine_total_In, symmetries)
+    return max_over_subsets("I_k", rho, k, genuine_total_In)
 
 
 def _check_k(n: int, k: int) -> None:
@@ -202,7 +196,7 @@ def _check_k(n: int, k: int) -> None:
 
 
 def genuine_quantum_Qn(
-    rho: DensityMatrix, cfg: SearchConfig = SearchConfig(), symmetries=()
+    rho: DensityMatrix, cfg: SearchConfig = SearchConfig()
 ) -> CorrelationReport:
     """min over bipartite cuts of the distance to the cut-classical states.
 
@@ -215,19 +209,17 @@ def genuine_quantum_Qn(
     """
     if rho.n < 2:
         raise ValueError("genuine quantum correlation needs at least two subsystems")
-    cuts = _cuts(rho.n, symmetries)
+    cuts = _cuts(rho.n, rho.symmetries)
     results = _searches([(rho, cut.cells()) for cut in cuts], cfg)
     value, cut = _optimum(min, [r.q for r in results], cuts)
     return CorrelationReport("Q_n", value, cut, evals=sum(r.evals for r in results))
 
 
 def genuine_quantum_Qk(
-    rho: DensityMatrix, k: int, cfg: SearchConfig = SearchConfig(), symmetries=()
+    rho: DensityMatrix, k: int, cfg: SearchConfig = SearchConfig()
 ) -> CorrelationReport:
     """max over k-subsystem reductions of their genuine quantum correlation."""
-    return max_over_subsets(
-        "Q_k", rho, k, lambda red, syms: genuine_quantum_Qn(red, cfg, syms), symmetries
-    )
+    return max_over_subsets("Q_k", rho, k, lambda red: genuine_quantum_Qn(red, cfg))
 
 
 def _one_cell_each(n: int) -> tuple[tuple[int, ...], ...]:
@@ -283,7 +275,8 @@ def _outcome_entropy(chi: DensityMatrix, keep: tuple[int, ...]) -> float:
 
 def _outcome_In(chi: DensityMatrix, sub: tuple[int, ...], symmetries) -> tuple[float, Bipartition]:
     """genuine_total_In of chi's reduction on sub, and its witness cut of sub,
-    from the Shannon entropies H(p_A) + H(p_B) - H(p_sub)."""
+    from H(p_A) + H(p_B) - H(p_sub), with one cut per class of symmetries
+    (those of the searched state, as chi itself carries none)."""
     h_sub = _outcome_entropy(chi, sub)
     cuts = _cuts(len(sub), symmetries)
     values = [_outcome_entropy(chi, tuple(sub[i] for i in cut.mask))
@@ -293,7 +286,7 @@ def _outcome_In(chi: DensityMatrix, sub: tuple[int, ...], symmetries) -> tuple[f
 
 
 def genuine_classical_Cn(
-    rho: DensityMatrix, cfg: SearchConfig = SearchConfig(), symmetries=()
+    rho: DensityMatrix, cfg: SearchConfig = SearchConfig()
 ) -> CorrelationReport:
     """C_n = I_n of the closest fully-classical state chi.
 
@@ -303,12 +296,12 @@ def genuine_classical_Cn(
     H(p_A) + H(p_B) - H(p), with no dense algebra on chi.
     """
     q_rep = multipartite_quantum_Q(rho, cfg)
-    value, cut = _outcome_In(q_rep.chi, tuple(range(rho.n)), symmetries)
+    value, cut = _outcome_In(q_rep.chi, tuple(range(rho.n)), rho.symmetries)
     return CorrelationReport("C_n", value, cut, evals=q_rep.evals, chi=q_rep.chi)
 
 
 def genuine_classical_Ck(
-    rho: DensityMatrix, k: int, cfg: SearchConfig = SearchConfig(), symmetries=()
+    rho: DensityMatrix, k: int, cfg: SearchConfig = SearchConfig()
 ) -> CorrelationReport:
     """C_k = I_k of the closest fully-classical state chi.
 
@@ -319,17 +312,14 @@ def genuine_classical_Ck(
     """
     _check_k(rho.n, k)
     q_rep = multipartite_quantum_Q(rho, cfg)
-    inner = symmetries if k == rho.n else ()
-    subs = _subsets(rho.n, k, symmetries)
+    inner = rho.symmetries if k == rho.n else ()
+    subs = _subsets(rho.n, k, rho.symmetries)
     value, witness = _optimum(max, [_outcome_In(q_rep.chi, sub, inner)[0] for sub in subs], subs)
     return CorrelationReport("C_k", value, witness, evals=q_rep.evals, chi=q_rep.chi)
 
 
-def degree_of(
-    rho: DensityMatrix, kind: str, cfg: SearchConfig = SearchConfig(),
-    tau: float = TAU_DEGREE, symmetries=(),
-) -> int:
-    """Largest k whose genuine k-partite quantifier exceeds tau; 1 if none.
+def degree_of(rho: DensityMatrix, kind: str, cfg: SearchConfig = SearchConfig()) -> int:
+    """Largest k whose genuine k-partite quantifier exceeds TAU_DEGREE; 1 if none.
 
     The classical degree reads C_k, whose n-party search is memoized on rho,
     so it runs once.
@@ -340,11 +330,11 @@ def degree_of(
         raise ValueError("degree needs at least two subsystems")
     for k in range(rho.n, 1, -1):
         if kind == "total":
-            value = genuine_total_Ik(rho, k, symmetries).value_bits
+            value = genuine_total_Ik(rho, k).value_bits
         elif kind == "quantum":
-            value = genuine_quantum_Qk(rho, k, cfg, symmetries).value_bits
+            value = genuine_quantum_Qk(rho, k, cfg).value_bits
         else:
-            value = genuine_classical_Ck(rho, k, cfg, symmetries).value_bits
-        if value > tau:
+            value = genuine_classical_Ck(rho, k, cfg).value_bits
+        if value > TAU_DEGREE:
             return k
     return 1

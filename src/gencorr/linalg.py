@@ -88,11 +88,18 @@ class DensityMatrix:
     asked for (keyed by ("H", kept subsystems)).  The memo never goes
     stale, as dims and mat never change; it holds at most 2**n - 2
     reductions and dies with its state.  Equality and hashing go by identity.
+
+    symmetries is a tuple of subsystem relabelings (permutations, as
+    permute_subsystems takes them) that leave mat unchanged; the quantifiers
+    evaluate one cut or subset per class they map together.  Only _derived
+    sets it, so no caller can claim one: evolve_global's states carry
+    SWAP_SYMMETRY, all others ().
     """
 
     dims: tuple[int, ...]
     mat: np.ndarray
     _memo: dict = field(init=False, repr=False, compare=False)
+    symmetries = ()  # a class attribute: _derived sets it on a state that has some
 
     def __init__(self, dims, mat) -> None:
         dims = _check_dims(dims)
@@ -119,12 +126,14 @@ class DensityMatrix:
         object.__setattr__(self, "_memo", {})
 
     @classmethod
-    def _derived(cls, dims: tuple[int, ...], mat: np.ndarray) -> "DensityMatrix":
+    def _derived(cls, dims: tuple[int, ...], mat: np.ndarray, symmetries=()) -> "DensityMatrix":
         """Unchecked state for valid dims and a fresh complex array that
         nothing else holds and that is PSD, unit-trace and Hermitian by
-        construction."""
+        construction, and invariant under each relabeling in symmetries."""
         rho = object.__new__(cls)
         rho._set(dims, mat)
+        if symmetries:
+            object.__setattr__(rho, "symmetries", symmetries)
         return rho
 
     @property
@@ -217,6 +226,8 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
 
     Computed once per rho and kept subset; a repeat returns the same object.
     keep is validated unless it is the tuple key of a memoized reduction.
+    Keeping every subsystem returns rho itself, symmetries included; a proper
+    reduction carries none.
     """
     red = rho._memo.get(keep) if type(keep) is tuple else None
     if type(red) is DensityMatrix:  # the memo's other keys hold no states

@@ -6,6 +6,7 @@ so a stale entry there breaks the traced benchmark run.
 """
 
 import importlib
+import inspect
 import json
 import pathlib
 import types
@@ -56,3 +57,18 @@ def test_traced_per_layer_functions_stay_exported():
     for layer, fn in sorted(traced):
         assert layer in LAYERS
         assert fn in _layer(layer).__all__, f"{layer}.{fn}"
+
+
+def test_no_quantifier_takes_symmetries():
+    """A state carries its own symmetries (rho.symmetries), so no caller can
+    claim one that the state lacks."""
+    gc, experiments = _layer("genuine_correlations"), _layer("experiments")
+    fns = [getattr(gc, name) for name in gc.__all__] + [experiments.evaluate_measures]
+    takers = [fn.__name__ for fn in fns
+              if callable(fn) and "symmetries" in inspect.signature(fn).parameters]
+    assert takers == []
+
+
+def test_the_swap_symmetry_is_defined_once():
+    assert gencorr.SWAP_SYMMETRY is _layer("channels").SWAP_SYMMETRY
+    assert not hasattr(_layer("experiments"), "SWAP_SYMMETRY")

@@ -9,6 +9,7 @@ from gencorr import (
 )
 from gencorr.channels import (
     GLOBAL_DIMS,
+    SWAP_SYMMETRY,
     KrausChannel,
     amplitude_damping_kraus,
     appendix_golden_state,
@@ -241,6 +242,18 @@ def test_iota_is_hermitian_unit_trace(builder):
 def test_upsilon_is_normalized(builder):
     for p in np.linspace(0.0, 1.0, 11):
         assert abs(np.linalg.norm(builder(p).vec) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["ad", "pd"])
+def test_every_symmetry_of_an_evolved_state_leaves_it_unchanged(kind):
+    """The swap the state carries is exact, bit for bit, on an 11 x 11 grid."""
+    grid = np.linspace(0.0, 1.0, 11)
+    for c in grid:
+        for p in grid:
+            rho = evolve_global(c, p, kind)
+            assert rho.symmetries == SWAP_SYMMETRY
+            for perm in rho.symmetries:
+                assert np.array_equal(permute_subsystems(rho.mat, rho.dims, perm), rho.mat)
 
 
 def test_golden_state_validates_as_density_matrix():

@@ -120,21 +120,35 @@ def test_phase_total_correlation_climbs_to_its_asymptotic_maximum():
     assert values[-1] == max(values)
 
 
+SEARCHED_CASES = (("ad", 0.7, 0.4), ("pd", 1.0, 0.5), ("ad", 0.4, 0.8))
+
+
+def _assert_pruning_changes_nothing(cases, cfg):
+    for rho, measures in cases:
+        assert rho.symmetries == SWAP_SYMMETRY
+        pruned, _ = evaluate_measures(rho, measures, cfg)
+        full, _ = evaluate_measures(DensityMatrix(rho.dims, rho.mat), measures, cfg)
+        for m in measures:
+            assert pruned[m] == pytest.approx(full[m], abs=1e-12)
+
+
 def test_symmetry_pruning_changes_nothing_for_these_states():
-    """Sweeps evaluate one cut or triple per swap class; every class member agrees.
+    """An evolved state's quantifiers evaluate one cut or triple per swap
+    class; an untagged copy evaluates them all, and every class member agrees.
 
     C4 and C3 apply rho's swap symmetry to the cuts of chi, so this also
     checks that the searched chi keeps the symmetry.
     """
     cases = [(evolve_global(0.6, p, "pd"), ("I4", "I3")) for p in np.linspace(0.0, 1.0, 7)]
-    cases += [(evolve_global(c, p, kind), ("Q3", "C4", "C3"))
-              for kind, c, p in (("ad", 0.7, 0.4), ("pd", 1.0, 0.5), ("ad", 0.4, 0.8))]
-    cfg = SearchConfig(starts=1, max_evals=40, rng_seed=0)
-    for rho, measures in cases:
-        pruned, _ = evaluate_measures(rho, measures, cfg, SWAP_SYMMETRY)
-        full, _ = evaluate_measures(rho, measures, cfg, ())
-        for m in measures:
-            assert pruned[m] == pytest.approx(full[m], abs=1e-12)
+    cases += [(evolve_global(c, p, kind), ("Q3", "C4", "C3")) for kind, c, p in SEARCHED_CASES]
+    _assert_pruning_changes_nothing(cases, SearchConfig(starts=1, max_evals=40, rng_seed=0))
+
+
+def test_searched_chi_keeps_the_swap_symmetry_at_the_default_config():
+    """As above, at SearchConfig(): with 14 starts, a winning random start
+    could break the swap symmetry of chi that C4 and C3 assume."""
+    cases = [(evolve_global(c, p, kind), ("Q3", "C4", "C3")) for kind, c, p in SEARCHED_CASES[:2]]
+    _assert_pruning_changes_nothing(cases, SearchConfig())
 
 
 def test_parallel_workers_preserve_row_order():
@@ -209,25 +223,31 @@ def test_a_series_runs_one_batched_search(search_batches):
 
 @pytest.mark.parametrize("symmetries", [SWAP_SYMMETRY, ()])
 def test_every_column_is_its_library_quantifier(symmetries, search_cells):
-    """Bit for bit, against a copy of the state with an empty memo; Q4, C4 and
-    C3 share one four-qubit search, Q3 searches each triple."""
-    rho = evolve_global(0.7, 0.4, "ad")
+    """Bit for bit, against a copy of the state with an empty memo and the
+    same symmetries (the evolved state's, or none); Q4, C4 and C3 share one
+    four-qubit search, Q3 searches each triple (one per swap class)."""
+    def state():
+        rho = evolve_global(0.7, 0.4, "ad")
+        return rho if symmetries else DensityMatrix(rho.dims, rho.mat)
+
+    rho = state()
+    assert rho.symmetries == symmetries
     cfg = SearchConfig(starts=1, max_evals=40, rng_seed=0)
-    values, flags = evaluate_measures(rho, SUPPORTED_MEASURES, cfg, symmetries)
+    values, flags = evaluate_measures(rho, SUPPORTED_MEASURES, cfg)
     assert flags == []
     triples = [(0, 1, 2), (0, 1, 3)] if symmetries else list(itertools.combinations(range(4), 3))
     assert sorted(search_cells) == [3] * len(triples) + [4]
-    rho = DensityMatrix(rho.dims, rho.mat)
+    rho = state()
     assert values == {
-        "I4": genuine_total_In(rho, symmetries).value_bits,
+        "I4": genuine_total_In(rho).value_bits,
         "I3": max(genuine_total_In(partial_trace(rho, t)).value_bits for t in triples),
         "I3_abEa": genuine_total_In(partial_trace(rho, (0, 1, 2))).value_bits,
         "I3_aEaEb": genuine_total_In(partial_trace(rho, (0, 1, 3))).value_bits,
         "Q4": multipartite_quantum_Q(rho, cfg).value_bits,
         "Q3": max(multipartite_quantum_Q(partial_trace(rho, t), cfg).value_bits
                   for t in triples),
-        "C4": genuine_classical_Cn(rho, cfg, symmetries).value_bits,
-        "C3": genuine_classical_Ck(rho, 3, cfg, symmetries).value_bits,
+        "C4": genuine_classical_Cn(rho, cfg).value_bits,
+        "C3": genuine_classical_Ck(rho, 3, cfg).value_bits,
         "F_W": fidelity(w4(), rho),
         "F_GHZ": fidelity(upsilon_pd(1.0), rho),
     }
@@ -238,11 +258,11 @@ def test_memoized_columns_equal_fresh_evaluations(kind, c, p):
     """Each I column of one state, where the columns share reductions, equals
     that column alone on a copy of the state with an empty memo, exactly."""
     rho = evolve_global(c, p, kind)
-    values, flags = evaluate_measures(rho, I_COLUMNS, symmetries=SWAP_SYMMETRY)
+    values, flags = evaluate_measures(rho, I_COLUMNS)
     assert flags == []
     for m in I_COLUMNS:
-        fresh = DensityMatrix(rho.dims, rho.mat)
-        assert evaluate_measures(fresh, (m,), symmetries=SWAP_SYMMETRY)[0][m] == values[m]
+        fresh = evolve_global(c, p, kind)
+        assert evaluate_measures(fresh, (m,))[0][m] == values[m]
 
 
 def test_triple_columns_reuse_the_reductions_of_i3(monkeypatch):
@@ -255,12 +275,12 @@ def test_triple_columns_reuse_the_reductions_of_i3(monkeypatch):
 
     monkeypatch.setattr(linalg, "_ptrace_arr", counting)
     rho = evolve_global(0.7, 0.4, "ad")
-    evaluate_measures(rho, ("I3",), symmetries=SWAP_SYMMETRY)
+    evaluate_measures(rho, ("I3",))
     # the two triples of rho, then both cells of the three cuts of each
     assert sorted(computed) == sorted([(0, 1, 2), (0, 1, 3)] + [(0,), (1,), (2,)] * 2
                                       + [(0, 1), (0, 2), (1, 2)] * 2)
     before = list(computed)
-    evaluate_measures(rho, ("I3_abEa", "I3_aEaEb"), symmetries=SWAP_SYMMETRY)
+    evaluate_measures(rho, ("I3_abEa", "I3_aEaEb"))
     assert computed == before
 
 

@@ -27,7 +27,6 @@ from gencorr import (
     von_neumann_entropy,
 )
 from gencorr.channels import evolve_global, psi_minus
-from gencorr.experiments import SWAP_SYMMETRY
 from gencorr.genuine_correlations import _one_cell_each, _searches
 from gencorr.states import ghz, w4
 from random_states import random_classical_state, random_density_matrix, random_pure_state
@@ -159,9 +158,8 @@ def test_Ik_range_validation(rng):
 
 def test_In_with_symmetry_pruning_matches_full_enumeration():
     rho = evolve_global(0.7, 0.35, "ad")
-    swap = ((2, 3, 0, 1),)
-    full = genuine_total_In(rho)
-    pruned = genuine_total_In(rho, swap)
+    full = genuine_total_In(DensityMatrix(rho.dims, rho.mat))
+    pruned = genuine_total_In(rho)
     assert pruned.value_bits == pytest.approx(full.value_bits, abs=1e-12)
 
 
@@ -249,7 +247,7 @@ def test_Qn_evals_is_the_sum_over_its_cut_searches(monkeypatch):
 
     monkeypatch.setattr(gc, "closest_classical_states", recording)
     rep = genuine_quantum_Qn(evolve_global(0.8, 0.4, "pd"))
-    assert batches == [7]  # one call with every cut: 2|8, 4|4 and 8|2 alike
+    assert batches == [5]  # one call with a cut per swap class: 2|8, 4|4 and 8|2 alike
     assert rep.evals == sum(r.evals for r in results)
     assert rep.value_bits == min(r.q for r in results)
 
@@ -347,16 +345,18 @@ def test_Ck_of_w_state_is_seed_stable():
     assert abs(a.value_bits - b.value_bits) <= 1e-3
 
 
-def _assert_the_dense_oracle_agrees(rho, cfg, symmetries):
+def _assert_the_dense_oracle_agrees(rho, cfg):
     """C_n and C_k (k = 2, 3) against I_n and I_k of the dense chi, to 1e-12.
 
     Both paths name the same witness, since values within 1e-12 of the
     optimum tie and the first wins, and each witness attains the oracle's
-    optimum.
+    optimum.  The C path prunes chi's cuts by rho's symmetries, so the
+    oracle runs on a copy of chi that carries them.
     """
     chi = multipartite_quantum_Q(rho, cfg).chi
+    tagged = DensityMatrix._derived(chi.dims, chi.mat.copy(), rho.symmetries)
     s_chi = von_neumann_entropy(chi)
-    rep, oracle = genuine_classical_Cn(rho, cfg, symmetries), genuine_total_In(chi, symmetries)
+    rep, oracle = genuine_classical_Cn(rho, cfg), genuine_total_In(tagged)
     assert rep.chi is chi
     assert abs(rep.value_bits - oracle.value_bits) <= 1e-12
     assert rep.witness == oracle.witness
@@ -364,11 +364,10 @@ def _assert_the_dense_oracle_agrees(rho, cfg, symmetries):
                      for cell in rep.witness.cells()) - s_chi
     assert abs(at_witness - oracle.value_bits) <= 1e-12
     for k in (2, 3):
-        rep, oracle = genuine_classical_Ck(rho, k, cfg, symmetries), genuine_total_Ik(chi, k, symmetries)
+        rep, oracle = genuine_classical_Ck(rho, k, cfg), genuine_total_Ik(tagged, k)
         assert abs(rep.value_bits - oracle.value_bits) <= 1e-12
         assert rep.witness == oracle.witness
-        inner = symmetries if k == rho.n else ()
-        at_witness = genuine_total_In(partial_trace(chi, rep.witness), inner).value_bits
+        at_witness = genuine_total_In(partial_trace(tagged, rep.witness)).value_bits
         assert abs(at_witness - oracle.value_bits) <= 1e-12
 
 
@@ -376,10 +375,10 @@ def _assert_the_dense_oracle_agrees(rho, cfg, symmetries):
 def test_C_from_outcomes_matches_the_dense_oracle_on_the_golden_grid(kind):
     cfg = SearchConfig()
     rhos = [evolve_global(c, p, kind) for c in (0.4, 1.0) for p in np.linspace(0, 1, 5)]
+    rhos += [DensityMatrix(rho.dims, rho.mat) for rho in rhos]  # untagged: every cut
     _searches([(rho, _one_cell_each(rho.n)) for rho in rhos], cfg)  # one batched search
     for rho in rhos:
-        for symmetries in ((), SWAP_SYMMETRY):
-            _assert_the_dense_oracle_agrees(rho, cfg, symmetries)
+        _assert_the_dense_oracle_agrees(rho, cfg)
 
 
 @pytest.mark.parametrize("dims", [(2, 3, 2), (3, 2, 2), (2, 2, 3)])
@@ -391,7 +390,7 @@ def test_C_from_outcomes_matches_the_dense_oracle_in_random_product_bases(dims, 
     for d in dims:
         u = np.kron(u, random_unitary(d, rng))
     rho = DensityMatrix(dims, u @ base.mat @ u.conj().T)
-    _assert_the_dense_oracle_agrees(rho, SearchConfig(starts=2, max_evals=300, rng_seed=seed), ())
+    _assert_the_dense_oracle_agrees(rho, SearchConfig(starts=2, max_evals=300, rng_seed=seed))
 
 
 # --- degrees ---
@@ -480,7 +479,7 @@ def test_Qn_reads_the_memoized_cut_searches(first, search_batches):
     cfg = SearchConfig(starts=1, max_evals=40, rng_seed=0)
     rep = first(rho, cfg)
     again = genuine_quantum_Qn(rho, cfg)
-    assert search_batches == [7]
+    assert search_batches == [5]  # one cut per swap class
     assert (again.value_bits, again.evals) == (rep.value_bits, rep.evals)
 
 

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import itertools
 import json
 import sys
@@ -13,8 +14,10 @@ from gencorr import (
     DensityMatrix,
     LocalBasisSet,
     PureState,
+    SWAP_SYMMETRY,
     SearchConfig,
     amplitude_damping_kraus,
+    appendix_golden_state,
     dephase,
     evolve_global,
     genuine_classical_Cn,
@@ -27,6 +30,7 @@ from gencorr import (
     state_to_json,
     von_neumann_entropy,
     w4,
+    werner_state,
 )
 from gencorr.channels import psi_minus
 from gencorr.linalg import random_unitary
@@ -169,6 +173,27 @@ def test_array_holders_compare_and_hash_by_identity():
     twin = CorrelationReport("Q", 0.25, (0, 1), 3, chi=evolve_global(0.5, 0.5, "ad"))
     assert report == twin and hash(report) == hash(twin)
     assert report != CorrelationReport("Q", 0.5, (0, 1), 3, chi=rho)
+
+
+# --- symmetries: only evolve_global's states carry any ---
+
+def test_states_carry_no_symmetries_unless_evolved(rng):
+    rho = evolve_global(0.7, 0.4, "pd")
+    basis = LocalBasisSet([(i,) for i in range(4)], [random_unitary(2, rng) for _ in range(4)])
+    states = [DensityMatrix(rho.dims, rho.mat), dephase(rho, basis), ghz(4).to_density(),
+              werner_state(0.3), appendix_golden_state(0.7, 0.4, "pd")]
+    states += [partial_trace(rho, keep)
+               for k in range(1, 4) for keep in itertools.combinations(range(4), k)]
+    assert [state.symmetries for state in states] == [()] * len(states)
+    assert partial_trace(rho, range(rho.n)) is rho and rho.symmetries == SWAP_SYMMETRY
+
+
+def test_a_state_cannot_be_given_symmetries():
+    rho = evolve_global(0.7, 0.4, "pd")
+    with pytest.raises(TypeError):
+        DensityMatrix(rho.dims, rho.mat, rho.symmetries)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rho.symmetries = ()
 
 
 # --- derived states skip validation, so each must pass it when rebuilt ---
