@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DensityMatrix, PureState, kron_all, permute_subsystems
+from .linalg import DensityMatrix, PureState, _check_finite, kron_all, permute_subsystems
 
 __all__ = [
     "KrausChannel",
@@ -67,12 +67,13 @@ class KrausChannel:
 
     def __init__(self, operators, label: str, p: float) -> None:
         ops = tuple(np.array(k, dtype=complex) for k in operators)
+        for k in ops:
+            _check_finite(k, "Kraus operator")
+            k.setflags(write=False)
         d = ops[0].shape[0]
         comp = sum(k.conj().T @ k for k in ops)
-        if np.abs(comp - np.eye(d)).max() > 1e-12:
+        if not np.abs(comp - np.eye(d)).max() <= 1e-12:
             raise ValueError("Kraus operators do not satisfy sum K†K = I")
-        for k in ops:
-            k.setflags(write=False)
         object.__setattr__(self, "operators", ops)
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "p", float(p))

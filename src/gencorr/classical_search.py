@@ -26,6 +26,7 @@ from numpy.linalg import _umath_linalg
 
 from .entropy import _linalg_error, _spectrum, _sum, shannon, von_neumann_entropy
 from .linalg import (
+    _check_finite,
     _subsystem_axes,
     DEFAULT_TOL,
     DensityMatrix,
@@ -110,8 +111,9 @@ class LocalBasisSet:
         for u in unitaries:
             if u.ndim != 2 or u.shape[0] != u.shape[1]:
                 raise ValueError(f"basis unitary must be square, got {u.shape}")
+            _check_finite(u, "basis unitary")
             dev = np.abs(u.conj().T @ u - np.eye(u.shape[0])).max()
-            if dev > 1e-9:
+            if not dev <= 1e-9:
                 raise ValueError(f"matrix is not unitary: max|U†U - I| = {dev:.3e}")
         for u in unitaries:
             u.setflags(write=False)

@@ -11,6 +11,7 @@ detect_sudden_change for the kink detector.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import inspect
 import json
 import os
@@ -109,7 +110,7 @@ def _cmd_sudden_change(args) -> int:
     rows = read_csv(args.csv)
     reports = detect_sudden_change(rows, args.measure, kappa=args.kappa, window=args.window)
     for rep in reports:
-        print(json.dumps(rep.to_json_dict()))
+        print(json.dumps(dataclasses.asdict(rep)))
     print(f"{len(reports)} sudden change(s) detected for {args.measure}")
     return 0
 

@@ -1,8 +1,7 @@
 """Von Neumann entropy, relative entropy, and the total correlation I.
 
 All logarithms are base 2.  A relative entropy between states with
-incompatible supports returns math.inf: an explicit sentinel that downstream
-minimizations treat as "worst candidate", never a floating overflow.
+incompatible supports returns math.inf.
 """
 
 from __future__ import annotations

@@ -65,14 +65,14 @@ __all__ = [
 # evaluated, so a patched module binding (a test double, a tracer) sees
 # every call.
 _MEASURES = {
-    "I4": (None, lambda rho, _: genuine_total_Ik(rho, 4).value_bits),
+    "I4": (None, lambda rho, _: genuine_total_In(rho).value_bits),
     "I3": (None, lambda rho, _: genuine_total_Ik(rho, 3).value_bits),
     "I3_abEa": (None, lambda rho, _: genuine_total_In(partial_trace(rho, (0, 1, 2))).value_bits),
     "I3_aEaEb": (None, lambda rho, _: genuine_total_In(partial_trace(rho, (0, 1, 3))).value_bits),
     # Q4 is the fully multipartite Q (one basis per subsystem), Q3 its max over triples
     "Q4": (4, lambda rho, cfg: multipartite_quantum_Q(rho, cfg).value_bits),
     "Q3": (3, lambda rho, cfg: max_over_subsets(
-        "Q3", rho, 3, lambda red: multipartite_quantum_Q(red, cfg)
+        rho, 3, lambda red: multipartite_quantum_Q(red, cfg)
     ).value_bits),
     "C4": (4, lambda rho, cfg: genuine_classical_Cn(rho, cfg).value_bits),
     "C3": (4, lambda rho, cfg: genuine_classical_Ck(rho, 3, cfg).value_bits),
@@ -289,9 +289,6 @@ class SuddenChangeReport:
     left_slope: float
     right_slope: float
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
 
 def detect_sudden_change(
     rows: list[dict], measure: str, kappa: float = 10.0, window: int = 5
@@ -374,9 +371,6 @@ def _anchor(name, expected, actual, tol, mode="abs") -> dict:
     if mode == "abs":
         deviation = abs(actual - expected)
         passed = deviation <= tol
-    elif mode == "max":  # actual is already a deviation
-        deviation = actual
-        passed = actual <= tol
     elif mode == "ge":
         deviation = expected - actual
         passed = actual >= expected
@@ -415,14 +409,14 @@ def verify_anchors(cfg: SearchConfig = SearchConfig()) -> list[dict]:
         for c in grid
         for p in grid
     )
-    res.append(_anchor("fidelity_W_ad_closed_form", 0.0, dev_w, 1e-10, "max"))
+    res.append(_anchor("fidelity_W_ad_closed_form", 0.0, dev_w, 1e-10))
     ghz_lim = upsilon_pd(1.0)
     dev_g = max(
         abs(fidelity(ghz_lim, evolve_global(c, p, "pd")) - _fid_ghz_closed(c, p))
         for c in grid
         for p in grid
     )
-    res.append(_anchor("fidelity_GHZ_pd_closed_form", 0.0, dev_g, 1e-10, "max"))
+    res.append(_anchor("fidelity_GHZ_pd_closed_form", 0.0, dev_g, 1e-10))
 
     for kind in ("ad", "pd"):
         dev = max(
@@ -433,22 +427,22 @@ def verify_anchors(cfg: SearchConfig = SearchConfig()) -> list[dict]:
             for c in grid
             for p in grid
         )
-        res.append(_anchor(f"golden_vs_dilation_{kind}", 0.0, dev, 1e-10, "max"))
+        res.append(_anchor(f"golden_vs_dilation_{kind}", 0.0, dev, 1e-10))
 
     dev = float(np.abs(
         np.asarray(evolve_global(1.0, 0.5, "ad").mat) - np.asarray(wst.mat)
     ).max())
-    res.append(_anchor("W_limit_state_ad_p_half", 0.0, dev, 1e-12, "max"))
+    res.append(_anchor("W_limit_state_ad_p_half", 0.0, dev, 1e-12))
     ghz_mat = np.outer(ghz_lim.vec, ghz_lim.vec.conj())
     dev = float(np.abs(np.asarray(evolve_global(1.0, 1.0, "pd").mat) - ghz_mat).max())
-    res.append(_anchor("GHZ_limit_state_pd_p_one", 0.0, dev, 1e-12, "max"))
+    res.append(_anchor("GHZ_limit_state_pd_p_one", 0.0, dev, 1e-12))
 
     cut = Bipartition((0,), 2)
     dev = max(
         abs(ppt_min_eigenvalue(werner_state(c), cut) - (1 - 3 * c) / 4)
         for c in (0.0, 1 / 3, 0.5, 1.0)
     )
-    res.append(_anchor("werner_ppt_closed_form", 0.0, dev, 1e-12, "max"))
+    res.append(_anchor("werner_ppt_closed_form", 0.0, dev, 1e-12))
 
     vac2 = np.zeros((4, 4))
     vac2[0, 0] = 1.0
@@ -458,22 +452,22 @@ def verify_anchors(cfg: SearchConfig = SearchConfig()) -> list[dict]:
         ).max())
         for c in grid
     )
-    res.append(_anchor("ad_env_transfer_p_one", 0.0, dev, 1e-12, "max"))
+    res.append(_anchor("ad_env_transfer_p_one", 0.0, dev, 1e-12))
 
     for c in (0.4, 1.0):
         val = genuine_total_In(evolve_global(c, 1.0, "ad")).value_bits
-        res.append(_anchor(f"ad_I4_p_one_zero_c{c}", 0.0, val, 1e-9, "max"))
+        res.append(_anchor(f"ad_I4_p_one_zero_c{c}", 0.0, val, 1e-9))
     val = genuine_total_In(evolve_global(1.0, 1.0, "pd")).value_bits
     res.append(_anchor("pd_I4_p_one_c_one", 2.0, val, 1e-9))
     for kind in ("ad", "pd"):
         val = genuine_total_In(evolve_global(0.7, 0.0, kind)).value_bits
-        res.append(_anchor(f"{kind}_I4_p_zero", 0.0, val, 1e-9, "max"))
+        res.append(_anchor(f"{kind}_I4_p_zero", 0.0, val, 1e-9))
 
     triples = list(itertools.combinations(range(4), 3))
     qmax = max(
         multipartite_quantum_Q(partial_trace(ghz4, t), cfg).value_bits for t in triples
     )
-    res.append(_anchor("ghz_marginal_quantumness_zero", 0.0, qmax, 1e-6, "max"))
+    res.append(_anchor("ghz_marginal_quantumness_zero", 0.0, qmax, 1e-6))
     qmin = min(
         multipartite_quantum_Q(partial_trace(wst, t), cfg).value_bits for t in triples
     )

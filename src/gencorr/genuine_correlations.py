@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 from dataclasses import dataclass, field
 
 from .classical_search import SearchConfig, closest_classical_states
@@ -67,9 +66,6 @@ class Bipartition:
     def cells(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         return self.mask, self.complement
 
-    def label(self) -> str:
-        return f"{list(self.mask)}|{list(self.complement)}"
-
 
 def all_bipartitions(n: int) -> list[Bipartition]:
     """The 2^(n-1) - 1 unordered cuts, in ascending mask order."""
@@ -85,35 +81,16 @@ def all_bipartitions(n: int) -> list[Bipartition]:
 
 @dataclass(frozen=True)
 class CorrelationReport:
-    """A named quantifier value with its witness and optimizer metadata.
+    """A quantifier value with its witness and optimizer metadata.
 
     Frozen.  Equality and hashing leave out chi, a state that is equal by
     identity.
     """
 
-    name: str
     value_bits: float
     witness: Bipartition | tuple[int, ...] | None = None
     evals: int = 0
     chi: DensityMatrix | None = field(default=None, repr=False, compare=False)
-
-    def witness_label(self) -> str | None:
-        if isinstance(self.witness, Bipartition):
-            return self.witness.label()
-        if isinstance(self.witness, tuple):
-            return str(list(self.witness))
-        return None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "value_bits": self.value_bits,
-            "witness": self.witness_label(),
-            "evals": self.evals,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
 
 def _representatives(n: int, items, parts, symmetries) -> tuple:
@@ -160,7 +137,7 @@ def _optimum(pick, values: list, items):
             return best, item
 
 
-def max_over_subsets(name: str, rho: DensityMatrix, k: int, quantifier):
+def max_over_subsets(rho: DensityMatrix, k: int, quantifier):
     """max over k-subsystem reductions of quantifier(reduction).
 
     Subsets that a relabeling in rho.symmetries maps onto each other are
@@ -171,7 +148,7 @@ def max_over_subsets(name: str, rho: DensityMatrix, k: int, quantifier):
     subs = _subsets(rho.n, k, rho.symmetries)
     reps = [quantifier(partial_trace(rho, sub)) for sub in subs]
     value, witness = _optimum(max, [rep.value_bits for rep in reps], subs)
-    return CorrelationReport(name, value, witness, evals=sum(rep.evals for rep in reps))
+    return CorrelationReport(value, witness, evals=sum(rep.evals for rep in reps))
 
 
 def genuine_total_In(rho: DensityMatrix) -> CorrelationReport:
@@ -182,12 +159,12 @@ def genuine_total_In(rho: DensityMatrix) -> CorrelationReport:
     cuts = _cuts(rho.n, rho.symmetries)
     values = [von_neumann_entropy(partial_trace(rho, cut.mask))
               + von_neumann_entropy(partial_trace(rho, cut.complement)) - s_full for cut in cuts]
-    return CorrelationReport("I_n", *_optimum(min, values, cuts))
+    return CorrelationReport(*_optimum(min, values, cuts))
 
 
 def genuine_total_Ik(rho: DensityMatrix, k: int) -> CorrelationReport:
     """max over k-subsystem reductions of their genuine total correlation."""
-    return max_over_subsets("I_k", rho, k, genuine_total_In)
+    return max_over_subsets(rho, k, genuine_total_In)
 
 
 def _check_k(n: int, k: int) -> None:
@@ -212,14 +189,14 @@ def genuine_quantum_Qn(
     cuts = _cuts(rho.n, rho.symmetries)
     results = _searches([(rho, cut.cells()) for cut in cuts], cfg)
     value, cut = _optimum(min, [r.q for r in results], cuts)
-    return CorrelationReport("Q_n", value, cut, evals=sum(r.evals for r in results))
+    return CorrelationReport(value, cut, evals=sum(r.evals for r in results))
 
 
 def genuine_quantum_Qk(
     rho: DensityMatrix, k: int, cfg: SearchConfig = SearchConfig()
 ) -> CorrelationReport:
     """max over k-subsystem reductions of their genuine quantum correlation."""
-    return max_over_subsets("Q_k", rho, k, lambda red: genuine_quantum_Qn(red, cfg))
+    return max_over_subsets(rho, k, lambda red: genuine_quantum_Qn(red, cfg))
 
 
 def _one_cell_each(n: int) -> tuple[tuple[int, ...], ...]:
@@ -253,7 +230,7 @@ def multipartite_quantum_Q(
     if rho.n < 2:
         raise ValueError("multipartite quantum correlation needs at least two subsystems")
     (res,) = _searches([(rho, _one_cell_each(rho.n))], cfg)
-    return CorrelationReport("Q", res.q, None, evals=res.evals, chi=res.chi)
+    return CorrelationReport(res.q, None, evals=res.evals, chi=res.chi)
 
 
 def _outcome_entropy(chi: DensityMatrix, keep: tuple[int, ...]) -> float:
@@ -297,7 +274,7 @@ def genuine_classical_Cn(
     """
     q_rep = multipartite_quantum_Q(rho, cfg)
     value, cut = _outcome_In(q_rep.chi, tuple(range(rho.n)), rho.symmetries)
-    return CorrelationReport("C_n", value, cut, evals=q_rep.evals, chi=q_rep.chi)
+    return CorrelationReport(value, cut, evals=q_rep.evals, chi=q_rep.chi)
 
 
 def genuine_classical_Ck(
@@ -315,7 +292,7 @@ def genuine_classical_Ck(
     inner = rho.symmetries if k == rho.n else ()
     subs = _subsets(rho.n, k, rho.symmetries)
     value, witness = _optimum(max, [_outcome_In(q_rep.chi, sub, inner)[0] for sub in subs], subs)
-    return CorrelationReport("C_k", value, witness, evals=q_rep.evals, chi=q_rep.chi)
+    return CorrelationReport(value, witness, evals=q_rep.evals, chi=q_rep.chi)
 
 
 def degree_of(rho: DensityMatrix, kind: str, cfg: SearchConfig = SearchConfig()) -> int:

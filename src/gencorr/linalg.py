@@ -59,6 +59,13 @@ def _check_dims(dims) -> tuple[int, ...]:
     return tuple(int(d) for d in dims)
 
 
+def _check_finite(arr: np.ndarray, what: str) -> None:
+    """ValueError unless every entry of arr is finite.  Called before any
+    arithmetic on outside data: a NaN passes every `dev > tol` test."""
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what} has a non-finite entry")
+
+
 def hermitize(m: np.ndarray) -> np.ndarray:
     """Hermitian part (M + M†)/2; cheap guard against accumulated drift."""
     return (m + m.conj().T) / 2
@@ -69,12 +76,12 @@ class DensityMatrix:
     """Hermitian, unit-trace, PSD operator with explicit subsystem structure.
 
     DensityMatrix(dims, mat) validates its input: dims (a tuple of integer
-    subsystem dimensions, each at least 2) and, to DEFAULT_TOL, Hermiticity,
-    unit trace and an eigvalsh PSD check.  Every state built from outside
-    data goes through it, including state_from_json, werner_state,
-    classical_state and appendix_golden_state.  Derived states are valid by
-    construction and skip the checks: the outputs of partial_trace, dephase,
-    evolve_global and PureState.to_density.
+    subsystem dimensions, each at least 2), finite entries and, to
+    DEFAULT_TOL, Hermiticity, unit trace and an eigvalsh PSD check.  Every
+    state built from outside data goes through it, including state_from_json,
+    werner_state, classical_state and appendix_golden_state.  Derived states
+    are valid by construction and skip the checks: the outputs of
+    partial_trace, dephase, evolve_global and PureState.to_density.
 
     The backing array is immutable after construction, so values are safe to
     share between concurrent workers.  Each state also carries a private memo
@@ -108,14 +115,15 @@ class DensityMatrix:
             raise ValueError(f"density matrix must be square, got {mat.shape}")
         if mat.shape[0] != math.prod(dims):
             raise ValueError(f"matrix side {mat.shape[0]} does not match dims {dims}")
+        _check_finite(mat, "density matrix")
         herm_dev = np.abs(mat - mat.conj().T).max()
-        if herm_dev > DEFAULT_TOL.herm:
+        if not herm_dev <= DEFAULT_TOL.herm:
             raise ValueError(f"not Hermitian: max|M - M†| = {herm_dev:.3e}")
         tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > DEFAULT_TOL.trace:
+        if not abs(tr - 1.0) <= DEFAULT_TOL.trace:
             raise ValueError(f"trace must be 1, got {tr}")
         lo = float(np.linalg.eigvalsh(hermitize(mat)).min())
-        if lo < -DEFAULT_TOL.psd:
+        if not lo >= -DEFAULT_TOL.psd:
             raise ValueError(f"negative eigenvalue {lo:.3e} below -{DEFAULT_TOL.psd:.0e}")
         self._set(dims, mat.copy())
 
@@ -157,8 +165,9 @@ class PureState:
         vec = np.asarray(vec, dtype=complex).reshape(-1)
         if vec.shape[0] != math.prod(dims):
             raise ValueError(f"vector length {vec.shape[0]} does not match dims {dims}")
+        _check_finite(vec, "state vector")
         nrm = float(np.linalg.norm(vec))
-        if abs(nrm - 1.0) > DEFAULT_TOL.norm:
+        if not abs(nrm - 1.0) <= DEFAULT_TOL.norm:
             raise ValueError(f"norm must be 1, got {nrm}")
         vec = vec.copy()
         vec.setflags(write=False)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .genuine_correlations import Bipartition
-from .linalg import DensityMatrix, PureState, hermitize
+from .linalg import DensityMatrix, PureState, _check_finite, hermitize
 
 __all__ = [
     "ghz",
@@ -36,9 +36,10 @@ def w4() -> PureState:
 def classical_state(dims, probs) -> DensityMatrix:
     """Computational-basis diagonal state sum p_i |i><i|."""
     p = np.asarray(probs, dtype=float).reshape(-1)
+    _check_finite(p, "probability vector")
     if np.any(p < 0):
         raise ValueError("probabilities must be nonnegative")
-    if abs(p.sum() - 1.0) > 1e-9:
+    if not abs(p.sum() - 1.0) <= 1e-9:
         raise ValueError(f"probabilities must sum to 1, got {p.sum()}")
     return DensityMatrix(dims, np.diag(p.astype(complex)))
 

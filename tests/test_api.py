@@ -1,14 +1,17 @@
-"""The public surface: what each layer module exports resolves, and the names
-the benchmark's per-layer metrics trace stay exported.
+"""The public surface: what each layer module exports resolves, the names
+the benchmark's per-layer metrics trace stay exported, the reports are plain
+records, and README lists the measures and modules there are.
 
 perfbench/spans.py wraps every function named in a layer module's __all__,
 so a stale entry there breaks the traced benchmark run.
 """
 
+import dataclasses
 import importlib
 import inspect
 import json
 import pathlib
+import re
 import types
 
 import pytest
@@ -24,7 +27,8 @@ LAYERS = (
     "states",
     "experiments",
 )
-BENCHMARK = pathlib.Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+BENCHMARK = ROOT / "BENCHMARK.json"
 
 
 def _layer(name: str) -> types.ModuleType:
@@ -72,3 +76,26 @@ def test_no_quantifier_takes_symmetries():
 def test_the_swap_symmetry_is_defined_once():
     assert gencorr.SWAP_SYMMETRY is _layer("channels").SWAP_SYMMETRY
     assert not hasattr(_layer("experiments"), "SWAP_SYMMETRY")
+
+
+def test_reports_are_plain_records():
+    """A report is its value, witness, search cost and chi; witness labels
+    belong to whichever writer prints them."""
+    gc, experiments = _layer("genuine_correlations"), _layer("experiments")
+    fields = [f.name for f in dataclasses.fields(gc.CorrelationReport)]
+    assert fields == ["value_bits", "witness", "evals", "chi"]
+    assert "name" not in inspect.signature(gc.max_over_subsets).parameters
+    for cls in (gc.CorrelationReport, gc.Bipartition, experiments.SuddenChangeReport):
+        left = [a for a in ("to_json", "to_json_dict", "witness_label", "label") if hasattr(cls, a)]
+        assert left == [], cls.__name__
+
+
+def test_readme_lists_the_measures_and_the_modules():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    (line,) = [ln for ln in text.splitlines() if ln.startswith("Measures:")]
+    listed = re.search(r"`([^`]*)`", line).group(1).split()
+    assert listed == list(_layer("experiments").SUPPORTED_MEASURES)
+    layout = text.split("```\nsrc/gencorr/\n", 1)[1].split("```", 1)[0]
+    named = re.findall(r"^  (\w+)\.py\b", layout, re.M)
+    modules = sorted(p.stem for p in pathlib.Path(gencorr.__file__).parent.glob("*.py"))
+    assert sorted(named) == [m for m in modules if m != "__init__"]

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 
@@ -116,6 +117,19 @@ def test_state_info_cli(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["dims"] == [2, 2, 2, 2]
     assert set(doc["measures"]) == {"I4", "F_GHZ"}
+
+
+def test_state_info_rejects_a_nan_entry(tmp_path, capsys):
+    # json reads the NaN token, and a NaN passes every tolerance check
+    path = tmp_path / "state.json"
+    save_state(evolve_global(0.9, 0.4, "pd"), path)
+    doc = json.loads(path.read_text())
+    doc["re"][0][0] = math.nan
+    path.write_text(json.dumps(doc))
+    assert main(["state-info", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "gencorr: error: density matrix has a non-finite entry\n"
 
 
 def test_state_info_rejects_wrong_dims(tmp_path, capsys):

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import pathlib
+import types
 
 import numpy as np
 import pytest
@@ -462,3 +463,14 @@ def test_verify_anchors_known_outcomes():
     assert report["I4_W4"]["actual"] == pytest.approx(1.6225562489182657, abs=1e-9)
     assert report["I3_W4"]["passed"]
     assert report["I3_W4"]["actual"] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_zero_anchors_fail_a_negative_value(monkeypatch):
+    """An anchor passes within tol of its expected value on either side: a
+    negative I4 is not within 1e-9 of zero."""
+    negative = types.SimpleNamespace(value_bits=-1e-3)
+    monkeypatch.setattr(experiments, "genuine_total_In", lambda rho: negative)
+    report = {e["name"]: e for e in verify_anchors(FAST)}
+    for name in ("ad_I4_p_one_zero_c0.4", "ad_I4_p_one_zero_c1.0", "ad_I4_p_zero", "pd_I4_p_zero"):
+        assert not report[name]["passed"]
+        assert report[name]["deviation"] == 1e-3

@@ -1,6 +1,5 @@
 import dataclasses
 import itertools
-import json
 
 import numpy as np
 import pytest
@@ -81,7 +80,6 @@ def test_bipartition_canonicalizes_to_contain_first_subsystem():
 def test_bipartition_equality_hash_and_repr_go_by_mask_and_n():
     cut = Bipartition((2, 3), 4)
     assert cut.complement == (2, 3) and cut.cells() == ((0, 1), (2, 3))
-    assert cut.label() == "[0, 1]|[2, 3]"
     twin = Bipartition((0, 1), 4)
     assert cut == twin and hash(cut) == hash(twin) == hash(((0, 1), 4))
     assert repr(cut) == repr(twin) == "Bipartition(mask=(0, 1), n=4)"
@@ -130,7 +128,6 @@ def test_Ik_of_ghz_triples():
     rep = genuine_total_Ik(ghz(4).to_density(), 3)
     assert rep.value_bits == pytest.approx(1.0, abs=1e-9)
     assert rep.witness == (0, 1, 2)  # first of the tied subsets
-    assert rep.to_json_dict()["witness"] == "[0, 1, 2]"
 
 
 def test_Ik_of_w_state_triples():
@@ -490,12 +487,10 @@ def test_degree_of_rejects_unknown_kind(rng):
 
 # --- report plumbing ---
 
-def test_report_json_schema():
+def test_report_value_and_witness():
     rep = genuine_total_In(ghz(4).to_density())
-    doc = json.loads(rep.to_json())
-    assert set(doc) == {"name", "value_bits", "witness", "evals"}
-    assert doc["value_bits"] == pytest.approx(2.0)
-    assert doc["witness"] == "[0]|[1, 2, 3]"
+    assert rep.value_bits == pytest.approx(2.0)
+    assert rep.witness == Bipartition((0,), 4)
 
 
 def test_reports_are_frozen():

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import itertools
 import json
+import math
 import sys
 import threading
 
@@ -32,8 +33,9 @@ from gencorr import (
     w4,
     werner_state,
 )
-from gencorr.channels import psi_minus
+from gencorr.channels import KrausChannel, psi_minus
 from gencorr.linalg import random_unitary
+from gencorr.states import classical_state
 from random_states import random_density_matrix, random_pure_state
 
 I2 = np.eye(2, dtype=complex)
@@ -151,6 +153,24 @@ def test_pure_state_validation():
     assert abs(np.linalg.norm(psi.vec) - 1) < 1e-12
 
 
+_ONE_BAD = {
+    "DensityMatrix": lambda x: DensityMatrix((2,), [[x, 0.0], [0.0, x]]),
+    "PureState": lambda x: PureState((2,), [x, 1.0]),
+    "LocalBasisSet": lambda x: LocalBasisSet([(0,)], [[[x, 0.0], [0.0, 1.0]]]),
+    "KrausChannel": lambda x: KrausChannel([[[x, 0.0], [0.0, 1.0]]], "x", 0.0),
+    "classical_state": lambda x: classical_state((2,), [x, x]),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("build", list(_ONE_BAD.values()), ids=list(_ONE_BAD))
+def test_constructors_reject_non_finite_entries(build, bad):
+    """A NaN passes a `dev > tol` check and an inf warns in the arithmetic of
+    one, so each constructor rejects a non-finite entry before any."""
+    with pytest.raises(ValueError, match="non-finite entry"):
+        build(bad)
+
+
 def test_density_matrix_is_immutable(rng):
     rho = random_density_matrix((2, 2), rng)
     with pytest.raises(ValueError):
@@ -169,10 +189,10 @@ def test_array_holders_compare_and_hash_by_identity():
     for obj in (rho, psi, basis, channel):
         assert {obj: 1}[obj] == 1 and hash(obj) == hash(obj)
         assert obj != copy.copy(obj)
-    report = CorrelationReport("Q", 0.25, (0, 1), 3, chi=rho)
-    twin = CorrelationReport("Q", 0.25, (0, 1), 3, chi=evolve_global(0.5, 0.5, "ad"))
+    report = CorrelationReport(0.25, (0, 1), 3, chi=rho)
+    twin = CorrelationReport(0.25, (0, 1), 3, chi=evolve_global(0.5, 0.5, "ad"))
     assert report == twin and hash(report) == hash(twin)
-    assert report != CorrelationReport("Q", 0.5, (0, 1), 3, chi=rho)
+    assert report != CorrelationReport(0.5, (0, 1), 3, chi=rho)
 
 
 # --- symmetries: only evolve_global's states carry any ---
