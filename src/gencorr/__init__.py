@@ -17,7 +17,6 @@ from .linalg import (
     state_to_json,
 )
 from .entropy import (
-    INF_RELATIVE_ENTROPY,
     relative_entropy,
     shannon,
     total_correlation,

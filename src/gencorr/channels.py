@@ -67,6 +67,9 @@ class KrausChannel:
 
     def __init__(self, operators, label: str, p: float) -> None:
         ops = tuple(np.array(k, dtype=complex) for k in operators)
+        shapes = sorted({k.shape for k in ops})
+        if len(shapes) != 1 or len(shapes[0]) != 2 or shapes[0][0] != shapes[0][1]:
+            raise ValueError(f"Kraus operators must share one square shape, got shapes {shapes}")
         for k in ops:
             _check_finite(k, "Kraus operator")
             k.setflags(write=False)

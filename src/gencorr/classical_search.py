@@ -105,6 +105,7 @@ class LocalBasisSet:
 
     def __init__(self, cells, unitaries) -> None:
         cells = tuple(tuple(int(i) for i in cell) for cell in cells)
+        _check_partition(cells, sum(map(len, cells)))
         unitaries = tuple(np.array(u, dtype=complex) for u in unitaries)
         if len(cells) != len(unitaries):
             raise ValueError("one unitary per cell required")
@@ -121,10 +122,15 @@ class LocalBasisSet:
         object.__setattr__(self, "unitaries", unitaries)
 
 
+def _check_partition(cells, m: int) -> None:
+    """ValueError unless the cells partition the subsystems 0..m-1."""
+    if sorted(i for cell in cells for i in cell) != list(range(m)):
+        raise ValueError(f"cells {cells} do not partition 0..{m - 1}")
+
+
 def _cell_dims(dims: tuple[int, ...], cells) -> tuple[int, ...]:
     """The dimension of each cell; ValueError unless the cells partition the subsystems."""
-    if sorted(i for cell in cells for i in cell) != list(range(len(dims))):
-        raise ValueError(f"cells {cells} do not partition 0..{len(dims) - 1}")
+    _check_partition(cells, len(dims))
     return tuple(math.prod(dims[i] for i in cell) for cell in cells)
 
 

@@ -4,15 +4,14 @@ Subcommands: sweep, verify-anchors, state-info, sudden-change.
 Exit codes: 0 on success, 1 when any reference check fails, 2 on usage errors.
 
 Every setting is a flag.  The flags default to the library's defaults:
-SearchConfig() for the search, SweepSpec for the sweep and
-detect_sudden_change for the kink detector.
+SearchConfig() for the search and SweepSpec for the sweep.  The kink
+detector of sudden-change has a fixed rule (see detect_sudden_change).
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import inspect
 import json
 import os
 import sys
@@ -31,10 +30,9 @@ from .experiments import (
 )
 from .linalg import DensityMatrix, load_state
 
-# the defaults of the flags: those of the search, the sweep and the kink detector
+# the defaults of the flags: those of the search and the sweep
 _DEFAULT_SEARCH = SearchConfig()
 _DEFAULT_SWEEP = SweepSpec("ad")
-_DEFAULT_SUDDEN = inspect.signature(detect_sudden_change).parameters
 
 
 def _search_config(args) -> SearchConfig:
@@ -108,7 +106,7 @@ def _cmd_state_info(args) -> int:
 
 def _cmd_sudden_change(args) -> int:
     rows = read_csv(args.csv)
-    reports = detect_sudden_change(rows, args.measure, kappa=args.kappa, window=args.window)
+    reports = detect_sudden_change(rows, args.measure)
     for rep in reports:
         print(json.dumps(dataclasses.asdict(rep)))
     print(f"{len(reports)} sudden change(s) detected for {args.measure}")
@@ -158,8 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sudden-change", help="detect slope discontinuities in a sweep CSV")
     p.add_argument("csv")
     p.add_argument("--measure", required=True)
-    p.add_argument("--kappa", type=float, default=_DEFAULT_SUDDEN["kappa"].default)
-    p.add_argument("--window", type=int, default=_DEFAULT_SUDDEN["window"].default)
     p.set_defaults(func=_cmd_sudden_change)
     return parser
 

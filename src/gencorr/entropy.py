@@ -14,14 +14,12 @@ from numpy.linalg import LinAlgError, _umath_linalg
 from .linalg import DEFAULT_TOL, DensityMatrix, hermitize, partial_trace
 
 __all__ = [
-    "INF_RELATIVE_ENTROPY",
     "shannon",
     "von_neumann_entropy",
     "relative_entropy",
     "total_correlation",
 ]
 
-INF_RELATIVE_ENTROPY = math.inf
 # The LAPACK kernel of np.linalg.eigvalsh (lower triangle), called directly
 # under the errstate that np.linalg enters on every call (see _spectrum).
 _eigvalsh = _umath_linalg.eigvalsh_lo
@@ -97,7 +95,7 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
         # squared overlaps of rho's support eigenvectors with sigma's null space
         overlap = np.abs(vs[:, s_null].conj().T @ vr[:, r_support]) ** 2
         if overlap.size and overlap.sum(axis=0).max() > clip:
-            return INF_RELATIVE_ENTROPY
+            return math.inf
     tr_rho_log_rho = float(np.sum(wr[r_support] * np.log2(wr[r_support]))) if np.any(r_support) else 0.0
     # tr(rho log2 sigma) via sigma's support eigenbasis
     s_support = ~s_null

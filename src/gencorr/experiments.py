@@ -11,7 +11,7 @@ swap class: of the four triples of the 3-party measures, only {a,E_a,b} and
 {a,E_a,E_b}.
 
 detect_sudden_change flags interior grid points where the finite-difference
-slope of a series jumps by more than kappa times the local slope noise, the
+slope of a series jumps by more than _KAPPA times the local slope noise, the
 signature of a discontinuous change in the evolution rate.
 """
 
@@ -176,6 +176,9 @@ class SweepSpec:
         bad_c = [c for c in self.c_values if not 0.0 <= c <= 1.0]
         if bad_c:
             raise ValueError(f"c values must lie in [0, 1], got {bad_c}")
+        repeated_c = sorted({c for c in self.c_values if self.c_values.count(c) > 1})
+        if repeated_c:
+            raise ValueError(f"c values {repeated_c} are repeated")
 
     def resolved_p_count(self) -> int:
         if self.p_count is not None:
@@ -290,24 +293,25 @@ class SuddenChangeReport:
     right_slope: float
 
 
-def detect_sudden_change(
-    rows: list[dict], measure: str, kappa: float = 10.0, window: int = 5
-) -> list[SuddenChangeReport]:
+# The kink detector's threshold and noise half-width (grid steps): one value
+# of each is in use, by the figure script, the CLI and acceptance criterion 9.
+_KAPPA = 10.0
+_WINDOW = 5
+
+
+def detect_sudden_change(rows: list[dict], measure: str) -> list[SuddenChangeReport]:
     """Find slope discontinuities of a measure along each (channel, c) series.
 
-    A point is flagged when its slope jump exceeds kappa times the median
-    jump in a two-sided local window (the point and its immediate neighbors
-    are excluded from the noise estimate, so a kink split across two grid
-    points still registers).  Points without a full window on both sides are
-    never flagged: near the grid edge a kink is not separable from ordinary
-    boundary steepness, e.g. a sqrt- or entropy-like onset.  Adjacent flags
-    merge to the largest jump.  Requires a finite measure in every row, a
-    uniform p grid with >= 11 points, a finite kappa > 0 and a window >= 1.
+    A point is flagged when its slope jump exceeds _KAPPA times the median
+    of the jumps 2 to _WINDOW grid steps away on either side (so a kink split
+    across two grid points still registers).  Points without a full window
+    on both sides are never flagged: near the grid edge a kink is not
+    separable from boundary steepness (a sqrt- or entropy-like onset).  On a
+    101-point grid a -|p - p_k| kink at point 6 or 94 is reported, one at
+    points 0-5 or 95-100 is not.  Adjacent flags merge to the largest jump.
+    Requires a finite measure in every row and a uniform p grid with >= 11
+    points.
     """
-    if not (math.isfinite(kappa) and kappa > 0):
-        raise ValueError(f"kappa must be finite and > 0, got {kappa!r}")
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window!r}")
     if not any(measure in r for r in rows):
         raise ValueError(f"measure {measure!r} not present in the data table")
     groups: dict[tuple[str, float], list[dict]] = {}
@@ -329,12 +333,12 @@ def detect_sudden_change(
         slopes = np.diff(ys) / steps
         jumps = np.abs(np.diff(slopes))  # jump j sits at grid point j+1
         floor = 1e-12 * max(1.0, float(np.abs(ys).max()))
-        w = max(1, min(window, (len(jumps) - 3) // 2))
+        w = min(_WINDOW, (len(jumps) - 3) // 2)  # >= 3: at least 11 points
         hits = []
         for j in range(w, len(jumps) - w):
-            neigh = np.concatenate([jumps[j - w : max(j - 1, 0)], jumps[j + 2 : j + w + 1]])
-            noise = float(np.median(neigh)) if neigh.size else 0.0
-            if jumps[j] > kappa * max(noise, floor):
+            neigh = np.concatenate([jumps[j - w : j - 1], jumps[j + 2 : j + w + 1]])
+            noise = float(np.median(neigh))
+            if jumps[j] > _KAPPA * max(noise, floor):
                 hits.append(j)
         for j in _merge_runs(hits, jumps):
             reports.append(

@@ -73,6 +73,19 @@ def test_kraus_channel_rejects_non_trace_preserving():
         KrausChannel((np.eye(2) * 0.5,), "ad", 0.1)
 
 
+@pytest.mark.parametrize("ops, shapes", [
+    ([], "[]"),
+    ([np.eye(2), np.eye(3)], "[(2, 2), (3, 3)]"),
+    ([np.ones((2, 3))], "[(2, 3)]"),
+    ([np.ones(2)], "[(2,)]"),
+], ids=["empty", "mixed-shapes", "not-square", "vector"])
+def test_kraus_channel_rejects_a_malformed_operator_list(ops, shapes):
+    # before, [] raised IndexError and mixed shapes numpy's broadcast error
+    with pytest.raises(ValueError) as err:
+        KrausChannel(ops, "x", 0.0)
+    assert str(err.value) == f"Kraus operators must share one square shape, got shapes {shapes}"
+
+
 def test_kraus_channel_copies_its_operators():
     k0 = np.eye(2, dtype=complex)
     channel = KrausChannel([k0], "id", 0.0)

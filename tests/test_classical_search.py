@@ -88,6 +88,15 @@ def test_local_basis_set_rejects_non_unitary():
         LocalBasisSet([(0,)], [np.array([[1.0, 0.0], [1.0, 1.0]])])
 
 
+@pytest.mark.parametrize("cells", [[(0,), (0,)], [(1,), (2,)], [(0,), (-1,)]],
+                         ids=["repeated", "shifted", "negative"])
+def test_local_basis_set_rejects_cells_that_do_not_partition(cells):
+    # before, these were accepted and failed only later, inside dephase
+    with pytest.raises(ValueError, match="do not partition 0..1$"):
+        LocalBasisSet(cells, [np.eye(2), np.eye(2)])
+    assert LocalBasisSet([(1,), (0,)], [np.eye(2), np.eye(2)]).cells == ((1,), (0,))
+
+
 def test_local_basis_set_copies_its_unitaries():
     u = np.eye(2, dtype=complex)
     basis = LocalBasisSet([(0,)], [u])

@@ -1,10 +1,12 @@
+import inspect
 import json
 import math
 
 import numpy as np
+import pytest
 
 import gencorr.cli as cli
-from gencorr import evolve_global, save_state
+from gencorr import detect_sudden_change, evolve_global, save_state
 from gencorr.cli import main
 from gencorr.experiments import read_csv
 
@@ -33,6 +35,15 @@ def test_sweep_rejects_unknown_measure(tmp_path, capsys):
     ])
     assert code == 2
     assert "unsupported measures" in capsys.readouterr().err
+
+
+def test_sweep_rejects_repeated_c_values(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    code = main(["sweep", "--c", "0.5,0.5", "--grid", "11", "--measures", "I4",
+                 "--output", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == "gencorr: error: c values [0.5] are repeated\n"
+    assert not out.exists()
 
 
 def test_sweep_rejects_a_negative_seed(tmp_path, capsys):
@@ -79,17 +90,23 @@ def test_sudden_change_cli_finds_the_w_point(tmp_path, capsys):
 
 
 def test_sudden_change_cli_rejects_bad_input(tmp_path, capsys):
-    # a CSV without a channel column, and a bad kappa or window, are usage errors
+    # a CSV without a channel column is a usage error
     path = tmp_path / "rows.csv"
     path.write_text("c,p,I4\n" + "".join(f"1.0,{k / 20},0.5\n" for k in range(21)))
     assert main(["sudden-change", str(path), "--measure", "I4"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("gencorr: error:") and "no channel column" in err
+
+
+def test_the_kink_detector_has_no_tuning_values(tmp_path, capsys):
+    assert list(inspect.signature(detect_sudden_change).parameters) == ["rows", "measure"]
+    path = tmp_path / "rows.csv"
     path.write_text("channel,c,p,I4\n" + "".join(f"ad,1.0,{k / 20},0.5\n" for k in range(21)))
-    for flags, name in ((["--kappa", "nan"], "kappa"), (["--kappa", "-1"], "kappa"),
-                        (["--window", "0"], "window")):
-        assert main(["sudden-change", str(path), "--measure", "I4", *flags]) == 2
-        assert f"gencorr: error: {name}" in capsys.readouterr().err
+    for flags in (["--kappa", "5"], ["--window", "3"]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sudden-change", str(path), "--measure", "I4", *flags])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_sudden_change_cli_rejects_a_nan_row(tmp_path, capsys):

@@ -58,6 +58,10 @@ def test_sweep_spec_rejects_unknown_measure():
             SweepSpec(channel="ad", **bad)
     with pytest.raises(ValueError, match=r"measures \['I4'\] are repeated"):
         SweepSpec(channel="ad", measures=("I4", "I4"))
+    # before, a repeated c ran its series again, and the kink detector then
+    # read the doubled rows as a non-uniform p grid
+    with pytest.raises(ValueError, match=r"c values \[0.2, 1.0\] are repeated"):
+        SweepSpec(channel="ad", c_values=(1, 0.2, 0.5, 1.0, 0.2))
 
 
 def test_sweep_spec_rejects_bad_channel():
@@ -385,18 +389,6 @@ def test_detection_requirements():
         detect_sudden_change(bad, "y")
 
 
-@pytest.mark.parametrize("bad", [
-    dict(kappa=float("nan")), dict(kappa=float("inf")), dict(kappa=-1.0), dict(kappa=0.0),
-    dict(window=0), dict(window=-5),
-], ids=["kappa-nan", "kappa-inf", "kappa-negative", "kappa-zero", "window-0", "window-negative"])
-def test_detection_rejects_bad_kappa_and_window(bad):
-    # before, nan found no kink, -1 flagged every interior point and a
-    # window below 1 ran as 1
-    rows = synthetic_rows(lambda p: -abs(p - 0.5))
-    with pytest.raises(ValueError, match="kappa" if "kappa" in bad else "window"):
-        detect_sudden_change(rows, "y", **bad)
-
-
 @pytest.mark.parametrize("p_bad", [0.5, 0.525, 0.625])
 def test_detection_rejects_a_missing_or_nan_value(p_bad):
     # before, one NaN blanked the noise of its window, so the kink at 0.5 was lost
@@ -410,6 +402,15 @@ def test_detection_rejects_a_missing_or_nan_value(p_bad):
             row["y"] = value
         with pytest.raises(ValueError, match=f"y is missing or not finite at ad c=0.6 p={p_bad}$"):
             detect_sudden_change(rows, "y")
+
+
+def test_the_first_and_last_six_points_of_101_are_blind():
+    ps = np.linspace(0, 1, 101)
+    reported = [
+        k for k in range(101)
+        if detect_sudden_change(synthetic_rows(lambda p: -abs(p - ps[k])), "y")
+    ]
+    assert reported == list(range(6, 95))
 
 
 def test_groups_are_detected_independently():
