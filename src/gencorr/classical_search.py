@@ -27,6 +27,7 @@ from numpy.linalg import _umath_linalg
 from .entropy import _linalg_error, _spectrum, _sum, shannon, von_neumann_entropy
 from .linalg import (
     _check_finite,
+    _indices,
     _subsystem_axes,
     DEFAULT_TOL,
     DensityMatrix,
@@ -82,7 +83,7 @@ class SearchConfig:
     def __post_init__(self) -> None:
         for name in ("starts", "max_evals", "rng_seed"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.starts < 1:
             raise ValueError("starts must be >= 1")
@@ -104,7 +105,7 @@ class LocalBasisSet:
     unitaries: tuple[np.ndarray, ...]
 
     def __init__(self, cells, unitaries) -> None:
-        cells = tuple(tuple(int(i) for i in cell) for cell in cells)
+        cells = tuple(_indices(cell) for cell in cells)
         _check_partition(cells, sum(map(len, cells)))
         unitaries = tuple(np.array(u, dtype=complex) for u in unitaries)
         if len(cells) != len(unitaries):
@@ -588,7 +589,7 @@ def closest_classical_states(
     cells, mats, caps = [], [], []
     jobs_by_cdims: dict[tuple[int, ...], list[int]] = {}
     for j, (rho, partition) in enumerate(zip(rhos, partitions)):
-        job_cells = tuple(tuple(int(i) for i in cell) for cell in partition)
+        job_cells = tuple(_indices(cell) for cell in partition)
         jobs_by_cdims.setdefault(_cell_dims(rho.dims, job_cells), []).append(j)
         cells.append(job_cells)
         mats.append(permute_subsystems(rho.mat, rho.dims, [i for cell in job_cells for i in cell]))

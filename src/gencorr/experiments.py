@@ -164,13 +164,18 @@ class SweepSpec:
             raise ValueError("a sweep needs at least one measure")
         for name in ("p_count", "workers"):
             value = getattr(self, name)
-            if value is not None and not isinstance(value, numbers.Integral):
+            if value is not None and (not isinstance(value, numbers.Integral)
+                                      or isinstance(value, bool)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.p_count is not None and self.p_count < 2:
             raise ValueError("p grid needs at least 2 points")
         if self.workers < 1:
             raise ValueError(f"workers must be at least 1, got {self.workers}")
-        object.__setattr__(self, "c_values", tuple(float(c) for c in self.c_values))
+        try:
+            c_values = tuple(float(c) for c in self.c_values)
+        except TypeError:
+            raise ValueError(f"c_values must be a sequence of numbers, got {self.c_values!r}") from None
+        object.__setattr__(self, "c_values", c_values)
         if not self.c_values:
             raise ValueError("a sweep needs at least one c value")
         bad_c = [c for c in self.c_values if not 0.0 <= c <= 1.0]

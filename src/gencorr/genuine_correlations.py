@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .classical_search import SearchConfig, closest_classical_states
 from .entropy import shannon, von_neumann_entropy
-from .linalg import DensityMatrix, partial_trace
+from .linalg import DensityMatrix, _indices, partial_trace
 
 __all__ = [
     "TAU_DEGREE",
@@ -47,7 +47,7 @@ class Bipartition:
     n: int
 
     def __init__(self, mask, n: int) -> None:
-        mask = tuple(sorted(int(i) for i in set(mask)))
+        mask = tuple(sorted(set(_indices(mask))))
         if not mask or len(mask) == int(n):
             raise ValueError("neither cell of a bipartition may be empty")
         if any(i < 0 or i >= n for i in mask):

@@ -11,10 +11,12 @@ is reshaped to one axis per subsystem, and those axes are transposed.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,7 +87,8 @@ class DensityMatrix:
 
     The backing array is immutable after construction, so values are safe to
     share between concurrent workers.  Each state also carries a private memo
-    of its partial traces (keyed by the sorted kept subsystems), its spectrum,
+    of its partial traces (keyed by the sorted kept subsystems, which
+    partial_trace checks before it reads the memo), its spectrum,
     its von Neumann entropy and the basis searches the quantifiers ran on it
     (keyed by ("search", cells, SearchConfig)), so a quantifier that asks for
     the same reduction or search again gets the same object and the same
@@ -201,8 +204,23 @@ def kron_all(mats) -> np.ndarray:
     return _ONE.copy() if out is _ONE else out
 
 
+def _indices(items) -> tuple[int, ...]:
+    """items as a tuple of ints: ValueError for any item i with int(i) != i,
+    so 1.0 and np.int64(1) count as 1, while 1.5 and "1" are refused."""
+    out = []
+    for i in items:
+        try:
+            j = int(i)
+        except (TypeError, ValueError, OverflowError):
+            j = None
+        if j is None or j != i:
+            raise ValueError(f"subsystem index {i!r} is not an integer")
+        out.append(j)
+    return tuple(out)
+
+
 def _check_subset(n: int, subset) -> tuple[int, ...]:
-    subset = tuple(int(i) for i in subset)
+    subset = _indices(subset)
     if len(subset) == 0:
         raise ValueError("subsystem subset must be nonempty")
     if len(set(subset)) != len(subset):
@@ -221,41 +239,64 @@ def _subsystem_axes(mat: np.ndarray, dims, order, cols: bool = True) -> np.ndarr
     return mat.reshape(dims + (-1,)).transpose(order + [n])
 
 
-def _ptrace_arr(mat: np.ndarray, dims, keep) -> np.ndarray:
-    """Partial trace on a raw array; keep indices must be validated & sorted."""
-    traced = [i for i in range(len(dims)) if i not in keep]
-    t = _subsystem_axes(mat, dims, list(keep) + traced)
+class _Plan(NamedTuple):
+    keep: tuple[int, ...]  # checked and sorted
+    axes: tuple[int, ...]  # the kept subsystems first, rows then columns
+    shape: tuple[int, int, int, int]  # (kept, traced, kept, traced) sizes
+    dims: tuple[int, ...]  # of the reduced state
+
+
+@functools.lru_cache(maxsize=1024)
+def _ptrace_plan(dims: tuple[int, ...], keep: tuple) -> _Plan:
+    """The partial trace of a dims state onto keep, planned once per
+    distinct (dims, keep); a keep that raises ValueError is not cached."""
+    n = len(dims)
+    keep = tuple(sorted(_check_subset(n, keep)))
+    order = list(keep) + [i for i in range(n) if i not in keep]
     dk = math.prod(dims[i] for i in keep)
-    dt = math.prod(dims[i] for i in traced)
-    return np.einsum("abcb->ac", t.reshape(dk, dt, dk, dt))
+    dt = math.prod(dims) // dk
+    return _Plan(keep, tuple(order + [n + i for i in order]), (dk, dt, dk, dt),
+                 tuple(dims[i] for i in keep))
+
+
+def _ptrace_arr(mat: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...]) -> np.ndarray:
+    """Partial trace on a raw array, by the plan of (dims, keep)."""
+    plan = _ptrace_plan(dims, keep)
+    t = mat.reshape(dims * 2).transpose(plan.axes)
+    return np.einsum("abcb->ac", t.reshape(plan.shape))
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     """Reduced state on the kept subsystems, in original subsystem order.
 
-    Computed once per rho and kept subset; a repeat returns the same object.
-    keep is validated unless it is the tuple key of a memoized reduction.
-    Keeping every subsystem returns rho itself, symmetries included; a proper
-    reduction carries none.
+    keep is any iterable of distinct subsystem indices, in any order; an
+    index i must satisfy int(i) == i, so 1.0 and np.int64(1) are 1, and 1.5
+    or "1" raise ValueError, as do an empty, repeated or out-of-range keep.
+    The check, the sort and the axis plan are made once per distinct
+    (rho.dims, keep) and cached for all states; a keep that raises is
+    checked, and raises, on every call.  The reduction is computed once per
+    rho and kept subset; a repeat returns the same object.  Keeping every
+    subsystem returns rho itself, symmetries included; a proper reduction
+    carries none.
     """
-    red = rho._memo.get(keep) if type(keep) is tuple else None
-    if type(red) is DensityMatrix:  # the memo's other keys hold no states
-        return red
-    keep = tuple(sorted(_check_subset(rho.n, keep)))
-    if len(keep) == rho.n:
+    keep = tuple(keep)
+    try:
+        plan = _ptrace_plan(rho.dims, keep)
+    except TypeError:  # an unhashable index: check it without the cache
+        plan = _ptrace_plan.__wrapped__(rho.dims, keep)
+    if len(plan.keep) == rho.n:
         return rho
-    red = rho._memo.get(keep)
+    red = rho._memo.get(plan.keep)
     if red is None:
-        mat = hermitize(_ptrace_arr(rho.mat, rho.dims, keep))
-        dims = tuple(rho.dims[i] for i in keep)
-        red = rho._memo.setdefault(keep, DensityMatrix._derived(dims, mat))
+        mat = hermitize(_ptrace_arr(rho.mat, rho.dims, plan.keep))
+        red = rho._memo.setdefault(plan.keep, DensityMatrix._derived(plan.dims, mat))
     return red
 
 
 def permute_subsystems(mat: np.ndarray, dims, perm) -> np.ndarray:
     """Reorder the subsystems of an operator; perm lists the source
     subsystems in their new order.  The identity perm returns a view of mat."""
-    perm = list(perm)
+    perm = list(_indices(perm))
     if sorted(perm) != list(range(len(dims))):
         raise ValueError(f"perm {perm} is not a permutation of 0..{len(dims) - 1}")
     d = math.prod(dims)

@@ -97,6 +97,16 @@ def test_local_basis_set_rejects_cells_that_do_not_partition(cells):
     assert LocalBasisSet([(1,), (0,)], [np.eye(2), np.eye(2)]).cells == ((1,), (0,))
 
 
+@pytest.mark.parametrize("cell", [(0.5,), ("0",), (None,)], ids=["fraction", "string", "none"])
+def test_local_basis_set_and_the_search_reject_indices_that_are_not_integers(cell):
+    # before, LocalBasisSet([(0.5,), (1,)], ...) became ((0,), (1,))
+    with pytest.raises(ValueError, match="is not an integer"):
+        LocalBasisSet([cell, (1,)], [np.eye(2), np.eye(2)])
+    with pytest.raises(ValueError, match="is not an integer"):
+        cs.closest_classical_states([werner_state(0.5)], [[cell, (1,)]], SearchConfig(starts=1))
+    assert LocalBasisSet([(1.0,), (np.int64(0),)], [np.eye(2), np.eye(2)]).cells == ((1,), (0,))
+
+
 def test_local_basis_set_copies_its_unitaries():
     u = np.eye(2, dtype=complex)
     basis = LocalBasisSet([(0,)], [u])
@@ -417,7 +427,9 @@ def test_search_config_validation():
         SearchConfig(max_evals=0)
     with pytest.raises(ValueError, match="rng_seed"):
         SearchConfig(rng_seed=-2)
-    for bad in (dict(starts=1.5), dict(max_evals=2.5), dict(rng_seed=0.5)):
+    # before, starts=True was accepted and its manifest read "starts": true
+    for bad in (dict(starts=1.5), dict(max_evals=2.5), dict(rng_seed=0.5),
+                dict(starts=True), dict(max_evals=True), dict(rng_seed=False)):
         with pytest.raises(ValueError):
             SearchConfig(**bad)
     assert SearchConfig().starts == 14

@@ -69,6 +69,21 @@ def test_sweep_spec_rejects_bad_channel():
         SweepSpec(channel="xy")
 
 
+@pytest.mark.parametrize("bad", [dict(workers=True), dict(p_count=True), dict(workers=False)],
+                         ids=["workers", "p_count", "workers-false"])
+def test_sweep_spec_rejects_bool_settings(bad):
+    # before, workers=True was accepted as one worker
+    with pytest.raises(ValueError, match="must be an integer"):
+        SweepSpec("ad", (0.5,), **bad)
+
+
+@pytest.mark.parametrize("c_values", [0.5, None, (0.5, None)], ids=["scalar", "none", "none-item"])
+def test_sweep_spec_rejects_c_values_that_are_not_a_sequence_of_numbers(c_values):
+    # before, a scalar raised a TypeError from tuple(0.5)
+    with pytest.raises(ValueError, match="c_values must be a sequence of numbers"):
+        SweepSpec("ad", c_values)
+
+
 @pytest.mark.parametrize("c", [1.5, -0.1, math.nan])
 def test_sweep_spec_rejects_c_outside_unit_interval(c):
     with pytest.raises(ValueError):

@@ -77,6 +77,14 @@ def test_bipartition_canonicalizes_to_contain_first_subsystem():
         Bipartition((0, 1, 2), 3)
 
 
+@pytest.mark.parametrize("mask", [("1",), (1.5,), (0, None)], ids=["string", "fraction", "none"])
+def test_bipartition_rejects_indices_that_are_not_integers(mask):
+    # before, ("1",) was the cut [0, 2]|[1] and (1.5,) the cut [0]|[1, 2]
+    with pytest.raises(ValueError, match="is not an integer"):
+        Bipartition(mask, 3)
+    assert Bipartition((1.0, np.int64(2)), 3).mask == (0,)
+
+
 def test_bipartition_equality_hash_and_repr_go_by_mask_and_n():
     cut = Bipartition((2, 3), 4)
     assert cut.complement == (2, 3) and cut.cells() == ((0, 1), (2, 3))

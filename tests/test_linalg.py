@@ -33,6 +33,7 @@ from gencorr import (
     w4,
     werner_state,
 )
+from gencorr import linalg
 from gencorr.channels import KrausChannel, psi_minus
 from gencorr.linalg import random_unitary
 from gencorr.states import classical_state
@@ -111,6 +112,33 @@ def test_an_unsorted_keep_returns_the_sorted_reduction(rng):
     other = random_density_matrix((2, 3, 2), rng)
     assert partial_trace(other, (0, 2)) is partial_trace(other, (2, 0))
     assert partial_trace(rho, (0, 1, 2)) is rho and partial_trace(rho, (2, 1, 0)) is rho
+
+
+@pytest.mark.parametrize("keep", [(), (0, 0), (3,), (1.5,), (0, 1.5), ("0", 2), [2, 2], ([0],)],
+                         ids=["empty", "duplicate", "out-of-range", "fraction", "pair-fraction",
+                              "string", "list-duplicate", "unhashable"])
+def test_a_bad_keep_raises_on_every_call_and_is_never_planned(keep, rng):
+    # before, (1.5,) kept subsystem 1 and ("0", 2) kept (0, 2)
+    rho = random_density_matrix((2, 3, 2), rng)
+    for good in [(0,), (1, 2), [2, 0]]:  # plans for the same dims are cached first
+        partial_trace(rho, good)
+    planned = linalg._ptrace_plan.cache_info().currsize
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            partial_trace(rho, keep)
+    assert linalg._ptrace_plan.cache_info().currsize == planned
+
+
+def test_one_plan_serves_every_spelling_of_a_keep(rng):
+    linalg._ptrace_plan.cache_clear()
+    rho = random_density_matrix((2, 3, 2), rng)
+    red = partial_trace(rho, [np.int64(2), 0.0])  # a fresh plan, made from this spelling
+    assert set(rho._memo) == {(0, 2)} and all(type(i) is int for i in next(iter(rho._memo)))
+    for keep in [(0, 2), (2, 0), [0, 2], (np.int64(0), 2), (0.0, 2), (np.array(0), 2)]:
+        assert partial_trace(rho, keep) is red
+    other = random_density_matrix((2, 3, 2), rng)
+    assert partial_trace(other, (2.0, 0)).mat.tobytes() == partial_trace(
+        DensityMatrix(other.dims, other.mat), (0, 2)).mat.tobytes()
 
 
 @given(seed=st.integers(0, 2**32 - 1))
@@ -302,6 +330,20 @@ def test_permute_subsystems_roundtrip(rng):
     for bad in ((0, 0, 1), (0, 1), (1, 2, 3)):
         with pytest.raises(ValueError, match="not a permutation"):
             permute_subsystems(rho, (2, 2, 2), bad)
+
+
+@pytest.mark.parametrize("perm", [[1.0, 0], (np.int64(1), 0)], ids=["float", "int64"])
+def test_permute_subsystems_takes_integer_valued_indices(perm, rng):
+    # before, [1.0, 0] raised a TypeError inside numpy's transpose
+    rho = random_density_matrix((2, 3), rng).mat
+    assert np.array_equal(permute_subsystems(rho, (2, 3), perm), permute_subsystems(rho, (2, 3), (1, 0)))
+
+
+@pytest.mark.parametrize("perm", [[0.5, 1], ["1", 0], [None, 0]], ids=["fraction", "string", "none"])
+def test_permute_subsystems_rejects_indices_that_are_not_integers(perm, rng):
+    rho = random_density_matrix((2, 2), rng).mat
+    with pytest.raises(ValueError, match="is not an integer"):
+        permute_subsystems(rho, (2, 2), perm)
 
 
 # --- serialization ---

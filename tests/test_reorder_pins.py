@@ -3,7 +3,8 @@
 permute_subsystems is checked against an explicit basis-index map (the
 oracle below) for every permutation of a few mixed-dimension spaces.
 tests/data/reorder_pins.json holds, for seeded states on the same spaces,
-the sha256 of every partial trace, and for a (2, 3, 2) state the repr of
+the sha256 of every partial trace (checked for sorted, reversed and list
+keeps), and for a (2, 3, 2) state the repr of
 quantumness_in_basis and the sha256 of dephase for two partitions whose
 cells are out of subsystem order, plus one digest per space over both
 functions on every two-cell split of every permutation.
@@ -98,6 +99,18 @@ def test_permute_subsystems_equals_the_index_map_byte_for_byte(dims):
 
 def test_partial_traces_and_pinches_match_their_pins():
     assert _pins() == json.loads(PINS.read_text())
+
+
+def test_unsorted_and_list_keeps_match_the_partial_trace_pins():
+    """Each reduction, asked for first as a reversed list and then as a
+    reversed tuple of a fresh state, has the bytes of its sorted-tuple pin."""
+    pins = json.loads(PINS.read_text())["partial_traces"]
+    for dims in SPACES:
+        for spell in (lambda keep: list(reversed(keep)), lambda keep: tuple(reversed(keep))):
+            rho = _state(dims)
+            got = {str(keep): _sha256(partial_trace(rho, spell(keep)).mat)
+                   for k in range(1, len(dims)) for keep in itertools.combinations(range(len(dims)), k)}
+            assert got == pins[str(dims)], dims
 
 
 if __name__ == "__main__":
