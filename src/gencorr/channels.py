@@ -19,6 +19,7 @@ limit.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,18 +141,29 @@ def werner_state(c: float) -> DensityMatrix:
     return DensityMatrix((2, 2), mat)
 
 
+@functools.lru_cache(maxsize=256)
+def _initial_state(c: float) -> np.ndarray:
+    """Read-only werner(c) x |0_Ea><0_Ea| x |0_Eb><0_Eb| in the order
+    (a, E_a, b, E_b), built once per distinct c; a c that raises is not cached."""
+    vac = np.zeros((2, 2), dtype=complex)
+    vac[0, 0] = 1.0
+    rho0 = kron_all([werner_state(c).mat, vac, vac])  # ordering (a, b, E_a, E_b)
+    rho0 = permute_subsystems(rho0, (2, 2, 2, 2), (0, 2, 1, 3))
+    rho0.setflags(write=False)
+    return rho0
+
+
 def evolve_global(c: float, p: float, kind: str) -> DensityMatrix:
     """Four-party state after both qubits interact with their environments.
 
     Starts from werner(c) x |0_Ea><0_Ea| x |0_Eb><0_Eb|, reorders to
     (a, E_a, b, E_b) with permute_subsystems, and conjugates with the product
-    of the two local dilation unitaries.  It carries SWAP_SYMMETRY.
+    of the two local dilation unitaries.  It carries SWAP_SYMMETRY.  The
+    initial state is validated and built once per distinct float(c) and
+    kept in a bounded cache, so a (channel, c) series pays for it once; a c
+    outside [0, 1], or NaN, is never cached, so it raises on every call.
     """
-    rho_ab = werner_state(c).mat
-    vac = np.zeros((2, 2), dtype=complex)
-    vac[0, 0] = 1.0
-    rho0 = kron_all([rho_ab, vac, vac])  # ordering (a, b, E_a, E_b)
-    rho0 = permute_subsystems(rho0, (2, 2, 2, 2), (0, 2, 1, 3))
+    rho0 = _initial_state(float(c))
     u_local = dilation(kind, p)
     u = np.kron(u_local, u_local)
     return DensityMatrix._derived(GLOBAL_DIMS, u @ rho0 @ u.conj().T, SWAP_SYMMETRY)

@@ -58,12 +58,19 @@ __all__ = [
     "verify_anchors",
 ]
 
+# The two fidelity targets of the F_W/F_GHZ columns and of verify_anchors
+# are fixed, read-only states: built once here, not once per row or per
+# anchor evaluation.  upsilon_pd(1.0) = (|0011> - |1100>)/sqrt(2) is the pd
+# limit at c = 1, a GHZ state up to local flips.
+_W4 = w4()
+_GHZ_LIMIT = upsilon_pd(1.0)
+
 # column -> (k of the k-subsystem reductions whose qubit-cell searches it
 # reads, or None; its value for (rho, cfg)).  Each quantifier reads rho's
 # symmetries off rho.  Q4, C4 and C3 read one four-party search, memoized
-# on rho.  The lambdas look the library functions up when a row is
-# evaluated, so a patched module binding (a test double, a tracer) sees
-# every call.
+# on rho.  The lambdas look the library functions (fidelity included) up
+# when a row is evaluated, so a patched module binding (a test double, a
+# tracer) sees every call.
 _MEASURES = {
     "I4": (None, lambda rho, _: genuine_total_In(rho).value_bits),
     "I3": (None, lambda rho, _: genuine_total_Ik(rho, 3).value_bits),
@@ -76,8 +83,8 @@ _MEASURES = {
     ).value_bits),
     "C4": (4, lambda rho, cfg: genuine_classical_Cn(rho, cfg).value_bits),
     "C3": (4, lambda rho, cfg: genuine_classical_Ck(rho, 3, cfg).value_bits),
-    "F_W": (None, lambda rho, _: fidelity(w4(), rho)),
-    "F_GHZ": (None, lambda rho, _: fidelity(upsilon_pd(1.0), rho)),
+    "F_W": (None, lambda rho, _: fidelity(_W4, rho)),
+    "F_GHZ": (None, lambda rho, _: fidelity(_GHZ_LIMIT, rho)),
 }
 SUPPORTED_MEASURES = tuple(_MEASURES)
 
@@ -138,6 +145,16 @@ def evaluate_measures(
     return next(_evaluate([rho], measures, cfg))
 
 
+_TEXT = (str, bytes, bytearray)
+
+
+def _number(x) -> float:
+    """float(x) for a number; TypeError for text, which float() would parse."""
+    if isinstance(x, _TEXT):
+        raise TypeError(f"{x!r} is text, not a number")
+    return float(x)
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """One sweep: a channel, a list of c values, a uniform p grid, measures.
@@ -145,6 +162,8 @@ class SweepSpec:
     p_count=None resolves to 41 when any measure runs a basis search (Q and
     C columns) and 101 otherwise.  run_sweep evaluates one (channel, c)
     series per task, so workers beyond the number of c values stay idle.
+    c_values are distinct numbers in [0, 1] (Python or numpy ints and
+    floats); a string, or a string entry, raises ValueError.
     """
 
     channel: str
@@ -172,7 +191,9 @@ class SweepSpec:
         if self.workers < 1:
             raise ValueError(f"workers must be at least 1, got {self.workers}")
         try:
-            c_values = tuple(float(c) for c in self.c_values)
+            if isinstance(self.c_values, _TEXT):
+                raise TypeError
+            c_values = tuple(_number(c) for c in self.c_values)
         except TypeError:
             raise ValueError(f"c_values must be a sequence of numbers, got {self.c_values!r}") from None
         object.__setattr__(self, "c_values", c_values)
@@ -404,7 +425,7 @@ def verify_anchors(cfg: SearchConfig = SearchConfig()) -> list[dict]:
     grid = np.linspace(0.0, 1.0, 11)
 
     ghz4 = ghz(4).to_density()
-    wst = w4().to_density()
+    wst = _W4.to_density()
     res.append(_anchor("I4_GHZ4", 2.0, genuine_total_In(ghz4).value_bits, 1e-9))
     res.append(_anchor("I3_GHZ4", 1.0, genuine_total_Ik(ghz4, 3).value_bits, 1e-9))
     # W4 is pure with one-qubit spectra (3/4, 1/4) and two-qubit spectra
@@ -414,14 +435,13 @@ def verify_anchors(cfg: SearchConfig = SearchConfig()) -> list[dict]:
     res.append(_anchor("I3_W4", 1.0, genuine_total_Ik(wst, 3).value_bits, 1e-9))
 
     dev_w = max(
-        abs(fidelity(w4(), evolve_global(c, p, "ad")) - _fid_w_closed(c, p))
+        abs(fidelity(_W4, evolve_global(c, p, "ad")) - _fid_w_closed(c, p))
         for c in grid
         for p in grid
     )
     res.append(_anchor("fidelity_W_ad_closed_form", 0.0, dev_w, 1e-10))
-    ghz_lim = upsilon_pd(1.0)
     dev_g = max(
-        abs(fidelity(ghz_lim, evolve_global(c, p, "pd")) - _fid_ghz_closed(c, p))
+        abs(fidelity(_GHZ_LIMIT, evolve_global(c, p, "pd")) - _fid_ghz_closed(c, p))
         for c in grid
         for p in grid
     )
@@ -442,7 +462,7 @@ def verify_anchors(cfg: SearchConfig = SearchConfig()) -> list[dict]:
         np.asarray(evolve_global(1.0, 0.5, "ad").mat) - np.asarray(wst.mat)
     ).max())
     res.append(_anchor("W_limit_state_ad_p_half", 0.0, dev, 1e-12))
-    ghz_mat = np.outer(ghz_lim.vec, ghz_lim.vec.conj())
+    ghz_mat = np.outer(_GHZ_LIMIT.vec, _GHZ_LIMIT.vec.conj())
     dev = float(np.abs(np.asarray(evolve_global(1.0, 1.0, "pd").mat) - ghz_mat).max())
     res.append(_anchor("GHZ_limit_state_pd_p_one", 0.0, dev, 1e-12))
 

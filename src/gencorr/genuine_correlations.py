@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .classical_search import SearchConfig, closest_classical_states
 from .entropy import shannon, von_neumann_entropy
-from .linalg import DensityMatrix, _indices, partial_trace
+from .linalg import DensityMatrix, _indices, _integer, partial_trace
 
 __all__ = [
     "TAU_DEGREE",
@@ -41,21 +41,32 @@ _TIE = 1e-12  # values this close to the optimum tie, and the first item wins
 
 @dataclass(frozen=True)
 class Bipartition:
-    """A cut of n subsystems into (mask, complement), canonicalized to contain 0."""
+    """A cut of n subsystems into (mask, complement), canonicalized to contain 0.
+
+    n and the mask indices follow the index rule of partial_trace (int(i) ==
+    i, so 3.0 and np.int64(3) are 3); a bool or fractional n, or a repeated
+    mask index, raises ValueError.
+    """
 
     mask: tuple[int, ...]
     n: int
 
     def __init__(self, mask, n: int) -> None:
-        mask = tuple(sorted(set(_indices(mask))))
-        if not mask or len(mask) == int(n):
+        if isinstance(n, bool):
+            raise ValueError(f"the number of subsystems {n!r} is not an integer")
+        n = _integer(n, "the number of subsystems")
+        mask = _indices(mask)
+        if len(set(mask)) != len(mask):
+            raise ValueError(f"duplicate subsystem indices in mask {mask}")
+        mask = tuple(sorted(mask))
+        if not mask or len(mask) == n:
             raise ValueError("neither cell of a bipartition may be empty")
         if any(i < 0 or i >= n for i in mask):
             raise ValueError(f"mask {mask} out of range for n={n}")
         if 0 not in mask:
             mask = tuple(i for i in range(n) if i not in mask)
         object.__setattr__(self, "mask", mask)
-        object.__setattr__(self, "n", int(n))
+        object.__setattr__(self, "n", n)
 
     @functools.cached_property
     def complement(self) -> tuple[int, ...]:

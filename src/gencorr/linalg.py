@@ -204,19 +204,21 @@ def kron_all(mats) -> np.ndarray:
     return _ONE.copy() if out is _ONE else out
 
 
+def _integer(i, what: str = "subsystem index") -> int:
+    """i as an int: ValueError (naming what) unless int(i) == i, so 1.0 and
+    np.int64(1) count as 1, while 1.5 and "1" are refused."""
+    try:
+        j = int(i)
+    except (TypeError, ValueError, OverflowError):
+        j = None
+    if j is None or j != i:
+        raise ValueError(f"{what} {i!r} is not an integer")
+    return j
+
+
 def _indices(items) -> tuple[int, ...]:
-    """items as a tuple of ints: ValueError for any item i with int(i) != i,
-    so 1.0 and np.int64(1) count as 1, while 1.5 and "1" are refused."""
-    out = []
-    for i in items:
-        try:
-            j = int(i)
-        except (TypeError, ValueError, OverflowError):
-            j = None
-        if j is None or j != i:
-            raise ValueError(f"subsystem index {i!r} is not an integer")
-        out.append(j)
-    return tuple(out)
+    """items as a tuple of ints, each by the rule of _integer."""
+    return tuple(_integer(i) for i in items)
 
 
 def _check_subset(n: int, subset) -> tuple[int, ...]:

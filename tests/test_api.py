@@ -1,6 +1,7 @@
 """The public surface: what each layer module exports resolves, the names
 the benchmark's per-layer metrics trace stay exported, the reports are plain
-records, and README lists the measures and modules there are.
+records, README lists the measures and modules there are, and the library
+runs on numpy alone, as pyproject.toml declares.
 
 perfbench/spans.py wraps every function named in a layer module's __all__,
 so a stale entry there breaks the traced benchmark run.
@@ -10,8 +11,12 @@ import dataclasses
 import importlib
 import inspect
 import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
+import textwrap
 import types
 
 import pytest
@@ -99,3 +104,24 @@ def test_readme_lists_the_measures_and_the_modules():
     named = re.findall(r"^  (\w+)\.py\b", layout, re.M)
     modules = sorted(p.stem for p in pathlib.Path(gencorr.__file__).parent.glob("*.py"))
     assert sorted(named) == [m for m in modules if m != "__init__"]
+
+
+def test_the_library_imports_and_sweeps_without_scipy():
+    # pyproject.toml lists numpy as the one dependency; the benchmark, not
+    # the library, imports scipy.  A None entry in sys.modules makes every
+    # import of scipy (or a submodule) raise ImportError.
+    code = textwrap.dedent("""
+        import sys
+        sys.modules["scipy"] = None
+        from gencorr import SweepSpec, run_sweep
+        rows = run_sweep(SweepSpec("pd", (1.0,), p_count=3, measures=("I4", "F_GHZ")))
+        assert [row["p"] for row in rows] == [0.0, 0.5, 1.0]
+        assert not any("_flags" in row for row in rows)
+        print(rows[-1]["I4"])
+    """)
+    paths = [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert abs(float(run.stdout) - 2.0) <= 1e-9

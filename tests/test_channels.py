@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
+import gencorr.channels as channels
 from gencorr import (
     DensityMatrix,
+    kron_all,
     partial_trace,
     permute_subsystems,
     von_neumann_entropy,
@@ -163,6 +167,55 @@ def test_evolution_is_identity_at_p_zero():
         expected = np.kron(np.kron(np.asarray(werner_state(0.37).mat), env), env)
         expected = permute_subsystems(expected, (2, 2, 2, 2), (0, 2, 1, 3))
         assert np.abs(np.asarray(rho.mat) - expected).max() <= 1e-15
+
+
+def _evolve_uncached(c, p, kind):
+    """evolve_global's arithmetic with every step rebuilt: the reference
+    for the initial states that evolve_global builds once per c."""
+    vac = np.zeros((2, 2), dtype=complex)
+    vac[0, 0] = 1.0
+    rho0 = kron_all([werner_state(c).mat, vac, vac])
+    rho0 = permute_subsystems(rho0, (2, 2, 2, 2), (0, 2, 1, 3))
+    u = np.kron(dilation(kind, p), dilation(kind, p))
+    return u @ rho0 @ u.conj().T
+
+
+def _assert_evolved_bytes_match_uncached():
+    for kind in ("ad", "pd"):
+        for c in (0, 0.3, 1.0, 1):
+            for p in (0.0, 0.37, 1.0):
+                mat, ref = evolve_global(c, p, kind).mat, _evolve_uncached(c, p, kind)
+                assert mat.dtype == ref.dtype and mat.shape == ref.shape
+                assert mat.tobytes() == ref.tobytes()
+
+
+def test_evolved_states_match_an_uncached_construction_byte_for_byte():
+    channels._initial_state.cache_clear()
+    _assert_evolved_bytes_match_uncached()
+    assert channels._initial_state.cache_info().currsize == 3  # 1 and 1.0 share a state
+    for c in np.linspace(0.0, 1.0, 37):  # other c values fill the cache
+        evolve_global(c, 0.5, "ad")
+    _assert_evolved_bytes_match_uncached()
+
+
+def test_the_cached_initial_state_is_read_only():
+    rho0 = channels._initial_state(0.3)
+    assert not rho0.flags.writeable
+    with pytest.raises(ValueError):
+        rho0[0, 0] = 1.0
+    assert channels._initial_state(0.3) is rho0
+    assert channels._initial_state.cache_info().maxsize is not None  # bounded
+
+
+@pytest.mark.parametrize("c", [1.5, -0.1, math.nan])
+def test_a_bad_werner_parameter_raises_on_every_call_and_is_never_cached(c):
+    evolve_global(0.5, 0.5, "ad")
+    size = channels._initial_state.cache_info().currsize
+    for _ in range(3):
+        for kind in ("ad", "pd"):
+            with pytest.raises(ValueError, match="Werner parameter"):
+                evolve_global(c, 0.2, kind)
+    assert channels._initial_state.cache_info().currsize == size
 
 
 def test_amplitude_endpoint_is_w_state():

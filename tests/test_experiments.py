@@ -77,11 +77,23 @@ def test_sweep_spec_rejects_bool_settings(bad):
         SweepSpec("ad", (0.5,), **bad)
 
 
-@pytest.mark.parametrize("c_values", [0.5, None, (0.5, None)], ids=["scalar", "none", "none-item"])
+@pytest.mark.parametrize(
+    "c_values",
+    [0.5, None, (0.5, None), "1", b"1", ["0.5"], (0.25, b"0.5")],
+    ids=["scalar", "none", "none-item", "str", "bytes", "str-item", "bytes-item"],
+)
 def test_sweep_spec_rejects_c_values_that_are_not_a_sequence_of_numbers(c_values):
-    # before, a scalar raised a TypeError from tuple(0.5)
+    # before, a scalar raised a TypeError from tuple(0.5), "1" was read as
+    # its characters, (1.0,), and ["0.5"] as (0.5,)
     with pytest.raises(ValueError, match="c_values must be a sequence of numbers"):
         SweepSpec("ad", c_values)
+
+
+def test_sweep_spec_takes_python_and_numpy_numbers():
+    spec = SweepSpec("ad", [0, np.int64(1), np.float32(0.5), 0.25])
+    assert spec.c_values == (0.0, 1.0, 0.5, 0.25)
+    assert all(type(c) is float for c in spec.c_values)
+    assert SweepSpec("pd", np.array([0.2, 0.4])).c_values == (0.2, 0.4)
 
 
 @pytest.mark.parametrize("c", [1.5, -0.1, math.nan])
@@ -239,6 +251,50 @@ def test_a_series_runs_one_batched_search(search_batches):
     rows = run_sweep(spec)
     assert search_batches == [3 + 3 * 2]  # the states and their two triple classes
     assert all("_flags" not in row for row in rows)
+
+
+def test_a_series_builds_its_fixed_states_once(monkeypatch):
+    """The Werner state is built once per c and the fidelity targets at most
+    once per series, while fidelity itself is looked up on every row."""
+    import gencorr.channels as channels
+    import gencorr.states as states
+
+    calls = {"werner_state": [], "w4": 0, "upsilon_pd": 0}
+    werner = channels.werner_state
+
+    def counting_werner(c):
+        calls["werner_state"].append(c)
+        return werner(c)
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(channels, "werner_state", counting_werner)
+    for module in (experiments, states, channels):
+        for name in ("w4", "upsilon_pd"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    targets = []
+
+    def recording_fidelity(psi, rho):
+        targets.append(psi)
+        return fidelity(psi, rho)
+
+    monkeypatch.setattr(experiments, "fidelity", recording_fidelity)
+    channels._initial_state.cache_clear()
+    spec = SweepSpec("ad", (0.4, 1.0), measures=("I4", "F_W", "F_GHZ"))
+    rows = run_sweep(spec)
+    assert len(rows) == 2 * 101 and all("_flags" not in row for row in rows)
+    assert calls["werner_state"] == [0.4, 1.0]
+    assert calls["w4"] <= 1 and calls["upsilon_pd"] <= 1
+    assert len(targets) == 2 * len(rows)
+    assert len({id(psi) for psi in targets}) == 2
+    assert [row["F_W"] for row in rows] == [fidelity(w4(), evolve_global(row["c"], row["p"], "ad"))
+                                            for row in rows]
+    assert rows[-1]["F_GHZ"] == fidelity(upsilon_pd(1.0), evolve_global(1.0, 1.0, "ad"))
 
 
 @pytest.mark.parametrize("symmetries", [SWAP_SYMMETRY, ()])

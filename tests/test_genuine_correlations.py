@@ -85,6 +85,27 @@ def test_bipartition_rejects_indices_that_are_not_integers(mask):
     assert Bipartition((1.0, np.int64(2)), 3).mask == (0,)
 
 
+@pytest.mark.parametrize("n", [2.7, True, "3", None], ids=["fraction", "bool", "string", "none"])
+def test_bipartition_rejects_an_n_that_is_not_an_integer(n):
+    # before, Bipartition((0,), 2.7) was Bipartition(mask=(0,), n=2)
+    with pytest.raises(ValueError, match="is not an integer"):
+        Bipartition((0,), n)
+
+
+@pytest.mark.parametrize("n", [3.0, np.int64(3)], ids=["float", "numpy"])
+def test_bipartition_takes_an_integral_n(n):
+    cut = Bipartition((1,), n)
+    assert cut == Bipartition((1,), 3) and type(cut.n) is int
+    assert repr(cut) == "Bipartition(mask=(0, 2), n=3)"
+
+
+@pytest.mark.parametrize("mask", [(1, 1), (0, 0, 1), (2, 2.0)], ids=["pair", "with-zero", "spelled-twice"])
+def test_bipartition_rejects_a_repeated_mask_index(mask):
+    # before, (1, 1) over 3 subsystems was the cut [0, 2]|[1]
+    with pytest.raises(ValueError, match="duplicate subsystem indices"):
+        Bipartition(mask, 3)
+
+
 def test_bipartition_equality_hash_and_repr_go_by_mask_and_n():
     cut = Bipartition((2, 3), 4)
     assert cut.complement == (2, 3) and cut.cells() == ((0, 1), (2, 3))
