@@ -20,6 +20,7 @@ import pathlib
 import time
 
 from gencorr import SearchConfig, SweepSpec, detect_sudden_change, run_sweep
+from gencorr.channels import CHANNELS
 from gencorr.experiments import write_csv, write_manifest
 
 TOTAL_MEASURES = ("I4", "I3", "I3_abEa", "I3_aEaEb")
@@ -70,7 +71,7 @@ def main() -> None:
 
     start = time.perf_counter()
     total_rows = {}
-    for kind in ("ad", "pd"):
+    for kind in CHANNELS:
         total_rows[kind] = run_series(
             kind, c_values, args.grid_i,
             (("total", TOTAL_MEASURES), ("fidelity", FIDELITY_MEASURES)),
@@ -85,7 +86,7 @@ def main() -> None:
     print(f"pass: {time.perf_counter() - start:.2f} s")
 
     print("\nsudden changes in the genuine-total series:")
-    for kind in ("ad", "pd"):
+    for kind in CHANNELS:
         for measure in TOTAL_MEASURES:
             for rep in detect_sudden_change(total_rows[kind], measure):
                 print(

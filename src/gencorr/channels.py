@@ -39,10 +39,12 @@ __all__ = [
     "iota_pd",
     "upsilon_ad",
     "upsilon_pd",
+    "CHANNELS",
     "GLOBAL_DIMS",
     "SWAP_SYMMETRY",
 ]
 
+CHANNELS = ("ad", "pd")  # amplitude and phase damping
 GLOBAL_DIMS = (2, 2, 2, 2)  # (a, E_a, b, E_b)
 # exact relabeling symmetry of the evolved states: (a,E_a) <-> (b,E_b)
 SWAP_SYMMETRY = ((2, 3, 0, 1),)
@@ -112,7 +114,7 @@ def dilation(kind: str, p: float) -> np.ndarray:
     phase damping ("pd") sends it to |1_s>(sqrt(1-p)|0_E> + sqrt(p)|1_E>);
     |0_s 0_E> is fixed, and the |1_E> columns complete the unitary.
     """
-    if kind not in ("ad", "pd"):
+    if kind not in CHANNELS:
         raise ValueError(f"channel kind must be 'ad' or 'pd', got {kind!r}")
     p = _check_p(p)
     a, b = np.sqrt(1.0 - p), np.sqrt(p)
@@ -239,11 +241,11 @@ def appendix_golden_state(c: float, p: float, kind: str) -> DensityMatrix:
     c = float(c)
     if not 0.0 <= c <= 1.0:
         raise ValueError(f"Werner parameter must lie in [0, 1], got {c}")
+    if kind not in CHANNELS:
+        raise ValueError(f"channel kind must be 'ad' or 'pd', got {kind!r}")
     if kind == "ad":
         io, ups = iota_ad(p), upsilon_ad(p)
-    elif kind == "pd":
-        io, ups = iota_pd(p), upsilon_pd(p)
     else:
-        raise ValueError(f"channel kind must be 'ad' or 'pd', got {kind!r}")
+        io, ups = iota_pd(p), upsilon_pd(p)
     mat = (1.0 - c) * io + c * np.outer(ups.vec, ups.vec.conj())
     return DensityMatrix(GLOBAL_DIMS, mat)

@@ -60,6 +60,7 @@ _FLOOR = 1e-300  # outcomes are floored here, so that log2 stays finite
 # after another.  The results never depend on it.
 _WIDTH = 128
 _MASS = 2 * DEFAULT_TOL.clip  # outcomes at or below this count toward mass_cap
+_TIE = 1e-12  # values this close to the optimum tie, and the first item wins
 # The LAPACK kernels of np.linalg.eigh (lower triangle) and np.linalg.inv,
 # called directly: np.linalg enters an errstate on every call, and a search
 # enters one per run (see _LaneSearch.run).
@@ -174,9 +175,10 @@ def quantumness_in_basis(rho: DensityMatrix, basis: LocalBasisSet) -> float:
 class SearchResult(NamedTuple):
     """Outcome of closest_classical_state.
 
-    q = S(rho||chi) at the best start; evals counts the objective evaluations
-    of all the starts.  grad_norm, the gradient norm at the returned basis,
-    certifies stationarity: it is below GRAD_TOL unless that start stopped
+    q = S(rho||chi) at the winning start, the first within 1e-12 of the
+    best; evals counts the objective evaluations of all the starts.
+    grad_norm, the gradient norm at the returned basis, certifies
+    stationarity: it is below GRAD_TOL unless that start stopped
     otherwise (see closest_classical_state), as is typical where outcomes of
     a rank-deficient rho vanish.  No field depends on how many starts ran
     side by side as lanes.
@@ -298,28 +300,16 @@ class _LaneSearch:
         self.runs = [(d, len(list(run))) for d, run in itertools.groupby(cdims)]
         self.nvec = 2 * sum(d * d for d in cdims)  # real length of the generator vector
 
-    def _kron(self, stacks) -> np.ndarray:
-        """kron_all of each lane's cell matrices, from their run stacks, bit for bit.
-
-        kron_all starts from a ones factor; its complex multiply by 1 sets the
-        signs of the first factor's zeros, so this one multiplies by 1 too.
-        """
-        out = None
-        for a, (_, c) in zip(stacks, self.runs):
-            for j in range(c):
-                if out is None:
-                    out = (1 + 0j) * a[:, j]
-                else:
-                    out = out[:, :, None, :, None] * a[:, j, None, :, None, :]
-                    m, r1, r2, c1, c2 = out.shape
-                    out = out.reshape(m, r1 * r2, c1 * c2)
-        return out
+    def _cells(self, stacks) -> list[np.ndarray]:
+        """Each cell's view (m, ...) of per-run stacks (m, count, ...), in cell order."""
+        return [a[:, j] for a, (_, c) in zip(stacks, self.runs) for j in range(c)]
 
     def _finish(self, lanes, stopped, out, evals) -> None:
         """Record the (p, unitaries, |G|, evals) of each stopped lane's best
         iterate in out[job][start], as copies, so that the lanes can go."""
+        cells = self._cells(lanes["bu"])
         for i in stopped.nonzero()[0].tolist():
-            us = [a[i, j].copy() for a, (_, c) in zip(lanes["bu"], self.runs) for j in range(c)]
+            us = [u[i].copy() for u in cells]
             out[lanes["job"][i]][lanes["ids"][i]] = (
                 lanes["bp"][i].copy(), us, lanes["bg"][i], int(evals[i])
             )
@@ -402,7 +392,7 @@ class _LaneSearch:
             at += c
         job = np.array([j for j, _ in new])
         mat = self.mats[job]
-        b = self._kron(u)
+        b = kron_all(self._cells(u))
         sigma = b.conj().swapaxes(1, 2) @ mat @ b
         p = np.maximum(sigma.diagonal(0, 1, 2).real, _FLOOR)
         h, logp = _entropy_terms(p)
@@ -517,13 +507,11 @@ class _LaneSearch:
             v.append(vi)
             w.append(wi)
         # K and A from one kron of the stacked [V; UV]: its products are elementwise
-        ka = self._kron([np.concatenate(pair) for pair in zip(v, uv)])
+        ka = kron_all(self._cells([np.concatenate(pair) for pair in zip(v, uv)]))
         k, a = ka[:m], ka[m:]
         ws = None  # w_1 ⊕ ... ⊕ w_m, in the order of the kron of the V_i
-        for wr, (_, c) in zip(w, self.runs):
-            for j in range(c):
-                wc = wr[:, j]
-                ws = wc if ws is None else (ws[:, :, None] + wc[:, None, :]).reshape(m, -1)
+        for wc in self._cells(w):
+            ws = wc if ws is None else (ws[:, :, None] + wc[:, None, :]).reshape(m, -1)
         lanes.update(
             uv=uv, v=v, w=w, ws=ws, k=k,
             r=a.conj().swapaxes(1, 2) @ lanes["mat"] @ a,
@@ -544,11 +532,11 @@ def closest_classical_state(
     rng_seed + k.  A start stops at |G| < GRAD_TOL, at max_evals evaluations,
     or when the line search stalls.
 
-    Starts 0..starts-1 each run to their own stop, and the best one wins; a
-    later start must win by more than 1e-12, so that start 0 keeps an
-    exactly classical input exact.  The result is that of running the starts
-    one after another, bit for bit, however many of them ran together in
-    lanes, and beside whichever other searches (see
+    Starts 0..starts-1 each run to their own stop, and the first start
+    within 1e-12 of the best wins, as for the quantifiers' witnesses, so
+    that start 0 keeps an exactly classical input exact.  The result is
+    that of running the starts one after another, bit for bit, however many
+    of them ran together in lanes, and beside whichever other searches (see
     closest_classical_states).  Some inputs need many starts: on a random
     rank-4 four-qubit state the qubit-cell minimum of 16 starts first
     appears at start 13, and 12 starts end 6.25e-3 bits above it.  The
@@ -607,17 +595,22 @@ def closest_classical_states(
     return results
 
 
+def _optimum(pick, values: list, items):
+    """pick(values), min or max, and the first of items whose value lies
+    within _TIE of it, so that rounding does not pick the witness."""
+    best = pick(values)
+    for value, item in zip(values, items):
+        if not abs(value - best) > _TIE:  # a NaN optimum goes to the first item
+            return best, item
+
+
 def _result(rho: DensityMatrix, cells, outcomes) -> SearchResult:
-    """The SearchResult of one job from the outcomes of its starts."""
+    """The SearchResult of one job from the outcomes of its starts: the
+    first start that _optimum picks, with its own q."""
     s_rho = von_neumann_entropy(rho)
-    best = None
-    for p, us, gnorm, _ in outcomes:
-        q = shannon(p) - s_rho
-        # a later start must win by more than rounding, so that start 0 keeps
-        # an exactly classical input exact
-        if best is None or q < best[0] - 1e-12:
-            best = (q, us, float(gnorm))
-    q, us, gnorm = best
+    qs = [shannon(p) - s_rho for p, *_ in outcomes]
+    _, k = _optimum(min, qs, range(len(qs)))
+    _, us, gnorm, _ = outcomes[k]
     basis = LocalBasisSet(cells, us)
     evals = sum(o[3] for o in outcomes)
-    return SearchResult(dephase(rho, basis), basis, q, evals, gnorm)
+    return SearchResult(dephase(rho, basis), basis, qs[k], evals, float(gnorm))

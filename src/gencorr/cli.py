@@ -16,6 +16,7 @@ import json
 import os
 import sys
 
+from .channels import CHANNELS
 from .classical_search import SearchConfig
 from .experiments import (
     SUPPORTED_MEASURES,
@@ -131,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="rng seed (default %(default)s)")
 
     p = sub.add_parser("sweep", help="compute measures over a (c, p) grid")
-    p.add_argument("--channel", choices=("ad", "pd"), default=_DEFAULT_SWEEP.channel)
+    p.add_argument("--channel", choices=CHANNELS, default=_DEFAULT_SWEEP.channel)
     p.add_argument("--c", type=_floats, default=_DEFAULT_SWEEP.c_values,
                    help="comma-separated c values")
     p.add_argument("--grid", type=int, default=_DEFAULT_SWEEP.p_count,

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import __version__
-from .channels import evolve_global, appendix_golden_state, upsilon_pd, werner_state
+from .channels import CHANNELS, evolve_global, appendix_golden_state, upsilon_pd, werner_state
 from .classical_search import SearchConfig
 from .entropy import shannon
 from .genuine_correlations import (
@@ -149,9 +149,10 @@ _TEXT = (str, bytes, bytearray)
 
 
 def _number(x) -> float:
-    """float(x) for a number; TypeError for text, which float() would parse."""
-    if isinstance(x, _TEXT):
-        raise TypeError(f"{x!r} is text, not a number")
+    """float(x) for a number; TypeError for text, which float() would parse,
+    and for a bool, which it would read as 0 or 1."""
+    if isinstance(x, _TEXT + (bool, np.bool_)):
+        raise TypeError(f"{x!r} is not a number")
     return float(x)
 
 
@@ -163,7 +164,7 @@ class SweepSpec:
     C columns) and 101 otherwise.  run_sweep evaluates one (channel, c)
     series per task, so workers beyond the number of c values stay idle.
     c_values are distinct numbers in [0, 1] (Python or numpy ints and
-    floats); a string, or a string entry, raises ValueError.
+    floats); a string, or a string or bool entry, raises ValueError.
     """
 
     channel: str
@@ -175,7 +176,7 @@ class SweepSpec:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        if self.channel not in ("ad", "pd"):
+        if self.channel not in CHANNELS:
             raise ValueError(f"channel must be 'ad' or 'pd', got {self.channel!r}")
         object.__setattr__(self, "measures", tuple(self.measures))
         _check_measures(self.measures)
@@ -447,7 +448,7 @@ def verify_anchors(cfg: SearchConfig = SearchConfig()) -> list[dict]:
     )
     res.append(_anchor("fidelity_GHZ_pd_closed_form", 0.0, dev_g, 1e-10))
 
-    for kind in ("ad", "pd"):
+    for kind in CHANNELS:
         dev = max(
             float(np.linalg.norm(
                 np.asarray(evolve_global(c, p, kind).mat)
@@ -488,7 +489,7 @@ def verify_anchors(cfg: SearchConfig = SearchConfig()) -> list[dict]:
         res.append(_anchor(f"ad_I4_p_one_zero_c{c}", 0.0, val, 1e-9))
     val = genuine_total_In(evolve_global(1.0, 1.0, "pd")).value_bits
     res.append(_anchor("pd_I4_p_one_c_one", 2.0, val, 1e-9))
-    for kind in ("ad", "pd"):
+    for kind in CHANNELS:
         val = genuine_total_In(evolve_global(0.7, 0.0, kind)).value_bits
         res.append(_anchor(f"{kind}_I4_p_zero", 0.0, val, 1e-9))
 

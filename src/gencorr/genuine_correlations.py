@@ -15,9 +15,9 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 
-from .classical_search import SearchConfig, closest_classical_states
+from .classical_search import SearchConfig, _optimum, closest_classical_states
 from .entropy import shannon, von_neumann_entropy
-from .linalg import DensityMatrix, _indices, _integer, partial_trace
+from .linalg import DensityMatrix, _check_subset, _integer, partial_trace
 
 __all__ = [
     "TAU_DEGREE",
@@ -36,33 +36,25 @@ __all__ = [
 ]
 
 TAU_DEGREE = 1e-6
-_TIE = 1e-12  # values this close to the optimum tie, and the first item wins
 
 
 @dataclass(frozen=True)
 class Bipartition:
     """A cut of n subsystems into (mask, complement), canonicalized to contain 0.
 
-    n and the mask indices follow the index rule of partial_trace (int(i) ==
-    i, so 3.0 and np.int64(3) are 3); a bool or fractional n, or a repeated
-    mask index, raises ValueError.
+    n and the mask follow the index rule of partial_trace (int(i) == i, so
+    3.0 and np.int64(3) are 3, and a bool is refused); an empty, repeated or
+    out-of-range mask, or one that takes every subsystem, raises ValueError.
     """
 
     mask: tuple[int, ...]
     n: int
 
     def __init__(self, mask, n: int) -> None:
-        if isinstance(n, bool):
-            raise ValueError(f"the number of subsystems {n!r} is not an integer")
         n = _integer(n, "the number of subsystems")
-        mask = _indices(mask)
-        if len(set(mask)) != len(mask):
-            raise ValueError(f"duplicate subsystem indices in mask {mask}")
-        mask = tuple(sorted(mask))
-        if not mask or len(mask) == n:
+        mask = tuple(sorted(_check_subset(n, mask)))
+        if len(mask) == n:
             raise ValueError("neither cell of a bipartition may be empty")
-        if any(i < 0 or i >= n for i in mask):
-            raise ValueError(f"mask {mask} out of range for n={n}")
         if 0 not in mask:
             mask = tuple(i for i in range(n) if i not in mask)
         object.__setattr__(self, "mask", mask)
@@ -137,15 +129,6 @@ def _subsets(n: int, k: int, symmetries: tuple) -> tuple[tuple[int, ...], ...]:
     return _representatives(
         n, itertools.combinations(range(n), k), lambda sub: (sub,), symmetries
     )
-
-
-def _optimum(pick, values: list, items):
-    """pick(values), min or max, and the first of items whose value lies
-    within _TIE of it, so that rounding does not pick the witness."""
-    best = pick(values)
-    for value, item in zip(values, items):
-        if not abs(value - best) > _TIE:  # a NaN optimum goes to the first item
-            return best, item
 
 
 def max_over_subsets(rho: DensityMatrix, k: int, quantifier):

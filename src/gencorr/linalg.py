@@ -193,7 +193,11 @@ def kron_all(mats) -> np.ndarray:
     """Kronecker product of matrices, the first factor major (as np.kron).
 
     Factors may be stacks (..., r, c) with broadcastable leading axes; the
-    product is taken matrix by matrix over the last two axes.
+    product is taken matrix by matrix over the last two axes.  It starts
+    from a complex ones factor, so the first factor too goes through a
+    complex multiply by 1, which sets the signs of its zeros (1 * (-0.0 - 1j)
+    is 0.0 - 1j): the product is np.kron chained from [[1]], byte for byte,
+    and the basis search's bits rest on it.
     """
     out = _ONE
     for m in mats:
@@ -206,12 +210,13 @@ def kron_all(mats) -> np.ndarray:
 
 def _integer(i, what: str = "subsystem index") -> int:
     """i as an int: ValueError (naming what) unless int(i) == i, so 1.0 and
-    np.int64(1) count as 1, while 1.5 and "1" are refused."""
+    np.int64(1) count as 1, while 1.5, "1" and a bool (Python, numpy or a
+    0-d array) are refused."""
     try:
         j = int(i)
     except (TypeError, ValueError, OverflowError):
         j = None
-    if j is None or j != i:
+    if j is None or j != i or np.asarray(i).dtype == bool:
         raise ValueError(f"{what} {i!r} is not an integer")
     return j
 
@@ -222,6 +227,7 @@ def _indices(items) -> tuple[int, ...]:
 
 
 def _check_subset(n: int, subset) -> tuple[int, ...]:
+    """subset as a tuple of ints: nonempty, distinct and each in 0..n-1."""
     subset = _indices(subset)
     if len(subset) == 0:
         raise ValueError("subsystem subset must be nonempty")
@@ -248,6 +254,9 @@ class _Plan(NamedTuple):
     dims: tuple[int, ...]  # of the reduced state
 
 
+_BOOLS = frozenset((bool, np.bool_))
+
+
 @functools.lru_cache(maxsize=1024)
 def _ptrace_plan(dims: tuple[int, ...], keep: tuple) -> _Plan:
     """The partial trace of a dims state onto keep, planned once per
@@ -272,19 +281,24 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     """Reduced state on the kept subsystems, in original subsystem order.
 
     keep is any iterable of distinct subsystem indices, in any order; an
-    index i must satisfy int(i) == i, so 1.0 and np.int64(1) are 1, and 1.5
-    or "1" raise ValueError, as do an empty, repeated or out-of-range keep.
+    index i must satisfy int(i) == i, so 1.0 and np.int64(1) are 1, and 1.5,
+    "1" or a bool raise ValueError, as do an empty, repeated or out-of-range
+    keep.
     The check, the sort and the axis plan are made once per distinct
     (rho.dims, keep) and cached for all states; a keep that raises is
-    checked, and raises, on every call.  The reduction is computed once per
+    checked, and raises, on every call.  A keep with a bool is never looked
+    up in the cache, which takes True for 1.  The reduction is computed once per
     rho and kept subset; a repeat returns the same object.  Keeping every
     subsystem returns rho itself, symmetries included; a proper reduction
     carries none.
     """
     keep = tuple(keep)
     try:
+        for i in keep:  # a plain loop: the cheapest scan on this hot path
+            if type(i) in _BOOLS:
+                raise TypeError  # the cache takes True for 1
         plan = _ptrace_plan(rho.dims, keep)
-    except TypeError:  # an unhashable index: check it without the cache
+    except TypeError:  # an unhashable index, or a bool: check it without the cache
         plan = _ptrace_plan.__wrapped__(rho.dims, keep)
     if len(plan.keep) == rho.n:
         return rho

@@ -83,6 +83,28 @@ def test_the_swap_symmetry_is_defined_once():
     assert not hasattr(_layer("experiments"), "SWAP_SYMMETRY")
 
 
+def _package_modules() -> list[str]:
+    return sorted(p.stem for p in pathlib.Path(gencorr.__file__).parent.glob("*.py")
+                  if p.stem != "__init__")
+
+
+def test_the_tie_rule_is_defined_once():
+    """The basis search and every quantifier witness pick the first item
+    within _TIE of the optimum, by one helper."""
+    assert _layer("genuine_correlations")._optimum is _layer("classical_search")._optimum
+    defining = [name for name in _package_modules() if hasattr(_layer(name), "_TIE")]
+    assert defining == ["classical_search"]
+
+
+def test_the_channel_list_is_defined_once():
+    """Every reader of the channel names takes them from channels.CHANNELS."""
+    assert _layer("channels").CHANNELS == ("ad", "pd")
+    sources = list(pathlib.Path(gencorr.__file__).parent.glob("*.py"))
+    sources.append(ROOT / "scripts" / "run_figure_sweeps.py")
+    spelled = [p.name for p in sources if '("ad", "pd")' in p.read_text(encoding="utf-8")]
+    assert spelled == ["channels.py"]
+
+
 def test_reports_are_plain_records():
     """A report is its value, witness, search cost and chi; witness labels
     belong to whichever writer prints them."""
@@ -102,8 +124,7 @@ def test_readme_lists_the_measures_and_the_modules():
     assert listed == list(_layer("experiments").SUPPORTED_MEASURES)
     layout = text.split("```\nsrc/gencorr/\n", 1)[1].split("```", 1)[0]
     named = re.findall(r"^  (\w+)\.py\b", layout, re.M)
-    modules = sorted(p.stem for p in pathlib.Path(gencorr.__file__).parent.glob("*.py"))
-    assert sorted(named) == [m for m in modules if m != "__init__"]
+    assert sorted(named) == _package_modules()
 
 
 def test_the_library_imports_and_sweeps_without_scipy():

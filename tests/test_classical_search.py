@@ -97,7 +97,8 @@ def test_local_basis_set_rejects_cells_that_do_not_partition(cells):
     assert LocalBasisSet([(1,), (0,)], [np.eye(2), np.eye(2)]).cells == ((1,), (0,))
 
 
-@pytest.mark.parametrize("cell", [(0.5,), ("0",), (None,)], ids=["fraction", "string", "none"])
+@pytest.mark.parametrize("cell", [(0.5,), ("0",), (None,), (False,), (np.False_,)],
+                         ids=["fraction", "string", "none", "bool", "numpy-bool"])
 def test_local_basis_set_and_the_search_reject_indices_that_are_not_integers(cell):
     # before, LocalBasisSet([(0.5,), (1,)], ...) became ((0,), (1,))
     with pytest.raises(ValueError, match="is not an integer"):
@@ -398,6 +399,24 @@ def test_the_public_searches_memoize_nothing(search_cells):
     assert search_cells == [2, 2]
     assert not [key for key in rho._memo if isinstance(key, tuple) and key[0] == "search"]
     assert closest_classical_state(rho, cells, cfg) is not first
+
+
+def test_the_first_start_within_the_tie_of_the_best_wins(monkeypatch):
+    """The search's rule is the witnesses' rule: the first start within
+    1e-12 of the best wins, with its own q.  Under the earlier rule, a
+    later start had to beat the running best by 1e-12, which picked start 2."""
+    rho = werner_state(0.5)
+    x = 0.75
+    values = [x, x - 0.9e-12, x - 1.8e-12]
+    monkeypatch.setattr(cs, "shannon", lambda p: values[int(p[0])])
+    hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    unitaries = [[I2, I2], [hadamard, I2], [I2, hadamard]]
+    outcomes = [(np.array([k]), us, 0.5 + k, 10 + k) for k, us in enumerate(unitaries)]
+    res = cs._result(rho, [(0,), (1,)], outcomes)
+    assert res.q == values[1] - von_neumann_entropy(rho)
+    assert [u.tobytes() for u in res.basis.unitaries] == [
+        np.asarray(u, dtype=complex).tobytes() for u in unitaries[1]]
+    assert res.grad_norm == 1.5 and res.evals == 33
 
 
 def test_batched_searches_need_one_partition_per_state():

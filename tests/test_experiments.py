@@ -79,12 +79,13 @@ def test_sweep_spec_rejects_bool_settings(bad):
 
 @pytest.mark.parametrize(
     "c_values",
-    [0.5, None, (0.5, None), "1", b"1", ["0.5"], (0.25, b"0.5")],
-    ids=["scalar", "none", "none-item", "str", "bytes", "str-item", "bytes-item"],
+    [0.5, None, (0.5, None), "1", b"1", ["0.5"], (0.25, b"0.5"), [True, 0.5], (0.25, np.True_)],
+    ids=["scalar", "none", "none-item", "str", "bytes", "str-item", "bytes-item", "bool-item",
+         "numpy-bool-item"],
 )
 def test_sweep_spec_rejects_c_values_that_are_not_a_sequence_of_numbers(c_values):
     # before, a scalar raised a TypeError from tuple(0.5), "1" was read as
-    # its characters, (1.0,), and ["0.5"] as (0.5,)
+    # its characters, (1.0,), ["0.5"] as (0.5,), and [True, 0.5] as (1.0, 0.5)
     with pytest.raises(ValueError, match="c_values must be a sequence of numbers"):
         SweepSpec("ad", c_values)
 

@@ -77,7 +77,8 @@ def test_bipartition_canonicalizes_to_contain_first_subsystem():
         Bipartition((0, 1, 2), 3)
 
 
-@pytest.mark.parametrize("mask", [("1",), (1.5,), (0, None)], ids=["string", "fraction", "none"])
+@pytest.mark.parametrize("mask", [("1",), (1.5,), (0, None), (True,), (np.True_, 2)],
+                         ids=["string", "fraction", "none", "bool", "numpy-bool"])
 def test_bipartition_rejects_indices_that_are_not_integers(mask):
     # before, ("1",) was the cut [0, 2]|[1] and (1.5,) the cut [0]|[1, 2]
     with pytest.raises(ValueError, match="is not an integer"):
@@ -85,9 +86,11 @@ def test_bipartition_rejects_indices_that_are_not_integers(mask):
     assert Bipartition((1.0, np.int64(2)), 3).mask == (0,)
 
 
-@pytest.mark.parametrize("n", [2.7, True, "3", None], ids=["fraction", "bool", "string", "none"])
+@pytest.mark.parametrize("n", [2.7, True, "3", None, np.True_],
+                         ids=["fraction", "bool", "string", "none", "numpy-bool"])
 def test_bipartition_rejects_an_n_that_is_not_an_integer(n):
-    # before, Bipartition((0,), 2.7) was Bipartition(mask=(0,), n=2)
+    # before, Bipartition((0,), 2.7) was Bipartition(mask=(0,), n=2), and
+    # np.True_ read as n = 1
     with pytest.raises(ValueError, match="is not an integer"):
         Bipartition((0,), n)
 

@@ -57,11 +57,26 @@ def test_kron_all_equals_chained_np_kron_exactly(seed):
 
 
 def test_kron_all_of_stacks_is_the_product_of_each_slice(rng):
-    mats = [rng.normal(size=(3, d, d)) + 1j * rng.normal(size=(3, d, d)) for d in (2, 4, 2)]
+    """Byte for byte, as the basis search builds its product bases with
+    kron_all from strided per-cell views a[:, j] of its run stacks;
+    np.array_equal would take -0.0 for 0.0."""
+    run = rng.normal(size=(3, 2, 2, 2)) + 1j * rng.normal(size=(3, 2, 2, 2))
+    run[0, 0, 0, 0] = complex(-0.0, -1.0)  # 1 * (-0.0 - 1j) is 0.0 - 1j
+    run[1, 0, 1, 0] = complex(-0.0, 0.5)
+    run[2, 1, 0, 1] = complex(0.5, -0.0)
+    run[:, 1, 1, 1] = complex(-0.0, -0.0)
+    mid = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
+    mid[:, 2] = complex(-0.0, -0.0)
+    mats = [run[:, 0], mid, run[:, 1]]
     stacked = kron_all(mats)
     assert stacked.shape == (3, 16, 16)
     for i in range(3):
-        assert np.array_equal(stacked[i], kron_all([m[i] for m in mats]))
+        ref = np.array([[1.0 + 0j]])
+        for m in mats:
+            ref = np.kron(ref, m[i])
+        assert stacked[i].tobytes() == ref.tobytes()
+        assert stacked[i].tobytes() == kron_all([m[i] for m in mats]).tobytes()
+    assert np.signbit(stacked.real).any() and np.signbit(stacked.imag).any()
 
 
 # --- partial trace ---
@@ -114,11 +129,14 @@ def test_an_unsorted_keep_returns_the_sorted_reduction(rng):
     assert partial_trace(rho, (0, 1, 2)) is rho and partial_trace(rho, (2, 1, 0)) is rho
 
 
-@pytest.mark.parametrize("keep", [(), (0, 0), (3,), (1.5,), (0, 1.5), ("0", 2), [2, 2], ([0],)],
+@pytest.mark.parametrize("keep", [(), (0, 0), (3,), (1.5,), (0, 1.5), ("0", 2), [2, 2], ([0],),
+                                  (True, 2), (2, np.False_), (np.array(True), 2)],
                          ids=["empty", "duplicate", "out-of-range", "fraction", "pair-fraction",
-                              "string", "list-duplicate", "unhashable"])
+                              "string", "list-duplicate", "unhashable", "bool", "numpy-bool",
+                              "array-bool"])
 def test_a_bad_keep_raises_on_every_call_and_is_never_planned(keep, rng):
-    # before, (1.5,) kept subsystem 1 and ("0", 2) kept (0, 2)
+    # before, (1.5,) kept subsystem 1 and ("0", 2) kept (0, 2); (True, 2)
+    # and (2, np.False_) equal the planned (1, 2) and (2, 0) to the cache
     rho = random_density_matrix((2, 3, 2), rng)
     for good in [(0,), (1, 2), [2, 0]]:  # plans for the same dims are cached first
         partial_trace(rho, good)
@@ -339,7 +357,8 @@ def test_permute_subsystems_takes_integer_valued_indices(perm, rng):
     assert np.array_equal(permute_subsystems(rho, (2, 3), perm), permute_subsystems(rho, (2, 3), (1, 0)))
 
 
-@pytest.mark.parametrize("perm", [[0.5, 1], ["1", 0], [None, 0]], ids=["fraction", "string", "none"])
+@pytest.mark.parametrize("perm", [[0.5, 1], ["1", 0], [None, 0], [True, 0], [np.int64(1), np.False_]],
+                         ids=["fraction", "string", "none", "bool", "numpy-bool"])
 def test_permute_subsystems_rejects_indices_that_are_not_integers(perm, rng):
     rho = random_density_matrix((2, 2), rng).mat
     with pytest.raises(ValueError, match="is not an integer"):
