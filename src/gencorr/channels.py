@@ -167,7 +167,7 @@ def evolve_global(c: float, p: float, kind: str) -> DensityMatrix:
     """
     rho0 = _initial_state(float(c))
     u_local = dilation(kind, p)
-    u = np.kron(u_local, u_local)
+    u = kron_all([u_local, u_local])
     return DensityMatrix._derived(GLOBAL_DIMS, u @ rho0 @ u.conj().T, SWAP_SYMMETRY)
 
 

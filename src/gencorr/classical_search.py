@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .entropy import _linalg_error, _spectrum, _sum, shannon, von_neumann_entropy
+from .entropy import _linalg_error, _spectra_errstate, _spectrum, _sum, shannon, von_neumann_entropy
 from .linalg import (
     _check_finite,
     _indices,
@@ -576,13 +576,15 @@ def closest_classical_states(
     clip = DEFAULT_TOL.clip
     cells, mats, caps = [], [], []
     jobs_by_cdims: dict[tuple[int, ...], list[int]] = {}
-    for j, (rho, partition) in enumerate(zip(rhos, partitions)):
-        job_cells = tuple(_indices(cell) for cell in partition)
-        jobs_by_cdims.setdefault(_cell_dims(rho.dims, job_cells), []).append(j)
-        cells.append(job_cells)
-        mats.append(permute_subsystems(rho.mat, rho.dims, [i for cell in job_cells for i in cell]))
-        w = _spectrum(rho)
-        caps.append(clip * w[w > clip].min())
+    with _spectra_errstate():
+        for j, (rho, partition) in enumerate(zip(rhos, partitions)):
+            job_cells = tuple(_indices(cell) for cell in partition)
+            jobs_by_cdims.setdefault(_cell_dims(rho.dims, job_cells), []).append(j)
+            cells.append(job_cells)
+            order = [i for cell in job_cells for i in cell]
+            mats.append(permute_subsystems(rho.mat, rho.dims, order))
+            w = _spectrum(rho)
+            caps.append(clip * w[w > clip].min())
 
     results = [None] * len(rhos)
     for cdims, jobs in jobs_by_cdims.items():
@@ -597,10 +599,11 @@ def closest_classical_states(
 
 def _optimum(pick, values: list, items):
     """pick(values), min or max, and the first of items whose value lies
-    within _TIE of it, so that rounding does not pick the witness."""
+    within _TIE of it, so that rounding does not pick the witness.  A NaN
+    value lies within _TIE of nothing; a NaN optimum goes to the first item."""
     best = pick(values)
     for value, item in zip(values, items):
-        if not abs(value - best) > _TIE:  # a NaN optimum goes to the first item
+        if value == best or abs(value - best) <= _TIE or math.isnan(best):
             return best, item
 
 

@@ -21,7 +21,7 @@ __all__ = [
 ]
 
 # The LAPACK kernel of np.linalg.eigvalsh (lower triangle), called directly
-# under the errstate that np.linalg enters on every call (see _spectrum).
+# under the errstate that np.linalg enters on every call (see _spectra_errstate).
 _eigvalsh = _umath_linalg.eigvalsh_lo
 _sum = np.add.reduce  # np.sum without its Python layer: the same pairwise sum
 
@@ -30,6 +30,13 @@ def _linalg_error(err, flag):
     """The errstate call of the direct LAPACK kernel calls, here and in the
     basis search: a LinAlgError, as np.linalg raises."""
     raise LinAlgError(f"{err} value in a LAPACK routine or the arithmetic around it")
+
+
+def _spectra_errstate() -> np.errstate:
+    """The errstate that np.linalg enters around an eigenvalue call.  A
+    quantifier that takes many spectra enters it once around all of them."""
+    return np.errstate(call=_linalg_error, invalid="call", over="ignore",
+                       divide="ignore", under="ignore")
 
 
 def shannon(probs: np.ndarray) -> float:
@@ -58,23 +65,31 @@ def _entropy_bits(w: np.ndarray) -> float:
 def _spectrum(rho: DensityMatrix) -> np.ndarray:
     """The eigenvalues of rho, ascending (read-only).  Computed once per state.
 
-    A LAPACK failure raises LinAlgError, as np.linalg.eigvalsh does.
+    The caller holds _spectra_errstate(), under which a LAPACK failure
+    raises LinAlgError, as np.linalg.eigvalsh does.
     """
     w = rho._memo.get("eig")
     if w is None:
-        with np.errstate(call=_linalg_error, invalid="call", over="ignore",
-                         divide="ignore", under="ignore"):
-            w = _eigvalsh(rho.mat, signature="D->d")
+        w = _eigvalsh(rho.mat, signature="D->d")
         w.setflags(write=False)
         w = rho._memo.setdefault("eig", w)
     return w
+
+
+def _entropy(rho: DensityMatrix) -> float:
+    """von_neumann_entropy for a caller that holds _spectra_errstate()."""
+    s = rho._memo.get("S")
+    if s is None:
+        s = rho._memo.setdefault("S", _entropy_bits(_spectrum(rho)))
+    return s
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """-tr(rho log2 rho); between 0 and log2(dim).  Computed once per state."""
     s = rho._memo.get("S")
     if s is None:
-        s = rho._memo.setdefault("S", _entropy_bits(_spectrum(rho)))
+        with _spectra_errstate():
+            s = _entropy(rho)
     return s
 
 
@@ -114,5 +129,6 @@ def total_correlation(rho: DensityMatrix) -> float:
     """
     if rho.n < 2:
         raise ValueError("total correlation needs at least two subsystems")
-    s_marg = sum(von_neumann_entropy(partial_trace(rho, [i])) for i in range(rho.n))
-    return s_marg - von_neumann_entropy(rho)
+    with _spectra_errstate():
+        s_marg = sum(_entropy(partial_trace(rho, [i])) for i in range(rho.n))
+        return s_marg - _entropy(rho)

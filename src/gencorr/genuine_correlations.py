@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .classical_search import SearchConfig, _optimum, closest_classical_states
-from .entropy import shannon, von_neumann_entropy
+from .entropy import _entropy, _spectra_errstate, shannon
 from .linalg import DensityMatrix, _check_subset, _integer, partial_trace
 
 __all__ = [
@@ -146,13 +146,17 @@ def max_over_subsets(rho: DensityMatrix, k: int, quantifier):
 
 
 def genuine_total_In(rho: DensityMatrix) -> CorrelationReport:
-    """min over bipartite cuts of S(rho_c1) + S(rho_c2) - S(rho)."""
+    """min over bipartite cuts of S(rho_c1) + S(rho_c2) - S(rho).
+
+    One errstate serves all the spectra (see entropy._spectra_errstate).
+    """
     if rho.n < 2:
         raise ValueError("genuine total correlation needs at least two subsystems")
-    s_full = von_neumann_entropy(rho)
     cuts = _cuts(rho.n, rho.symmetries)
-    values = [von_neumann_entropy(partial_trace(rho, cut.mask))
-              + von_neumann_entropy(partial_trace(rho, cut.complement)) - s_full for cut in cuts]
+    with _spectra_errstate():
+        s_full = _entropy(rho)
+        values = [_entropy(partial_trace(rho, cut.mask))
+                  + _entropy(partial_trace(rho, cut.complement)) - s_full for cut in cuts]
     return CorrelationReport(*_optimum(min, values, cuts))
 
 

@@ -20,6 +20,11 @@ from typing import NamedTuple
 
 import numpy as np
 
+try:  # np.einsum's C kernel, called without its Python wrapper and dispatcher
+    from numpy._core.multiarray import c_einsum as _einsum
+except ImportError:  # numpy < 2.0
+    from numpy.core.multiarray import c_einsum as _einsum
+
 __all__ = [
     "Tolerances",
     "DEFAULT_TOL",
@@ -274,7 +279,7 @@ def _ptrace_arr(mat: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...]) -
     """Partial trace on a raw array, by the plan of (dims, keep)."""
     plan = _ptrace_plan(dims, keep)
     t = mat.reshape(dims * 2).transpose(plan.axes)
-    return np.einsum("abcb->ac", t.reshape(plan.shape))
+    return _einsum("abcb->ac", t.reshape(plan.shape))
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:

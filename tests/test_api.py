@@ -96,6 +96,18 @@ def test_the_tie_rule_is_defined_once():
     assert defining == ["classical_search"]
 
 
+def test_the_kronecker_product_and_the_spectra_errstate_are_defined_once():
+    """kron_all is the only Kronecker product, and the errstate that np.linalg
+    enters around an eigenvalue call is written in entropy alone: the
+    quantifiers that take many spectra enter it through entropy's helper."""
+    sources = {p.stem: p.read_text(encoding="utf-8")
+               for p in pathlib.Path(gencorr.__file__).parent.glob("*.py")}
+    assert [name for name, text in sources.items() if re.search(r"\bnp\.kron\(", text)] == []
+    settings = re.compile(r'np\.errstate\([^)]*under="ignore"')
+    written = {name: len(settings.findall(text)) for name, text in sources.items()}
+    assert {name: count for name, count in written.items() if count} == {"entropy": 1}
+
+
 def test_the_channel_list_is_defined_once():
     """Every reader of the channel names takes them from channels.CHANNELS."""
     assert _layer("channels").CHANNELS == ("ad", "pd")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -417,6 +419,14 @@ def test_the_first_start_within_the_tie_of_the_best_wins(monkeypatch):
     assert [u.tobytes() for u in res.basis.unitaries] == [
         np.asarray(u, dtype=complex).tobytes() for u in unitaries[1]]
     assert res.grad_norm == 1.5 and res.evals == 33
+    # the winner's value lies within the tie of the optimum, so a NaN never
+    # wins unless it is the optimum, which goes to the first item
+    nan = float("nan")
+    assert cs._optimum(min, [0.5, nan, 0.3], "abc") == (0.3, "c")
+    assert cs._optimum(max, [0.5, nan, 0.7], "abc") == (0.7, "c")
+    best, item = cs._optimum(min, [nan, 0.5, 0.3], "abc")
+    assert math.isnan(best) and item == "a"
+    assert cs._optimum(max, [0.5, math.inf, math.inf], "abc") == (math.inf, "b")
 
 
 def test_batched_searches_need_one_partition_per_state():

@@ -14,6 +14,8 @@ from gencorr import (
     von_neumann_entropy,
 )
 from gencorr.channels import psi_minus, werner_state
+from gencorr.classical_search import closest_classical_state
+from gencorr.genuine_correlations import genuine_total_Ik, genuine_total_In
 from gencorr.states import ghz
 from random_states import random_density_matrix
 
@@ -27,14 +29,23 @@ def test_pure_state_has_zero_entropy():
 
 def test_a_spectrum_lapack_cannot_compute_raises_linalgerror():
     """A failed eigensolver raises LinAlgError, with no RuntimeWarning on the
-    way, and memoizes nothing."""
-    rho = DensityMatrix._derived((2, 2), np.full((4, 4), np.nan, dtype=complex))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for _ in range(2):
-            with pytest.raises(np.linalg.LinAlgError):
-                von_neumann_entropy(rho)
-    assert "eig" not in rho._memo and "S" not in rho._memo
+    way, and memoizes no spectrum or entropy of the state, whether the
+    spectrum was asked for alone or under a quantifier's one errstate around
+    all its spectra."""
+    for quantifier in [
+        von_neumann_entropy,
+        genuine_total_In,
+        lambda rho: genuine_total_Ik(rho, 3),
+        total_correlation,
+        lambda rho: closest_classical_state(rho, [(0,), (1,), (2,), (3,)]),
+    ]:
+        rho = DensityMatrix._derived((2,) * 4, np.full((16, 16), np.nan, dtype=complex))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(2):
+                with pytest.raises(np.linalg.LinAlgError):
+                    quantifier(rho)
+        assert "eig" not in rho._memo and "S" not in rho._memo
 
 
 @pytest.mark.parametrize("probs", [
