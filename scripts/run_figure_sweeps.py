@@ -36,11 +36,10 @@ def write_one(name: str, spec: SweepSpec, rows: list[dict], outdir: pathlib.Path
     print(f"{name}: {len(rows)} rows -> {csv_path}")
 
 
-def run_series(kind, c_values, grid, groups, cfg, workers, outdir) -> list[dict]:
+def run_series(kind, c_values, grid, groups, cfg, outdir) -> list[dict]:
     """One sweep of every column of the (name, measures) groups; one CSV and
     manifest per group."""
-    spec = SweepSpec(kind, c_values, grid, sum((m for _, m in groups), ()),
-                     search=cfg, workers=workers)
+    spec = SweepSpec(kind, c_values, grid, sum((m for _, m in groups), ()), search=cfg)
     start = time.perf_counter()
     rows = run_sweep(spec)
     names = "+".join(f"{kind}_{name}" for name, _ in groups)
@@ -59,7 +58,6 @@ def main() -> None:
     ap.add_argument("--starts", type=int, default=SearchConfig().starts,
                     help="basis-search starts, each run to its own stop")
     ap.add_argument("--seed", type=int, default=SearchConfig().rng_seed)
-    ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--skip-search", action="store_true",
                     help="only the entropy-based sweeps (no basis searches)")
     args = ap.parse_args()
@@ -75,13 +73,13 @@ def main() -> None:
         total_rows[kind] = run_series(
             kind, c_values, args.grid_i,
             (("total", TOTAL_MEASURES), ("fidelity", FIDELITY_MEASURES)),
-            cfg, args.workers, outdir,
+            cfg, outdir,
         )
         if not args.skip_search:
             run_series(
                 kind, c_values, args.grid_q,
                 (("quantum", QUANTUM_MEASURES), ("classical", CLASSICAL_MEASURES)),
-                cfg, args.workers, outdir,
+                cfg, outdir,
             )
     print(f"pass: {time.perf_counter() - start:.2f} s")
 

@@ -34,7 +34,6 @@ from .genuine_correlations import (
     Bipartition,
     CorrelationReport,
     all_bipartitions,
-    degree_of,
     genuine_classical_Ck,
     genuine_classical_Cn,
     genuine_quantum_Qk,
@@ -55,7 +54,6 @@ from .channels import (
     werner_state,
 )
 from .states import (
-    classical_state,
     fidelity,
     ghz,
     ppt_min_eigenvalue,

@@ -57,6 +57,18 @@ def _check_p(p: float) -> float:
     return p
 
 
+def _check_c(c: float) -> float:
+    c = float(c)
+    if not 0.0 <= c <= 1.0:
+        raise ValueError(f"Werner parameter must lie in [0, 1], got {c}")
+    return c
+
+
+def _check_kind(kind: str) -> None:
+    if kind not in CHANNELS:
+        raise ValueError(f"channel kind must be 'ad' or 'pd', got {kind!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class KrausChannel:
     """Trace-preserving qubit channel as an operator list; equal by identity only.
@@ -114,8 +126,7 @@ def dilation(kind: str, p: float) -> np.ndarray:
     phase damping ("pd") sends it to |1_s>(sqrt(1-p)|0_E> + sqrt(p)|1_E>);
     |0_s 0_E> is fixed, and the |1_E> columns complete the unitary.
     """
-    if kind not in CHANNELS:
-        raise ValueError(f"channel kind must be 'ad' or 'pd', got {kind!r}")
+    _check_kind(kind)
     p = _check_p(p)
     a, b = np.sqrt(1.0 - p), np.sqrt(p)
     if kind == "ad":
@@ -135,9 +146,7 @@ def psi_minus() -> PureState:
 
 def werner_state(c: float) -> DensityMatrix:
     """(1-c) I/4 + c |psi-><psi-| with spectrum {(1+3c)/4, (1-c)/4 x3}."""
-    c = float(c)
-    if not 0.0 <= c <= 1.0:
-        raise ValueError(f"Werner parameter must lie in [0, 1], got {c}")
+    c = _check_c(c)
     sing = psi_minus().vec
     mat = (1.0 - c) * np.eye(4) / 4.0 + c * np.outer(sing, sing.conj())
     return DensityMatrix((2, 2), mat)
@@ -238,11 +247,8 @@ def upsilon_pd(p: float) -> PureState:
 
 def appendix_golden_state(c: float, p: float, kind: str) -> DensityMatrix:
     """Literal golden construction (1-c) iota(p) + c |Upsilon(p)><Upsilon(p)|."""
-    c = float(c)
-    if not 0.0 <= c <= 1.0:
-        raise ValueError(f"Werner parameter must lie in [0, 1], got {c}")
-    if kind not in CHANNELS:
-        raise ValueError(f"channel kind must be 'ad' or 'pd', got {kind!r}")
+    c = _check_c(c)
+    _check_kind(kind)
     if kind == "ad":
         io, ups = iota_ad(p), upsilon_ad(p)
     else:

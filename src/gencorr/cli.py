@@ -56,7 +56,6 @@ def _cmd_sweep(args) -> int:
         measures=args.measures,
         search=_search_config(args),
         output=args.output,
-        workers=args.workers,
     )
     # fail before the sweep, not after it
     if not spec.output:
@@ -140,7 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measures", type=_names, default=_DEFAULT_SWEEP.measures,
                    help=f"comma-separated from {','.join(SUPPORTED_MEASURES)}")
     p.add_argument("--output", default="sweep.csv")
-    p.add_argument("--workers", type=int, default=_DEFAULT_SWEEP.workers)
     add_search_flags(p)
     p.set_defaults(func=_cmd_sweep)
 

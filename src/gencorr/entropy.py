@@ -6,6 +6,7 @@ incompatible supports returns math.inf.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -66,10 +67,15 @@ def _spectrum(rho: DensityMatrix) -> np.ndarray:
     """The eigenvalues of rho, ascending (read-only).  Computed once per state.
 
     The caller holds _spectra_errstate(), under which a LAPACK failure
-    raises LinAlgError, as np.linalg.eigvalsh does.
+    raises LinAlgError, as np.linalg.eigvalsh does.  A matrix with a
+    non-finite entry raises it too, before LAPACK sees it: for some such
+    matrices LAPACK reports no error and returns a NaN spectrum (a 2x2 NaN
+    matrix), which _entropy_bits would read as 0, or finite values.
     """
     w = rho._memo.get("eig")
     if w is None:
+        if not cmath.isfinite(_sum(rho.mat, axis=None)):
+            raise LinAlgError("the spectrum of a matrix with a non-finite entry")
         w = _eigvalsh(rho.mat, signature="D->d")
         w.setflags(write=False)
         w = rho._memo.setdefault("eig", w)

@@ -161,10 +161,9 @@ class SweepSpec:
     """One sweep: a channel, a list of c values, a uniform p grid, measures.
 
     p_count=None resolves to 41 when any measure runs a basis search (Q and
-    C columns) and 101 otherwise.  run_sweep evaluates one (channel, c)
-    series per task, so workers beyond the number of c values stay idle.
-    c_values are distinct numbers in [0, 1] (Python or numpy ints and
-    floats); a string, or a string or bool entry, raises ValueError.
+    C columns) and 101 otherwise.  c_values are distinct numbers in [0, 1]
+    (Python or numpy ints and floats); a string, or a string or bool entry,
+    raises ValueError.
     """
 
     channel: str
@@ -173,7 +172,6 @@ class SweepSpec:
     measures: tuple[str, ...] = ("I4", "I3", "I3_abEa", "I3_aEaEb")
     search: SearchConfig = field(default_factory=SearchConfig)
     output: str | None = None
-    workers: int = 1
 
     def __post_init__(self) -> None:
         if self.channel not in CHANNELS:
@@ -182,15 +180,11 @@ class SweepSpec:
         _check_measures(self.measures)
         if not self.measures:
             raise ValueError("a sweep needs at least one measure")
-        for name in ("p_count", "workers"):
-            value = getattr(self, name)
-            if value is not None and (not isinstance(value, numbers.Integral)
-                                      or isinstance(value, bool)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.p_count is not None and self.p_count < 2:
-            raise ValueError("p grid needs at least 2 points")
-        if self.workers < 1:
-            raise ValueError(f"workers must be at least 1, got {self.workers}")
+        if self.p_count is not None:
+            if not isinstance(self.p_count, numbers.Integral) or isinstance(self.p_count, bool):
+                raise ValueError(f"p_count must be an integer, got {self.p_count!r}")
+            if self.p_count < 2:
+                raise ValueError("p grid needs at least 2 points")
         try:
             if isinstance(self.c_values, _TEXT):
                 raise TypeError
@@ -213,38 +207,24 @@ class SweepSpec:
         return 41 if any(_MEASURES[m][0] is not None for m in self.measures) else 101
 
 
-def _series_task(args) -> list[dict]:
-    kind, c, ps, measures, cfg = args
-    rhos = (evolve_global(c, p, kind) for p in ps)
-    rows = []
-    for p, (values, flags) in zip(ps, _evaluate(rhos, measures, cfg)):
-        row = {"channel": kind, "c": c, "p": p, **values}
-        if flags:
-            row["_flags"] = flags
-        rows.append(row)
-    return rows
-
-
 def run_sweep(spec: SweepSpec) -> list[dict]:
-    """One row per (c, p) with all requested measures.
+    """One row per (c, p) with all requested measures, ordered by the given
+    c values, then ascending p; deterministic for a fixed rng_seed.
 
-    Each (channel, c) series is one task: its states are built first, then
-    every basis search its measures read runs in one batched search (see
+    Each (channel, c) series in turn: its states are built first, then every
+    basis search its measures read runs in one batched search (see
     _evaluate), then its rows are evaluated.
-    With workers > 1 a process pool runs the series side by side.  Rows are
-    deterministic for a fixed rng_seed, equal for any workers, and ordered by
-    the given c values, then ascending p.
     """
     ps = [float(p) for p in np.linspace(0.0, 1.0, spec.resolved_p_count())]
-    tasks = [(spec.channel, c, ps, spec.measures, spec.search) for c in spec.c_values]
-    if spec.workers > 1:
-        from concurrent.futures import ProcessPoolExecutor  # only parallel sweeps load it
-
-        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            series = list(pool.map(_series_task, tasks))
-    else:
-        series = [_series_task(t) for t in tasks]
-    return [row for rows in series for row in rows]
+    rows = []
+    for c in spec.c_values:
+        rhos = (evolve_global(c, p, spec.channel) for p in ps)
+        for p, (values, flags) in zip(ps, _evaluate(rhos, spec.measures, spec.search)):
+            row = {"channel": spec.channel, "c": c, "p": p, **values}
+            if flags:
+                row["_flags"] = flags
+            rows.append(row)
+    return rows
 
 
 def write_csv(rows: list[dict], measures, path) -> None:

@@ -20,7 +20,6 @@ from .entropy import _entropy, _spectra_errstate, shannon
 from .linalg import DensityMatrix, _check_subset, _integer, partial_trace
 
 __all__ = [
-    "TAU_DEGREE",
     "Bipartition",
     "CorrelationReport",
     "all_bipartitions",
@@ -32,10 +31,7 @@ __all__ = [
     "genuine_classical_Cn",
     "genuine_classical_Ck",
     "max_over_subsets",
-    "degree_of",
 ]
-
-TAU_DEGREE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -291,25 +287,3 @@ def genuine_classical_Ck(
     subs = _subsets(rho.n, k, rho.symmetries)
     value, witness = _optimum(max, [_outcome_In(q_rep.chi, sub, inner)[0] for sub in subs], subs)
     return CorrelationReport(value, witness, evals=q_rep.evals, chi=q_rep.chi)
-
-
-def degree_of(rho: DensityMatrix, kind: str, cfg: SearchConfig = SearchConfig()) -> int:
-    """Largest k whose genuine k-partite quantifier exceeds TAU_DEGREE; 1 if none.
-
-    The classical degree reads C_k, whose n-party search is memoized on rho,
-    so it runs once.
-    """
-    if kind not in ("total", "quantum", "classical"):
-        raise ValueError(f"kind must be total|quantum|classical, got {kind!r}")
-    if rho.n < 2:
-        raise ValueError("degree needs at least two subsystems")
-    for k in range(rho.n, 1, -1):
-        if kind == "total":
-            value = genuine_total_Ik(rho, k).value_bits
-        elif kind == "quantum":
-            value = genuine_quantum_Qk(rho, k, cfg).value_bits
-        else:
-            value = genuine_classical_Ck(rho, k, cfg).value_bits
-        if value > TAU_DEGREE:
-            return k
-    return 1

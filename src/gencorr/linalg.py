@@ -86,23 +86,22 @@ class DensityMatrix:
     subsystem dimensions, each at least 2), finite entries and, to
     DEFAULT_TOL, Hermiticity, unit trace and an eigvalsh PSD check.  Every
     state built from outside data goes through it, including state_from_json,
-    werner_state, classical_state and appendix_golden_state.  Derived states
-    are valid by construction and skip the checks: the outputs of
-    partial_trace, dephase, evolve_global and PureState.to_density.
+    werner_state and appendix_golden_state.  Derived states are valid by
+    construction and skip the checks: the outputs of partial_trace, dephase,
+    evolve_global and PureState.to_density.
 
-    The backing array is immutable after construction, so values are safe to
-    share between concurrent workers.  Each state also carries a private memo
-    of its partial traces (keyed by the sorted kept subsystems, which
-    partial_trace checks before it reads the memo), its spectrum,
-    its von Neumann entropy and the basis searches the quantifiers ran on it
-    (keyed by ("search", cells, SearchConfig)), so a quantifier that asks for
-    the same reduction or search again gets the same object and the same
-    float.  A state made by dephase
-    also keeps its pinched outcome distribution ("p") and the Shannon
-    entropies of that distribution's marginals that the classical quantifiers
-    asked for (keyed by ("H", kept subsystems)).  The memo never goes
-    stale, as dims and mat never change; it holds at most 2**n - 2
-    reductions and dies with its state.  Equality and hashing go by identity.
+    The backing array is immutable after construction.  Each state also
+    carries a private memo of its partial traces (keyed by the sorted kept
+    subsystems, which partial_trace checks before it reads the memo), its
+    spectrum, its von Neumann entropy and the basis searches the quantifiers
+    ran on it (keyed by ("search", cells, SearchConfig)), so a quantifier
+    that asks for the same reduction or search again gets the same object
+    and the same float.  A state made by dephase also keeps its pinched
+    outcome distribution ("p") and the Shannon entropies of that
+    distribution's marginals that the classical quantifiers asked for (keyed
+    by ("H", kept subsystems)).  The memo never goes stale, as dims and mat
+    never change; it holds at most 2**n - 2 reductions and dies with its
+    state.  Equality and hashing go by identity.
 
     symmetries is a tuple of subsystem relabelings (permutations, as
     permute_subsystems takes them) that leave mat unchanged; the quantifiers

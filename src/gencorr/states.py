@@ -5,12 +5,11 @@ from __future__ import annotations
 import numpy as np
 
 from .genuine_correlations import Bipartition
-from .linalg import DensityMatrix, PureState, _check_finite, hermitize
+from .linalg import DensityMatrix, PureState, hermitize
 
 __all__ = [
     "ghz",
     "w4",
-    "classical_state",
     "fidelity",
     "ppt_min_eigenvalue",
 ]
@@ -31,17 +30,6 @@ def w4() -> PureState:
     v[1] = v[2] = 0.5
     v[4] = v[8] = -0.5
     return PureState((2, 2, 2, 2), v)
-
-
-def classical_state(dims, probs) -> DensityMatrix:
-    """Computational-basis diagonal state sum p_i |i><i|."""
-    p = np.asarray(probs, dtype=float).reshape(-1)
-    _check_finite(p, "probability vector")
-    if np.any(p < 0):
-        raise ValueError("probabilities must be nonnegative")
-    if not abs(p.sum() - 1.0) <= 1e-9:
-        raise ValueError(f"probabilities must sum to 1, got {p.sum()}")
-    return DensityMatrix(dims, np.diag(p.astype(complex)))
 
 
 def fidelity(psi: PureState, rho: DensityMatrix) -> float:

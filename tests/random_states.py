@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from gencorr import DensityMatrix, PureState, classical_state
+from gencorr import DensityMatrix, PureState
 
 
 def random_pure_state(dims, rng: np.random.Generator) -> PureState:
@@ -22,8 +22,7 @@ def random_density_matrix(dims, rng: np.random.Generator, rank: int | None = Non
 
 def random_classical_state(dims, rng: np.random.Generator) -> DensityMatrix:
     d = int(np.prod(tuple(dims)))
-    p = rng.dirichlet(np.ones(d))
-    return classical_state(dims, p)
+    return DensityMatrix(dims, np.diag(rng.dirichlet(np.ones(d))))
 
 
 def separable_quantum_mixture(

@@ -7,6 +7,7 @@ perfbench/spans.py wraps every function named in a layer module's __all__,
 so a stale entry there breaks the traced benchmark run.
 """
 
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -66,6 +67,71 @@ def test_traced_per_layer_functions_stay_exported():
     for layer, fn in sorted(traced):
         assert layer in LAYERS
         assert fn in _layer(layer).__all__, f"{layer}.{fn}"
+
+
+# Exported names that no module of the library, the scripts or the benchmark
+# reads, each with the reason it stays.
+UNREAD_EXPORTS = {
+    "total_correlation": "a test reference for the genuine quantifiers",
+    "amplitude_damping_kraus": "a test reference for the dilation",
+    "phase_damping_kraus": "a test reference for the dilation",
+    "KrausChannel": "the operator-sum oracle the two Kraus constructors return",
+    "save_state": "the writer of the files that state-info reads",
+    "state_to_json": "save_state's encoder",
+    "genuine_quantum_Qn": "a future sweep column (ROADMAP item 1a)",
+    "genuine_quantum_Qk": "a future sweep column (ROADMAP item 1a)",
+}
+
+
+def _name_loads() -> list[tuple[pathlib.Path, str | None, str]]:
+    """(file, enclosing top-level definition or None, name) of every name or
+    attribute the sources of the library, the scripts and the benchmark
+    read.  Imports, __all__ strings and docstrings are no reads."""
+    paths = [*(ROOT / "src" / "gencorr").glob("*.py"), *(ROOT / "scripts").glob("*.py"),
+             *(ROOT / "perfbench").glob("*.py")]
+    loads = []
+    for path in paths:
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if isinstance(getattr(node, "ctx", None), ast.Load):
+                    name = getattr(node, "id", None) or getattr(node, "attr", None)
+                    if name:
+                        loads.append((path, owner, name))
+    return loads
+
+
+def test_every_export_has_a_reader():
+    """A name in a layer's __all__ is read outside its own definition, and
+    outside the definitions of exports that nothing reads (a helper of dead
+    code is dead too), or it is on UNREAD_EXPORTS with its reason."""
+    home = {name: ROOT / "src" / "gencorr" / f"{layer}.py"
+            for layer in LAYERS for name in _layer(layer).__all__}
+    loads = _name_loads()
+    unread: set[str] = set()
+    while True:
+        read = {name for path, owner, name in loads
+                if not (home.get(owner) == path and (owner == name or owner in unread))}
+        if set(home) - read == unread:
+            break
+        unread = set(home) - read
+    assert sorted(unread) == sorted(UNREAD_EXPORTS)
+
+
+def test_the_pool_the_degrees_and_classical_state_are_gone():
+    """gencorr runs in one process, reads no degree off its quantifiers and
+    builds a diagonal state as DensityMatrix(dims, np.diag(p))."""
+    for name in ("degree_of", "TAU_DEGREE", "classical_state"):
+        assert not hasattr(gencorr, name), name
+        assert all(not hasattr(_layer(layer), name) for layer in LAYERS), name
+    for path in (ROOT / "src" / "gencorr").glob("*.py"):
+        imported = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                imported.add(node.module or "")
+        assert not {m for m in imported if m.startswith("concurrent")}, path.name
 
 
 def test_no_quantifier_takes_symmetries():

@@ -137,6 +137,20 @@ def test_dilation_rejects_unsupported_channel():
         dilation("ad", 1.5)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: werner_state(1.5), r"Werner parameter must lie in \[0, 1\], got 1\.5"),
+    (lambda: appendix_golden_state(-0.5, 0.5, "ad"),
+     r"Werner parameter must lie in \[0, 1\], got -0\.5"),
+    (lambda: dilation("xx", 0.5), r"channel kind must be 'ad' or 'pd', got 'xx'"),
+    (lambda: appendix_golden_state(0.5, 0.5, "xx"),
+     r"channel kind must be 'ad' or 'pd', got 'xx'"),
+], ids=["werner_state-c", "appendix_golden_state-c", "dilation-kind",
+        "appendix_golden_state-kind"])
+def test_each_constructor_names_the_bad_input(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 # --- Werner state ---
 
 def test_werner_limits():

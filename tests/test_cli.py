@@ -46,6 +46,16 @@ def test_sweep_rejects_repeated_c_values(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sweep_has_no_workers_flag(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["sweep", "--c", "0.5", "--grid", "11", "--measures", "I4", "--workers", "2",
+              "--output", str(out)])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_rejects_a_negative_seed(tmp_path, capsys):
     out = tmp_path / "x.csv"
     code = main([

@@ -27,11 +27,22 @@ def test_pure_state_has_zero_entropy():
     assert von_neumann_entropy(psi_minus().to_density()) == pytest.approx(0.0, abs=1e-12)
 
 
+def _one_nan_ghz4() -> np.ndarray:
+    """GHZ4 with a NaN at [0, 0]: LAPACK reports no error on it and returns
+    finite eigenvalues, and on its one-qubit marginals too."""
+    mat = np.array(ghz(4).to_density().mat)
+    mat[0, 0] = np.nan
+    return mat
+
+
 def test_a_spectrum_lapack_cannot_compute_raises_linalgerror():
-    """A failed eigensolver raises LinAlgError, with no RuntimeWarning on the
-    way, and memoizes no spectrum or entropy of the state, whether the
-    spectrum was asked for alone or under a quantifier's one errstate around
-    all its spectra."""
+    """A failed eigensolver, or a matrix with a NaN entry, raises LinAlgError,
+    with no RuntimeWarning on the way, and memoizes no spectrum or entropy of
+    the state or of any reduction it took, whether the spectrum was asked for
+    alone or under a quantifier's one errstate around all its spectra."""
+    # LAPACK returns [nan, nan] for the 2x2 NaN matrix without an error
+    qubit = DensityMatrix._derived((2,), np.full((2, 2), np.nan, dtype=complex))
+    cases = [(von_neumann_entropy, qubit)]
     for quantifier in [
         von_neumann_entropy,
         genuine_total_In,
@@ -39,13 +50,16 @@ def test_a_spectrum_lapack_cannot_compute_raises_linalgerror():
         total_correlation,
         lambda rho: closest_classical_state(rho, [(0,), (1,), (2,), (3,)]),
     ]:
-        rho = DensityMatrix._derived((2,) * 4, np.full((16, 16), np.nan, dtype=complex))
+        for mat in (np.full((16, 16), np.nan, dtype=complex), _one_nan_ghz4()):
+            cases.append((quantifier, DensityMatrix._derived((2,) * 4, mat)))
+    for quantifier, rho in cases:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for _ in range(2):
                 with pytest.raises(np.linalg.LinAlgError):
                     quantifier(rho)
-        assert "eig" not in rho._memo and "S" not in rho._memo
+        states = [rho, *(v for v in rho._memo.values() if isinstance(v, DensityMatrix))]
+        assert [sorted({"eig", "S"} & set(state._memo)) for state in states] == [[]] * len(states)
 
 
 @pytest.mark.parametrize("probs", [

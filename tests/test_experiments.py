@@ -52,8 +52,8 @@ def synthetic_rows(fn, n=101, channel="xx", c=0.0, measure="y"):
 def test_sweep_spec_rejects_unknown_measure():
     with pytest.raises(ValueError):
         SweepSpec(channel="ad", measures=("I4", "bogus"))
-    for bad in (dict(measures=()), dict(c_values=()), dict(workers=0), dict(workers=-3),
-                dict(p_count=2.5), dict(workers=1.5), dict(measures=("I4", "C4", "I4"))):
+    for bad in (dict(measures=()), dict(c_values=()), dict(p_count=2.5),
+                dict(measures=("I4", "C4", "I4"))):
         with pytest.raises(ValueError):
             SweepSpec(channel="ad", **bad)
     with pytest.raises(ValueError, match=r"measures \['I4'\] are repeated"):
@@ -69,10 +69,8 @@ def test_sweep_spec_rejects_bad_channel():
         SweepSpec(channel="xy")
 
 
-@pytest.mark.parametrize("bad", [dict(workers=True), dict(p_count=True), dict(workers=False)],
-                         ids=["workers", "p_count", "workers-false"])
+@pytest.mark.parametrize("bad", [dict(p_count=True)], ids=["p_count"])
 def test_sweep_spec_rejects_bool_settings(bad):
-    # before, workers=True was accepted as one worker
     with pytest.raises(ValueError, match="must be an integer"):
         SweepSpec("ad", (0.5,), **bad)
 
@@ -184,13 +182,30 @@ def test_searched_chi_keeps_the_swap_symmetry_at_the_default_config():
     _assert_pruning_changes_nothing(cases, SearchConfig())
 
 
-def test_parallel_workers_preserve_row_order():
-    kwargs = dict(channel="ad", c_values=(0.4, 1.0), p_count=7, measures=("I4",))
-    serial = run_sweep(SweepSpec(workers=1, **kwargs))
-    parallel = run_sweep(SweepSpec(workers=2, **kwargs))
-    assert [(r["c"], r["p"], r["I4"]) for r in serial] == [
-        (r["c"], r["p"], r["I4"]) for r in parallel
-    ]
+def test_a_multi_c_sweep_is_its_one_c_sweeps_in_order():
+    kwargs = dict(channel="ad", p_count=7, measures=("I4",))
+    rows = run_sweep(SweepSpec(c_values=(1.0, 0.4), **kwargs))
+    parts = [run_sweep(SweepSpec(c_values=(c,), **kwargs)) for c in (1.0, 0.4)]
+    grid = [float(p) for p in np.linspace(0.0, 1.0, 7)]
+    assert [(r["c"], r["p"]) for r in rows] == [(c, p) for c in (1.0, 0.4) for p in grid]
+    assert rows == parts[0] + parts[1]
+
+
+def test_a_multi_c_searched_sweep_is_its_one_c_sweeps_in_order():
+    """The searches memoized for one c leave the rows of the next unchanged."""
+    kwargs = dict(channel="pd", p_count=3, measures=("Q4", "C4"),
+                  search=SearchConfig(starts=1, max_evals=40))
+    rows = run_sweep(SweepSpec(c_values=(0.6, 1.0), **kwargs))
+    parts = [run_sweep(SweepSpec(c_values=(c,), **kwargs)) for c in (0.6, 1.0)]
+    assert len(rows) == 6
+    assert rows == parts[0] + parts[1]
+
+
+def test_sweep_spec_has_no_workers_setting():
+    """A sweep runs in one process; there is no pool to size."""
+    assert "workers" not in {f.name for f in dataclasses.fields(SweepSpec)}
+    with pytest.raises(TypeError):
+        SweepSpec("ad", workers=2)
 
 
 def test_optimizer_failure_is_flagged_not_fatal(tmp_path, monkeypatch):
@@ -211,15 +226,6 @@ def test_optimizer_failure_is_flagged_not_fatal(tmp_path, monkeypatch):
     assert len(manifest["failures"]) == 3
     assert manifest["search"]["rng_seed"] == 0
     assert "clip" in manifest["tolerances"]
-
-
-def test_parallel_workers_preserve_searched_rows():
-    kwargs = dict(channel="pd", c_values=(0.6, 1.0), p_count=3, measures=("Q4", "C4"),
-                  search=SearchConfig(starts=1, max_evals=40))
-    serial = run_sweep(SweepSpec(workers=1, **kwargs))
-    parallel = run_sweep(SweepSpec(workers=2, **kwargs))
-    assert len(serial) == 6
-    assert serial == parallel
 
 
 def test_a_raising_search_flags_only_its_row(monkeypatch):

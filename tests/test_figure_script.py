@@ -52,3 +52,16 @@ def test_figure_script_times_each_sweep_on_stdout_only(tmp_path):
     assert files == sorted(p.name for p in (tmp_path / "b").iterdir()) and len(files) == 16
     for name in files:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_figure_script_has_no_workers_flag(tmp_path):
+    paths = [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_figure_sweeps.py"),
+         "--outdir", str(tmp_path), "--workers", "2"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 2
+    assert "unrecognized arguments: --workers 2" in done.stderr
+    assert list(tmp_path.iterdir()) == []

@@ -10,7 +10,6 @@ from gencorr import (
     DensityMatrix,
     SearchConfig,
     all_bipartitions,
-    degree_of,
     genuine_classical_Ck,
     genuine_classical_Cn,
     genuine_quantum_Qk,
@@ -422,32 +421,37 @@ def test_C_from_outcomes_matches_the_dense_oracle_in_random_product_bases(dims, 
     _assert_the_dense_oracle_agrees(rho, SearchConfig(starts=2, max_evals=300, rng_seed=seed))
 
 
-# --- degrees ---
+# --- how many parties share the correlation ---
 
-def test_degree_of_ghz_total():
-    assert degree_of(ghz(4).to_density(), "total") == 4
+def test_ghz_total_correlation_is_genuinely_four_partite():
+    assert genuine_total_Ik(ghz(4).to_density(), 4).value_bits > 1e-6
 
 
-def test_degree_of_ghz_quantum():
+def test_ghz_quantum_correlation_is_genuinely_four_partite():
     cfg = SearchConfig(starts=2, max_evals=500, rng_seed=4)
-    assert degree_of(ghz(4).to_density(), "quantum", cfg) == 4
+    assert genuine_quantum_Qk(ghz(4).to_density(), 4, cfg).value_bits > 1e-6
 
 
-def test_degree_of_product_state_is_one(rng):
+def test_a_product_state_has_no_genuine_bipartite_correlation(rng):
     probs = np.outer(rng.dirichlet([2, 2]), rng.dirichlet([2, 2])).reshape(-1)
     rho = DensityMatrix((2, 2), np.diag(probs.astype(complex)))
     cfg = SearchConfig(starts=2, max_evals=300, rng_seed=4)
-    assert degree_of(rho, "total") == 1
-    assert degree_of(rho, "quantum", cfg) == 1
-    assert degree_of(rho, "classical", cfg) == 1
+    assert genuine_total_Ik(rho, 2).value_bits <= 1e-6
+    assert genuine_quantum_Qk(rho, 2, cfg).value_bits <= 1e-6
+    assert genuine_classical_Ck(rho, 2, cfg).value_bits <= 1e-6
 
 
-def test_classical_degree_runs_the_n_party_search_once(search_cells):
+def test_classical_correlation_of_the_ad_endpoint_is_only_bipartite(search_cells):
+    """C_k for every k reads one n-party search, and C_k of rho is I_k of
+    its closest classical state chi."""
     rho = evolve_global(0.7, 1.0, "ad")
     cfg = SearchConfig(starts=1, max_evals=40, rng_seed=0)
-    degree = degree_of(rho, "classical", cfg)
+    classical = [genuine_classical_Ck(rho, k, cfg).value_bits for k in (4, 3, 2)]
     assert search_cells == [4]
-    assert degree == degree_of(multipartite_quantum_Q(rho, cfg).chi, "total") == 2
+    chi = multipartite_quantum_Q(rho, cfg).chi
+    total = [genuine_total_Ik(chi, k).value_bits for k in (4, 3, 2)]
+    for values in (classical, total):
+        assert [v > 1e-6 for v in values] == [False, False, True]
 
 
 def test_the_qubit_cell_search_is_memoized_per_config(search_cells):
@@ -459,7 +463,7 @@ def test_the_qubit_cell_search_is_memoized_per_config(search_cells):
     assert multipartite_quantum_Q(rho, SearchConfig(starts=1, max_evals=40, rng_seed=0)).chi is chi
     assert genuine_classical_Cn(rho, cfg).chi is chi
     assert genuine_classical_Ck(rho, 3, cfg).chi is chi
-    degree_of(rho, "classical", cfg)
+    assert genuine_classical_Ck(rho, 2, cfg).chi is chi
     assert search_cells == [4]
     other = SearchConfig(starts=1, max_evals=40, rng_seed=1)
     assert multipartite_quantum_Q(rho, other).chi is not chi
@@ -510,11 +514,6 @@ def test_Qn_reads_the_memoized_cut_searches(first, search_batches):
     again = genuine_quantum_Qn(rho, cfg)
     assert search_batches == [5]  # one cut per swap class
     assert (again.value_bits, again.evals) == (rep.value_bits, rep.evals)
-
-
-def test_degree_of_rejects_unknown_kind(rng):
-    with pytest.raises(ValueError):
-        degree_of(random_density_matrix((2, 2), rng), "other")
 
 
 # --- report plumbing ---

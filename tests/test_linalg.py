@@ -36,7 +36,6 @@ from gencorr import (
 from gencorr import linalg
 from gencorr.channels import KrausChannel, psi_minus
 from gencorr.linalg import random_unitary
-from gencorr.states import classical_state
 from random_states import random_density_matrix, random_pure_state
 
 I2 = np.eye(2, dtype=complex)
@@ -204,7 +203,6 @@ _ONE_BAD = {
     "PureState": lambda x: PureState((2,), [x, 1.0]),
     "LocalBasisSet": lambda x: LocalBasisSet([(0,)], [[[x, 0.0], [0.0, 1.0]]]),
     "KrausChannel": lambda x: KrausChannel([[[x, 0.0], [0.0, 1.0]]], "x", 0.0),
-    "classical_state": lambda x: classical_state((2,), [x, x]),
 }
 
 

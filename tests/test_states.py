@@ -11,7 +11,7 @@ from gencorr import (
     total_correlation,
 )
 from gencorr.channels import evolve_global, upsilon_pd, werner_state
-from gencorr.states import classical_state, fidelity, ghz, ppt_min_eigenvalue, w4
+from gencorr.states import fidelity, ghz, ppt_min_eigenvalue, w4
 from random_states import random_density_matrix, random_pure_state, separable_quantum_mixture
 
 
@@ -53,17 +53,17 @@ def test_w4_normalization_and_marginals():
 
 def test_classical_state_factorized_probs_are_uncorrelated(rng):
     pa, pb = rng.dirichlet([1, 1]), rng.dirichlet([1, 1, 1])
-    rho = classical_state((2, 3), np.outer(pa, pb).reshape(-1))
+    rho = DensityMatrix((2, 3), np.diag(np.outer(pa, pb).reshape(-1)))
     assert abs(total_correlation(rho)) <= 1e-12
 
 
 def test_classical_state_perfect_correlation_carries_one_bit():
-    rho = classical_state((2, 2), [0.5, 0.0, 0.0, 0.5])
+    rho = DensityMatrix((2, 2), np.diag([0.5, 0.0, 0.0, 0.5]))
     assert total_correlation(rho) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_classical_state_commutes_with_projectors(rng):
-    rho = classical_state((2, 2), rng.dirichlet(np.ones(4)))
+    rho = DensityMatrix((2, 2), np.diag(rng.dirichlet(np.ones(4))))
     for i in range(4):
         proj = np.zeros((4, 4))
         proj[i, i] = 1.0
@@ -71,14 +71,14 @@ def test_classical_state_commutes_with_projectors(rng):
 
 
 def test_classical_state_rejects_bad_distribution():
-    with pytest.raises(ValueError):
-        classical_state((2,), [0.7, 0.7])
-    with pytest.raises(ValueError):
-        classical_state((2,), [1.2, -0.2])
+    with pytest.raises(ValueError, match="trace must be 1"):
+        DensityMatrix((2,), np.diag([0.7, 0.7]))
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        DensityMatrix((2,), np.diag([1.2, -0.2]))
 
 
 def test_classical_state_has_no_quantumness(rng):
-    rho = classical_state((2, 2), rng.dirichlet(np.ones(4)))
+    rho = DensityMatrix((2, 2), np.diag(rng.dirichlet(np.ones(4))))
     rep = multipartite_quantum_Q(rho, SearchConfig(starts=2, max_evals=300))
     assert rep.value_bits <= 1e-6
 
