@@ -6,13 +6,12 @@ incompatible supports returns math.inf.
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
-from .linalg import DEFAULT_TOL, DensityMatrix, hermitize, partial_trace
+from .linalg import DEFAULT_TOL, DensityMatrix, _checked, hermitize, partial_trace
 
 __all__ = [
     "shannon",
@@ -67,16 +66,15 @@ def _spectrum(rho: DensityMatrix) -> np.ndarray:
     """The eigenvalues of rho, ascending (read-only).  Computed once per state.
 
     The caller holds _spectra_errstate(), under which a LAPACK failure
-    raises LinAlgError, as np.linalg.eigvalsh does.  A matrix with a
-    non-finite entry raises it too, before LAPACK sees it: for some such
-    matrices LAPACK reports no error and returns a NaN spectrum (a 2x2 NaN
-    matrix), which _entropy_bits would read as 0, or finite values.
+    raises LinAlgError, as np.linalg.eigvalsh does.  A state with a
+    non-finite entry raises it too, before LAPACK sees it (for some such
+    matrices LAPACK reports no error, and _entropy_bits would read a NaN
+    spectrum as 0).  That check is linalg._checked, made once per state: a
+    reduction by partial_trace, or an earlier spectrum, has already made it.
     """
     w = rho._memo.get("eig")
     if w is None:
-        if not cmath.isfinite(_sum(rho.mat, axis=None)):
-            raise LinAlgError("the spectrum of a matrix with a non-finite entry")
-        w = _eigvalsh(rho.mat, signature="D->d")
+        w = _eigvalsh(_checked(rho).mat, signature="D->d")
         w.setflags(write=False)
         w = rho._memo.setdefault("eig", w)
     return w

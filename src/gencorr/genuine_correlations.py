@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 from .classical_search import SearchConfig, _optimum, closest_classical_states
 from .entropy import _entropy, _spectra_errstate, shannon
-from .linalg import DensityMatrix, _check_subset, _integer, partial_trace
+from .linalg import (DensityMatrix, _check_subset, _integer, _ptrace_plan, _reduction,
+                     partial_trace)
 
 __all__ = [
     "Bipartition",
@@ -121,6 +122,15 @@ def _cuts(n: int, symmetries: tuple) -> tuple[Bipartition, ...]:
 
 
 @functools.lru_cache(maxsize=64)
+def _cut_plans(dims: tuple[int, ...], symmetries: tuple) -> tuple:
+    """The cuts of a dims state, one per class of symmetries, and the
+    partial-trace plans of each cut's two cells, in cut order."""
+    cuts = _cuts(len(dims), symmetries)
+    return cuts, tuple((_ptrace_plan(dims, cut.mask), _ptrace_plan(dims, cut.complement))
+                       for cut in cuts)
+
+
+@functools.lru_cache(maxsize=64)
 def _subsets(n: int, k: int, symmetries: tuple) -> tuple[tuple[int, ...], ...]:
     return _representatives(
         n, itertools.combinations(range(n), k), lambda sub: (sub,), symmetries
@@ -144,16 +154,24 @@ def max_over_subsets(rho: DensityMatrix, k: int, quantifier):
 def genuine_total_In(rho: DensityMatrix) -> CorrelationReport:
     """min over bipartite cuts of S(rho_c1) + S(rho_c2) - S(rho).
 
-    One errstate serves all the spectra (see entropy._spectra_errstate).
+    Computed once per state: the report is memoized on rho under "I_n", so
+    a repeat call, such as the I3 column and a one-sided triple column on
+    the same triple, returns the same report and the same float.  The cells'
+    reductions are read by the partial-trace plans of _cut_plans, made once
+    per (dims, symmetries), and one errstate serves all the spectra (see
+    entropy._spectra_errstate).
     """
     if rho.n < 2:
         raise ValueError("genuine total correlation needs at least two subsystems")
-    cuts = _cuts(rho.n, rho.symmetries)
-    with _spectra_errstate():
-        s_full = _entropy(rho)
-        values = [_entropy(partial_trace(rho, cut.mask))
-                  + _entropy(partial_trace(rho, cut.complement)) - s_full for cut in cuts]
-    return CorrelationReport(*_optimum(min, values, cuts))
+    rep = rho._memo.get("I_n")
+    if rep is None:
+        cuts, plans = _cut_plans(rho.dims, rho.symmetries)
+        with _spectra_errstate():
+            s_full = _entropy(rho)
+            values = [_entropy(_reduction(rho, a)) + _entropy(_reduction(rho, b)) - s_full
+                      for a, b in plans]
+        rep = rho._memo.setdefault("I_n", CorrelationReport(*_optimum(min, values, cuts)))
+    return rep
 
 
 def genuine_total_Ik(rho: DensityMatrix, k: int) -> CorrelationReport:

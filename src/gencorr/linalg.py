@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import LinAlgError
 
 try:  # np.einsum's C kernel, called without its Python wrapper and dispatcher
     from numpy._core.multiarray import c_einsum as _einsum
@@ -66,10 +67,16 @@ def _check_dims(dims) -> tuple[int, ...]:
     return tuple(int(d) for d in dims)
 
 
+def _all_finite(arr: np.ndarray) -> bool:
+    """The one finiteness test, of outside data (_check_finite) and of
+    derived states (_checked)."""
+    return bool(np.isfinite(arr).all())
+
+
 def _check_finite(arr: np.ndarray, what: str) -> None:
     """ValueError unless every entry of arr is finite.  Called before any
     arithmetic on outside data: a NaN passes every `dev > tol` test."""
-    if not np.isfinite(arr).all():
+    if not _all_finite(arr):
         raise ValueError(f"{what} has a non-finite entry")
 
 
@@ -88,20 +95,25 @@ class DensityMatrix:
     state built from outside data goes through it, including state_from_json,
     werner_state and appendix_golden_state.  Derived states are valid by
     construction and skip the checks: the outputs of partial_trace, dephase,
-    evolve_global and PureState.to_density.
+    evolve_global and PureState.to_density.  A derived state's entries are
+    checked for finiteness once, when a spectrum or a reduction is first
+    taken of it (see _checked); the private flag _finite records the check,
+    and a validated state or a reduction that partial_trace makes starts
+    with it set.
 
     The backing array is immutable after construction.  Each state also
     carries a private memo of its partial traces (keyed by the sorted kept
     subsystems, which partial_trace checks before it reads the memo), its
-    spectrum, its von Neumann entropy and the basis searches the quantifiers
-    ran on it (keyed by ("search", cells, SearchConfig)), so a quantifier
-    that asks for the same reduction or search again gets the same object
-    and the same float.  A state made by dephase also keeps its pinched
-    outcome distribution ("p") and the Shannon entropies of that
-    distribution's marginals that the classical quantifiers asked for (keyed
-    by ("H", kept subsystems)).  The memo never goes stale, as dims and mat
-    never change; it holds at most 2**n - 2 reductions and dies with its
-    state.  Equality and hashing go by identity.
+    spectrum, its von Neumann entropy, its genuine_total_In report ("I_n")
+    and the basis searches the quantifiers ran on it (keyed by ("search",
+    cells, SearchConfig)), so a quantifier that asks for the same reduction,
+    report or search again gets the same object and the same float.  A
+    state made by dephase also keeps its pinched outcome distribution ("p")
+    and the Shannon entropies of that distribution's marginals that the
+    classical quantifiers asked for (keyed by ("H", kept subsystems)).  The
+    memo never goes stale, as dims and mat never change; it holds at most
+    2**n - 2 reductions and dies with its state.  Equality and hashing go by
+    identity.
 
     symmetries is a tuple of subsystem relabelings (permutations, as
     permute_subsystems takes them) that leave mat unchanged; the quantifiers
@@ -114,6 +126,7 @@ class DensityMatrix:
     mat: np.ndarray
     _memo: dict = field(init=False, repr=False, compare=False)
     symmetries = ()  # a class attribute: _derived sets it on a state that has some
+    _finite = False  # a class attribute: set on a state once its entries are known finite
 
     def __init__(self, dims, mat) -> None:
         dims = _check_dims(dims)
@@ -132,21 +145,25 @@ class DensityMatrix:
         lo = float(np.linalg.eigvalsh(hermitize(mat)).min())
         if not lo >= -DEFAULT_TOL.psd:
             raise ValueError(f"negative eigenvalue {lo:.3e} below -{DEFAULT_TOL.psd:.0e}")
-        self._set(dims, mat.copy())
+        self._set(dims, mat.copy(), finite=True)
 
-    def _set(self, dims: tuple[int, ...], mat: np.ndarray) -> None:
+    def _set(self, dims: tuple[int, ...], mat: np.ndarray, finite: bool) -> None:
         mat.setflags(write=False)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "_memo", {})
+        if finite:
+            object.__setattr__(self, "_finite", True)
 
     @classmethod
-    def _derived(cls, dims: tuple[int, ...], mat: np.ndarray, symmetries=()) -> "DensityMatrix":
+    def _derived(cls, dims: tuple[int, ...], mat: np.ndarray, symmetries=(),
+                 finite: bool = False) -> "DensityMatrix":
         """Unchecked state for valid dims and a fresh complex array that
         nothing else holds and that is PSD, unit-trace and Hermitian by
-        construction, and invariant under each relabeling in symmetries."""
+        construction, and invariant under each relabeling in symmetries.
+        finite says that the entries are already known finite."""
         rho = object.__new__(cls)
-        rho._set(dims, mat)
+        rho._set(dims, mat, finite)
         if symmetries:
             object.__setattr__(rho, "symmetries", symmetries)
         return rho
@@ -281,6 +298,32 @@ def _ptrace_arr(mat: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...]) -
     return _einsum("abcb->ac", t.reshape(plan.shape))
 
 
+def _checked(rho: DensityMatrix) -> DensityMatrix:
+    """rho, once its entries are known finite; LinAlgError if one is not.
+
+    Each state is checked at most once: a validated state and a reduction of
+    a checked state need none, and a state that passes is flagged.  LAPACK
+    reports no error for some matrices with a NaN entry and returns a NaN
+    spectrum (a 2x2 NaN matrix) or finite values, and a reduction can drop
+    the entry (an off-diagonal NaN), so the check comes before either.
+    """
+    if not rho._finite:
+        if not _all_finite(rho.mat):
+            raise LinAlgError("a state with a non-finite entry")
+        object.__setattr__(rho, "_finite", True)
+    return rho
+
+
+def _reduction(rho: DensityMatrix, plan: _Plan) -> DensityMatrix:
+    """partial_trace of rho by a plan made for rho.dims that traces out at
+    least one subsystem, with no index checks."""
+    red = rho._memo.get(plan.keep)
+    if red is None:
+        mat = hermitize(_ptrace_arr(_checked(rho).mat, rho.dims, plan.keep))
+        red = rho._memo.setdefault(plan.keep, DensityMatrix._derived(plan.dims, mat, finite=True))
+    return red
+
+
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     """Reduced state on the kept subsystems, in original subsystem order.
 
@@ -294,7 +337,9 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     up in the cache, which takes True for 1.  The reduction is computed once per
     rho and kept subset; a repeat returns the same object.  Keeping every
     subsystem returns rho itself, symmetries included; a proper reduction
-    carries none.
+    carries none.  A reduction first checks rho's entries, once per state
+    (see _checked), so a derived state with a non-finite entry raises
+    LinAlgError.
     """
     keep = tuple(keep)
     try:
@@ -304,13 +349,7 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
         plan = _ptrace_plan(rho.dims, keep)
     except TypeError:  # an unhashable index, or a bool: check it without the cache
         plan = _ptrace_plan.__wrapped__(rho.dims, keep)
-    if len(plan.keep) == rho.n:
-        return rho
-    red = rho._memo.get(plan.keep)
-    if red is None:
-        mat = hermitize(_ptrace_arr(rho.mat, rho.dims, plan.keep))
-        red = rho._memo.setdefault(plan.keep, DensityMatrix._derived(plan.dims, mat))
-    return red
+    return rho if len(plan.keep) == rho.n else _reduction(rho, plan)
 
 
 def permute_subsystems(mat: np.ndarray, dims, perm) -> np.ndarray:

@@ -33,12 +33,16 @@ def w4() -> PureState:
 
 
 def fidelity(psi: PureState, rho: DensityMatrix) -> float:
-    """sqrt(<psi|rho|psi>), clamped to [0, 1]."""
+    """sqrt(<psi|rho|psi>), clamped to [0, 1].
+
+    ValueError if the overlap is below -1e-12 or NaN (a derived state with a
+    NaN entry), which the clamp would otherwise pass on.
+    """
     if psi.dims != rho.dims:
         raise ValueError(f"dimension mismatch: {psi.dims} vs {rho.dims}")
     overlap = float(np.real(np.vdot(psi.vec, rho.mat @ psi.vec)))
-    if overlap < -1e-12:
-        raise ValueError(f"negative overlap {overlap:.3e}")
+    if not overlap >= -1e-12:
+        raise ValueError(f"overlap {overlap:.3e} is negative or not a number")
     return float(np.sqrt(min(max(overlap, 0.0), 1.0)))
 
 

@@ -35,11 +35,21 @@ def _one_nan_ghz4() -> np.ndarray:
     return mat
 
 
+def _coherence_nan_ghz4() -> np.ndarray:
+    """GHZ4 with NaN coherences at [0, 15] and [15, 0]: every proper
+    reduction traces them out, so only a check of the state itself sees them."""
+    mat = np.array(ghz(4).to_density().mat)
+    mat[0, 15] = mat[15, 0] = np.nan
+    return mat
+
+
 def test_a_spectrum_lapack_cannot_compute_raises_linalgerror():
     """A failed eigensolver, or a matrix with a NaN entry, raises LinAlgError,
     with no RuntimeWarning on the way, and memoizes no spectrum or entropy of
     the state or of any reduction it took, whether the spectrum was asked for
-    alone or under a quantifier's one errstate around all its spectra."""
+    alone or under a quantifier's one errstate around all its spectra.  A
+    quantifier that reads only reductions (genuine_total_Ik) raises too: the
+    state is checked before its first reduction."""
     # LAPACK returns [nan, nan] for the 2x2 NaN matrix without an error
     qubit = DensityMatrix._derived((2,), np.full((2, 2), np.nan, dtype=complex))
     cases = [(von_neumann_entropy, qubit)]
@@ -50,7 +60,8 @@ def test_a_spectrum_lapack_cannot_compute_raises_linalgerror():
         total_correlation,
         lambda rho: closest_classical_state(rho, [(0,), (1,), (2,), (3,)]),
     ]:
-        for mat in (np.full((16, 16), np.nan, dtype=complex), _one_nan_ghz4()):
+        for mat in (np.full((16, 16), np.nan, dtype=complex), _one_nan_ghz4(),
+                    _coherence_nan_ghz4()):
             cases.append((quantifier, DensityMatrix._derived((2,) * 4, mat)))
     for quantifier, rho in cases:
         with warnings.catch_warnings():

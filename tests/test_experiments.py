@@ -8,6 +8,7 @@ import types
 import numpy as np
 import pytest
 
+import gencorr.entropy as entropy
 import gencorr.experiments as experiments
 import gencorr.genuine_correlations as gc
 import gencorr.linalg as linalg
@@ -367,6 +368,28 @@ def test_triple_columns_reuse_the_reductions_of_i3(monkeypatch):
     assert computed == before
 
 
+def test_an_entropy_row_does_each_piece_of_work_once(monkeypatch):
+    """One I/F row of an evolved state: 23 reductions, 24 spectra and one
+    non-finite check, of the root (its reductions inherit it), and I3 is
+    the float of one of the triple columns, not a recomputation."""
+    counts = {"ptrace": 0, "eig": 0, "finite": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    rho = evolve_global(0.6, 0.3, "ad")  # built first: its set-up checks its inputs
+    monkeypatch.setattr(linalg, "_ptrace_arr", counting("ptrace", linalg._ptrace_arr))
+    monkeypatch.setattr(entropy, "_eigvalsh", counting("eig", entropy._eigvalsh))
+    monkeypatch.setattr(linalg, "_all_finite", counting("finite", linalg._all_finite))
+    values, flags = evaluate_measures(rho, ("I4", "I3", "I3_abEa", "I3_aEaEb", "F_W", "F_GHZ"))
+    assert flags == []
+    assert counts == {"ptrace": 23, "eig": 24, "finite": 1}
+    assert values["I3"] is values["I3_abEa"] or values["I3"] is values["I3_aEaEb"]
+
+
 @pytest.mark.parametrize("kind", ["ad", "pd"])
 @pytest.mark.parametrize("series,measures,grid", [
     ("total", I_COLUMNS, 11), ("fidelity", ("F_W", "F_GHZ"), 11),
@@ -390,6 +413,37 @@ def test_sweep_columns_reproduce_their_golden_csvs(kind, series, measures, grid,
     manifest = tmp_path / "out.manifest.json"
     write_manifest(spec, rows, manifest)
     assert manifest.read_bytes() == (GOLDEN / f"{kind}_{series}.manifest.json").read_bytes()
+
+
+def _mirror_deviation(rows, measures) -> float:
+    """The largest |m(p) - m'(1 - p)| over the rows of each c, where m' is m,
+    except that the two one-sided triple columns are each other's mirror."""
+    mirror = {"I3_abEa": "I3_aEaEb", "I3_aEaEb": "I3_abEa"}
+    deviations = []
+    for c in {row["c"] for row in rows}:
+        series = sorted((row for row in rows if row["c"] == c), key=lambda row: row["p"])
+        for row, other in zip(series, reversed(series)):
+            assert abs(row["p"] + other["p"] - 1.0) <= 1e-15
+            deviations += [abs(row[m] - other[mirror.get(m, m)]) for m in measures]
+    return float(np.max(deviations))  # NaN if any value is NaN
+
+
+@pytest.mark.parametrize("series", ["total", "quantum", "classical", "fidelity"])
+def test_ad_golden_columns_mirror_about_p_one_half(series):
+    """Under ad, rho(c, 1 - p) is rho(c, p) with a <-> E_a and b <-> E_b
+    swapped: the environments start in the vacuum, where the dilation at
+    1 - p is the swap of the one at p.  So every ad column is symmetric
+    about p = 1/2, and I3_abEa(p) = I3_aEaEb(1 - p).  pd has no such map."""
+    rows = read_csv(GOLDEN / f"ad_{series}.csv")
+    measures = [key for key in rows[0] if key not in ("channel", "c", "p")]
+    assert _mirror_deviation(rows, measures) <= 1e-12
+    assert _mirror_deviation(read_csv(GOLDEN / f"pd_{series}.csv"), measures) > 1e-3
+
+
+def test_a_fresh_ad_sweep_mirrors_about_p_one_half():
+    measures = I_COLUMNS + ("F_W", "F_GHZ")
+    rows = run_sweep(SweepSpec("ad", (0.6,), 101, measures))
+    assert _mirror_deviation(rows, measures) <= 1e-12
 
 
 def test_manifest_lists_only_the_flags_of_its_measures(tmp_path, monkeypatch):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from gencorr import (
     total_correlation,
 )
 from gencorr.channels import evolve_global, upsilon_pd, werner_state
+from gencorr.experiments import evaluate_measures
 from gencorr.states import fidelity, ghz, ppt_min_eigenvalue, w4
 from random_states import random_density_matrix, random_pure_state, separable_quantum_mixture
 
@@ -115,6 +118,19 @@ def test_fidelity_invariant_under_joint_unitary(rng):
 def test_fidelity_dimension_mismatch(rng):
     with pytest.raises(ValueError):
         fidelity(random_pure_state((2,), rng), random_density_matrix((2, 2), rng))
+
+
+def test_fidelity_of_a_nan_state_raises_and_flags_its_row():
+    # GHZ4 with NaN coherences: the overlap is NaN, which neither a
+    # `< -1e-12` test nor the clamp to [0, 1] would stop
+    mat = np.array(ghz(4).to_density().mat)
+    mat[0, 15] = mat[15, 0] = np.nan
+    rho = DensityMatrix._derived((2,) * 4, mat)
+    with pytest.raises(ValueError, match="not a number"):
+        fidelity(ghz(4), rho)
+    values, flags = evaluate_measures(rho, ("F_W", "F_GHZ"))
+    assert math.isnan(values["F_W"]) and math.isnan(values["F_GHZ"])
+    assert [flag.split(":")[0] for flag in flags] == ["F_W", "F_GHZ"]
 
 
 @pytest.mark.parametrize("c,p", [(0.0, 0.3), (0.5, 0.5), (1.0, 0.9)])
