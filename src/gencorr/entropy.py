@@ -88,6 +88,47 @@ def _entropy(rho: DensityMatrix) -> float:
     return s
 
 
+def _entropy_rows(w: np.ndarray) -> np.ndarray:
+    """_entropy_bits of each row of a (k, d) stack with d < 8, in one pass.
+
+    Bit for bit: below 8 entries numpy's sum adds in order from +0.0, so the
+    0.0 term of a skipped entry changes no bits.  From 8 entries on it keeps
+    8 partial sums by position, and a skipped entry would move the others.
+    """
+    kept = w > DEFAULT_TOL.clip
+    v = np.where(kept, w, 1.0)
+    s = -_sum(v * np.log2(v), axis=-1)
+    return np.where(kept.any(axis=-1), s, 0.0)  # _entropy_bits of no entries is 0.0
+
+
+def _entropies(states) -> list[float]:
+    """_entropy of each state, in order, for a caller that holds
+    _spectra_errstate().
+
+    The states with no spectrum yet take theirs in one eigenvalue call per
+    matrix side; each one's spectrum is a read-only row of its side's stack.
+    Spectra of fewer than 8 entries get their entropies in one _entropy_rows
+    pass, longer ones one _entropy_bits call each.  Every state is checked as
+    _spectrum checks it, and the "eig" and "S" memos are set only once every
+    side has its spectra, so a call that raises memoizes none.
+    """
+    sides: dict[int, list] = {}
+    for rho in dict.fromkeys(states):  # each state once
+        if "eig" not in rho._memo:
+            sides.setdefault(rho.dim, []).append(rho)
+    found = []
+    for side, group in sides.items():
+        w = _eigvalsh(np.array([_checked(rho).mat for rho in group]), signature="D->d")
+        w.setflags(write=False)
+        found.append((group, w, _entropy_rows(w).tolist() if side < 8
+                      else [_entropy_bits(row) for row in w]))
+    for group, w, s in found:
+        for rho, w_row, s_row in zip(group, w, s):
+            rho._memo.setdefault("eig", w_row)
+            rho._memo.setdefault("S", s_row)
+    return [_entropy(rho) for rho in states]
+
+
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """-tr(rho log2 rho); between 0 and log2(dim).  Computed once per state."""
     s = rho._memo.get("S")

@@ -5,10 +5,12 @@ evaluates the requested correlation and fidelity measures per row through
 one table of library quantifiers (evaluate_measures).  Before the rows of a
 (channel, c) series, every basis search its columns read runs in one
 batched search, which memoizes the results on the states for the rows to
-read.  The evolved states carry their swap symmetry (a,E_a) <-> (b,E_b)
-(see evolve_global), so every quantifier evaluates one cut or triple per
-swap class: of the four triples of the 3-party measures, only {a,E_a,b} and
-{a,E_a,E_b}.
+read.  Then each row takes, in one batch, the genuine_total_In of every
+state its I columns read, so its spectra cost one eigenvalue call per
+matrix side.  The evolved states carry their swap symmetry
+(a,E_a) <-> (b,E_b) (see evolve_global), so every quantifier evaluates one
+cut or triple per swap class: of the four triples of the 3-party measures,
+only {a,E_a,b} and {a,E_a,E_b}.
 
 detect_sudden_change flags interior grid points where the finite-difference
 slope of a series jumps by more than _KAPPA times the local slope noise, the
@@ -35,6 +37,7 @@ from .genuine_correlations import (
     _one_cell_each,
     _searches,
     _subsets,
+    _total_Ins,
     genuine_classical_Ck,
     genuine_classical_Cn,
     genuine_total_Ik,
@@ -65,26 +68,35 @@ __all__ = [
 _W4 = w4()
 _GHZ_LIMIT = upsilon_pd(1.0)
 
+
+def _triples(rho: DensityMatrix) -> list[DensityMatrix]:
+    """The 3-subsystem reductions of rho, one per class of its symmetries."""
+    return [partial_trace(rho, sub) for sub in _subsets(rho.n, 3, rho.symmetries)]
+
+
 # column -> (k of the k-subsystem reductions whose qubit-cell searches it
-# reads, or None; its value for (rho, cfg)).  Each quantifier reads rho's
-# symmetries off rho.  Q4, C4 and C3 read one four-party search, memoized
-# on rho.  The lambdas look the library functions (fidelity included) up
-# when a row is evaluated, so a patched module binding (a test double, a
-# tracer) sees every call.
+# reads, or None; the states whose genuine_total_In it reads, or None; its
+# value for (rho, cfg)).  Each quantifier reads rho's symmetries off rho.
+# Q4, C4 and C3 read one four-party search, memoized on rho.  The lambdas
+# look the library functions (fidelity included) up when a row is
+# evaluated, so a patched module binding (a test double, a tracer) sees
+# every call.
 _MEASURES = {
-    "I4": (None, lambda rho, _: genuine_total_In(rho).value_bits),
-    "I3": (None, lambda rho, _: genuine_total_Ik(rho, 3).value_bits),
-    "I3_abEa": (None, lambda rho, _: genuine_total_In(partial_trace(rho, (0, 1, 2))).value_bits),
-    "I3_aEaEb": (None, lambda rho, _: genuine_total_In(partial_trace(rho, (0, 1, 3))).value_bits),
+    "I4": (None, lambda rho: (rho,), lambda rho, _: genuine_total_In(rho).value_bits),
+    "I3": (None, _triples, lambda rho, _: genuine_total_Ik(rho, 3).value_bits),
+    "I3_abEa": (None, lambda rho: (partial_trace(rho, (0, 1, 2)),),
+                lambda rho, _: genuine_total_In(partial_trace(rho, (0, 1, 2))).value_bits),
+    "I3_aEaEb": (None, lambda rho: (partial_trace(rho, (0, 1, 3)),),
+                 lambda rho, _: genuine_total_In(partial_trace(rho, (0, 1, 3))).value_bits),
     # Q4 is the fully multipartite Q (one basis per subsystem), Q3 its max over triples
-    "Q4": (4, lambda rho, cfg: multipartite_quantum_Q(rho, cfg).value_bits),
-    "Q3": (3, lambda rho, cfg: max_over_subsets(
+    "Q4": (4, None, lambda rho, cfg: multipartite_quantum_Q(rho, cfg).value_bits),
+    "Q3": (3, None, lambda rho, cfg: max_over_subsets(
         rho, 3, lambda red: multipartite_quantum_Q(red, cfg)
     ).value_bits),
-    "C4": (4, lambda rho, cfg: genuine_classical_Cn(rho, cfg).value_bits),
-    "C3": (4, lambda rho, cfg: genuine_classical_Ck(rho, 3, cfg).value_bits),
-    "F_W": (None, lambda rho, _: fidelity(_W4, rho)),
-    "F_GHZ": (None, lambda rho, _: fidelity(_GHZ_LIMIT, rho)),
+    "C4": (4, None, lambda rho, cfg: genuine_classical_Cn(rho, cfg).value_bits),
+    "C3": (4, None, lambda rho, cfg: genuine_classical_Ck(rho, 3, cfg).value_bits),
+    "F_W": (None, None, lambda rho, _: fidelity(_W4, rho)),
+    "F_GHZ": (None, None, lambda rho, _: fidelity(_GHZ_LIMIT, rho)),
 }
 SUPPORTED_MEASURES = tuple(_MEASURES)
 
@@ -106,8 +118,11 @@ def _evaluate(rhos, measures, cfg):
     class of the state's symmetries), and memoizes the results.  If that call
     raises, nothing is memoized and each row runs its own searches, so a
     search that raises flags only its row.  Without searches, each state can
-    go once its row is done.  A measure that raises is NaN with a
-    "name: error" flag.
+    go once its row is done.  Then, row by row, one _total_Ins call takes
+    the genuine_total_In of every state the row's columns read, with one
+    eigenvalue call per matrix side for the row's spectra; if it raises, it
+    memoizes no spectrum or report, and each column evaluates on its own.  A
+    measure that raises is NaN with a "name: error" flag.
     """
     ks = sorted({_MEASURES[m][0] for m in measures} - {None}, reverse=True)
     if ks:
@@ -118,12 +133,18 @@ def _evaluate(rhos, measures, cfg):
             _searches([(red, _one_cell_each(red.n)) for red in reds], cfg)
         except Exception:  # noqa: BLE001 - each row then runs its own searches
             pass
+    reads = [_MEASURES[m][1] for m in measures if _MEASURES[m][1]]
     for rho in rhos:
+        if reads:
+            try:
+                _total_Ins([state for read in reads for state in read(rho)])
+            except Exception:  # noqa: BLE001 - each column then flags its own failure
+                pass
         values: dict[str, float] = {}
         flags: list[str] = []
         for m in measures:
             try:
-                values[m] = _MEASURES[m][1](rho, cfg)
+                values[m] = _MEASURES[m][2](rho, cfg)
             except Exception as exc:  # noqa: BLE001 - flagged, not fatal
                 values[m] = math.nan
                 flags.append(f"{m}: {exc}")

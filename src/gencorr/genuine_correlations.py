@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .classical_search import SearchConfig, _optimum, closest_classical_states
-from .entropy import _entropy, _spectra_errstate, shannon
+from .entropy import _entropies, _spectra_errstate, shannon
 from .linalg import (DensityMatrix, _check_subset, _integer, _ptrace_plan, _reduction,
                      partial_trace)
 
@@ -156,22 +156,39 @@ def genuine_total_In(rho: DensityMatrix) -> CorrelationReport:
 
     Computed once per state: the report is memoized on rho under "I_n", so
     a repeat call, such as the I3 column and a one-sided triple column on
-    the same triple, returns the same report and the same float.  The cells'
-    reductions are read by the partial-trace plans of _cut_plans, made once
-    per (dims, symmetries), and one errstate serves all the spectra (see
-    entropy._spectra_errstate).
+    the same triple, returns the same report and the same float.  This is
+    the one-state call of _total_Ins, which a sweep row calls on all the
+    states its columns read.
     """
-    if rho.n < 2:
-        raise ValueError("genuine total correlation needs at least two subsystems")
     rep = rho._memo.get("I_n")
-    if rep is None:
-        cuts, plans = _cut_plans(rho.dims, rho.symmetries)
-        with _spectra_errstate():
-            s_full = _entropy(rho)
-            values = [_entropy(_reduction(rho, a)) + _entropy(_reduction(rho, b)) - s_full
-                      for a, b in plans]
-        rep = rho._memo.setdefault("I_n", CorrelationReport(*_optimum(min, values, cuts)))
-    return rep
+    return rep if rep is not None else _total_Ins([rho])[0]
+
+
+def _total_Ins(rhos) -> list[CorrelationReport]:
+    """genuine_total_In of each state, in order.
+
+    The states without a memoized report take all their spectra in one
+    entropy._entropies call, under one errstate (see
+    entropy._spectra_errstate), so each matrix side costs one eigenvalue
+    call for the whole batch.  The cells' reductions are read by the
+    partial-trace plans of _cut_plans, made once per (dims, symmetries).
+    If the call raises, no report and no spectrum is memoized.
+    """
+    if any(rho.n < 2 for rho in rhos):
+        raise ValueError("genuine total correlation needs at least two subsystems")
+    with _spectra_errstate():
+        jobs = []
+        for rho in dict.fromkeys(rhos):  # each state once
+            if "I_n" not in rho._memo:
+                cuts, plans = _cut_plans(rho.dims, rho.symmetries)
+                jobs.append((rho, cuts, [_reduction(rho, plan) for cut in plans for plan in cut]))
+        # each job's entropies in order: the state's, then the two cells of each cut
+        entropies = iter(_entropies([s for rho, _, cells in jobs for s in (rho, *cells)]))
+        for rho, cuts, _ in jobs:
+            s_full = next(entropies)
+            values = [next(entropies) + next(entropies) - s_full for _ in cuts]
+            rho._memo.setdefault("I_n", CorrelationReport(*_optimum(min, values, cuts)))
+    return [rho._memo["I_n"] for rho in rhos]
 
 
 def genuine_total_Ik(rho: DensityMatrix, k: int) -> CorrelationReport:

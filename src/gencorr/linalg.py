@@ -104,16 +104,17 @@ class DensityMatrix:
     The backing array is immutable after construction.  Each state also
     carries a private memo of its partial traces (keyed by the sorted kept
     subsystems, which partial_trace checks before it reads the memo), its
-    spectrum, its von Neumann entropy, its genuine_total_In report ("I_n")
-    and the basis searches the quantifiers ran on it (keyed by ("search",
-    cells, SearchConfig)), so a quantifier that asks for the same reduction,
-    report or search again gets the same object and the same float.  A
-    state made by dephase also keeps its pinched outcome distribution ("p")
-    and the Shannon entropies of that distribution's marginals that the
-    classical quantifiers asked for (keyed by ("H", kept subsystems)).  The
-    memo never goes stale, as dims and mat never change; it holds at most
-    2**n - 2 reductions and dies with its state.  Equality and hashing go by
-    identity.
+    spectrum ("eig", read-only; a row of a stack when a sweep row took its
+    spectra in one batch), its von Neumann entropy ("S"), its
+    genuine_total_In report ("I_n") and the basis searches the quantifiers
+    ran on it (keyed by ("search", cells, SearchConfig)), so a quantifier
+    that asks for the same reduction, report or search again gets the same
+    object and the same float.  A state made by dephase also keeps its
+    pinched outcome distribution ("p") and the Shannon entropies of that
+    distribution's marginals that the classical quantifiers asked for
+    (keyed by ("H", kept subsystems)).  The memo never goes stale, as dims
+    and mat never change; it holds at most 2**n - 2 reductions and dies
+    with its state.  Equality and hashing go by identity.
 
     symmetries is a tuple of subsystem relabelings (permutations, as
     permute_subsystems takes them) that leave mat unchanged; the quantifiers
@@ -270,6 +271,7 @@ def _subsystem_axes(mat: np.ndarray, dims, order, cols: bool = True) -> np.ndarr
 
 class _Plan(NamedTuple):
     keep: tuple[int, ...]  # checked and sorted
+    split: tuple[int, ...]  # the source dims twice: one axis per subsystem, rows then columns
     axes: tuple[int, ...]  # the kept subsystems first, rows then columns
     shape: tuple[int, int, int, int]  # (kept, traced, kept, traced) sizes
     dims: tuple[int, ...]  # of the reduced state
@@ -287,14 +289,13 @@ def _ptrace_plan(dims: tuple[int, ...], keep: tuple) -> _Plan:
     order = list(keep) + [i for i in range(n) if i not in keep]
     dk = math.prod(dims[i] for i in keep)
     dt = math.prod(dims) // dk
-    return _Plan(keep, tuple(order + [n + i for i in order]), (dk, dt, dk, dt),
+    return _Plan(keep, dims * 2, tuple(order + [n + i for i in order]), (dk, dt, dk, dt),
                  tuple(dims[i] for i in keep))
 
 
-def _ptrace_arr(mat: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...]) -> np.ndarray:
-    """Partial trace on a raw array, by the plan of (dims, keep)."""
-    plan = _ptrace_plan(dims, keep)
-    t = mat.reshape(dims * 2).transpose(plan.axes)
+def _ptrace_arr(mat: np.ndarray, plan: _Plan) -> np.ndarray:
+    """Partial trace on a raw array, by a plan made for its dims."""
+    t = mat.reshape(plan.split).transpose(plan.axes)
     return _einsum("abcb->ac", t.reshape(plan.shape))
 
 
@@ -319,7 +320,7 @@ def _reduction(rho: DensityMatrix, plan: _Plan) -> DensityMatrix:
     least one subsystem, with no index checks."""
     red = rho._memo.get(plan.keep)
     if red is None:
-        mat = hermitize(_ptrace_arr(_checked(rho).mat, rho.dims, plan.keep))
+        mat = hermitize(_ptrace_arr(_checked(rho).mat, plan))
         red = rho._memo.setdefault(plan.keep, DensityMatrix._derived(plan.dims, mat, finite=True))
     return red
 

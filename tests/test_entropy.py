@@ -1,21 +1,27 @@
+import itertools
 import math
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gencorr import (
     DensityMatrix,
+    partial_trace,
     random_unitary,
     relative_entropy,
     shannon,
     total_correlation,
     von_neumann_entropy,
 )
-from gencorr.channels import psi_minus, werner_state
+from gencorr.channels import evolve_global, psi_minus, werner_state
 from gencorr.classical_search import closest_classical_state
+from gencorr.entropy import (_eigvalsh, _entropies, _entropy_bits, _entropy_rows,
+                             _spectra_errstate)
 from gencorr.genuine_correlations import genuine_total_Ik, genuine_total_In
+from gencorr.linalg import DEFAULT_TOL
 from gencorr.states import ghz
 from random_states import random_density_matrix
 
@@ -71,6 +77,43 @@ def test_a_spectrum_lapack_cannot_compute_raises_linalgerror():
                     quantifier(rho)
         states = [rho, *(v for v in rho._memo.values() if isinstance(v, DensityMatrix))]
         assert [sorted({"eig", "S"} & set(state._memo)) for state in states] == [[]] * len(states)
+
+
+# spectrum entries: exact 0 and 1, entries at, below and just above clip
+# (negative ones too), a few values that make ties, and any in [0, 1]
+_EIGENVALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, DEFAULT_TOL.clip, DEFAULT_TOL.clip / 2,
+                     2 * DEFAULT_TOL.clip, -DEFAULT_TOL.clip, 0.5, 0.25, 0.125]),
+    st.floats(0.0, 1.0),
+)
+
+
+@given(w=arrays(np.float64, st.tuples(st.integers(1, 6), st.sampled_from([2, 4])),
+                elements=_EIGENVALUES))
+@settings(max_examples=300, deadline=None)
+def test_the_entropies_of_a_stack_are_those_of_its_rows(w):
+    """_entropy_rows gives each row's _entropy_bits bit for bit, the sign of
+    a zero included."""
+    with _spectra_errstate():
+        rows = _entropy_rows(w)
+        assert [repr(float(s)) for s in rows] == [repr(_entropy_bits(row)) for row in w]
+
+
+@pytest.mark.parametrize("kind,c,p", [("ad", 0.6, 0.3), ("pd", 1.0, 1.0), ("ad", 0.2, 0.0)])
+def test_batched_spectra_are_the_bytes_of_one_by_one_calls(kind, c, p):
+    """_entropies memoizes on each state the spectrum bytes of its own
+    eigvalsh call and the entropy _entropy_bits takes of them, on an evolved
+    state and every proper reduction of it (matrix sides 2 to 16)."""
+    rho = evolve_global(c, p, kind)
+    subsets = [s for k in range(1, 4) for s in itertools.combinations(range(4), k)]
+    states = [rho, *(partial_trace(rho, s) for s in subsets)]
+    with _spectra_errstate():
+        alone = [_eigvalsh(state.mat, signature="D->d") for state in states]
+        entropies = _entropies(states)
+    for state, w, s in zip(states, alone, entropies):
+        assert state._memo["eig"].tobytes() == w.tobytes()
+        assert not state._memo["eig"].flags.writeable
+        assert repr(state._memo["S"]) == repr(s) == repr(_entropy_bits(w))
 
 
 @pytest.mark.parametrize("probs", [

@@ -24,6 +24,7 @@ from gencorr import (
     genuine_classical_Ck,
     genuine_classical_Cn,
     genuine_total_In,
+    ghz,
     multipartite_quantum_Q,
     partial_trace,
     run_sweep,
@@ -353,9 +354,9 @@ def test_triple_columns_reuse_the_reductions_of_i3(monkeypatch):
     computed = []
     ptrace = linalg._ptrace_arr
 
-    def counting(mat, dims, keep):
-        computed.append(keep)
-        return ptrace(mat, dims, keep)
+    def counting(mat, plan):
+        computed.append(plan.keep)
+        return ptrace(mat, plan)
 
     monkeypatch.setattr(linalg, "_ptrace_arr", counting)
     rho = evolve_global(0.7, 0.4, "ad")
@@ -369,9 +370,10 @@ def test_triple_columns_reuse_the_reductions_of_i3(monkeypatch):
 
 
 def test_an_entropy_row_does_each_piece_of_work_once(monkeypatch):
-    """One I/F row of an evolved state: 23 reductions, 24 spectra and one
-    non-finite check, of the root (its reductions inherit it), and I3 is
-    the float of one of the triple columns, not a recomputation."""
+    """One I/F row of an evolved state: 23 reductions, its 24 spectra in one
+    eigenvalue call per matrix side (16, 8, 4 and 2) and one non-finite
+    check, of the root (its reductions inherit it), and I3 is the float of
+    one of the triple columns, not a recomputation."""
     counts = {"ptrace": 0, "eig": 0, "finite": 0}
 
     def counting(name, fn):
@@ -386,8 +388,22 @@ def test_an_entropy_row_does_each_piece_of_work_once(monkeypatch):
     monkeypatch.setattr(linalg, "_all_finite", counting("finite", linalg._all_finite))
     values, flags = evaluate_measures(rho, ("I4", "I3", "I3_abEa", "I3_aEaEb", "F_W", "F_GHZ"))
     assert flags == []
-    assert counts == {"ptrace": 23, "eig": 24, "finite": 1}
+    assert counts == {"ptrace": 23, "eig": 4, "finite": 1}
     assert values["I3"] is values["I3_abEa"] or values["I3"] is values["I3_aEaEb"]
+
+
+def test_a_row_with_a_non_finite_entry_keeps_its_flags():
+    """GHZ4 with NaN coherences at [0, 15] and [15, 0], which every proper
+    reduction traces out: the row's batch of spectra raises, and each column
+    is NaN with the flag it had when every column took its own spectra."""
+    mat = np.array(ghz(4).to_density().mat)
+    mat[0, 15] = mat[15, 0] = np.nan
+    rho = DensityMatrix._derived((2,) * 4, mat)
+    values, flags = evaluate_measures(rho, I_COLUMNS + ("F_W", "F_GHZ"))
+    assert list(values) == list(I_COLUMNS + ("F_W", "F_GHZ"))
+    assert all(math.isnan(v) for v in values.values())
+    assert flags == [f"{m}: a state with a non-finite entry" for m in I_COLUMNS] + [
+        f"{m}: overlap nan is negative or not a number" for m in ("F_W", "F_GHZ")]
 
 
 @pytest.mark.parametrize("kind", ["ad", "pd"])
@@ -444,6 +460,25 @@ def test_a_fresh_ad_sweep_mirrors_about_p_one_half():
     measures = I_COLUMNS + ("F_W", "F_GHZ")
     rows = run_sweep(SweepSpec("ad", (0.6,), 101, measures))
     assert _mirror_deviation(rows, measures) <= 1e-12
+
+
+def test_ad_kinks_come_in_mirror_pairs():
+    """Under ad, a kink at p* has a partner at 1 - p* in the mirror column
+    (I3_abEa and I3_aEaEb mirror each other, the other columns themselves),
+    with the slopes negated and swapped; a kink at p = 1/2 is its own
+    partner."""
+    mirror = {"I3_abEa": "I3_aEaEb", "I3_aEaEb": "I3_abEa"}
+    rows = run_sweep(SweepSpec("ad", (0.2, 0.4, 0.6, 0.8, 1.0), 101, I_COLUMNS))
+    kinks = [hit for m in I_COLUMNS for hit in detect_sudden_change(rows, m)]
+    assert len(kinks) == 25
+    for hit in kinks:
+        partners = [other for other in kinks
+                    if other.measure == mirror.get(hit.measure, hit.measure)
+                    and other.c == hit.c and abs(other.p_star + hit.p_star - 1.0) <= 1e-12]
+        assert len(partners) == 1, hit
+        (partner,) = partners
+        assert partner.left_slope == pytest.approx(-hit.right_slope, abs=1e-9)
+        assert partner.right_slope == pytest.approx(-hit.left_slope, abs=1e-9)
 
 
 def test_manifest_lists_only_the_flags_of_its_measures(tmp_path, monkeypatch):

@@ -261,6 +261,17 @@ def test_Qn_of_w4_is_attained_on_a_single_qubit_cut():
     assert 1 in (len(rep.witness.mask), len(rep.witness.complement))
 
 
+@pytest.mark.parametrize("kind", ["ad", "pd"])
+def test_Qn_is_half_of_In_on_the_pure_c_one_states(kind):
+    """At c = 1 the evolved state is pure, where each cut's Q is the
+    entanglement entropy of its cells and Q_n = I_n / 2 (Modi et al.,
+    PRL 104, 080501 (2010)): an independent check of the search and of I_n."""
+    for p in (0.0, 0.25, 0.5, 0.75, 1.0):
+        rho = evolve_global(1.0, p, kind)
+        assert abs(genuine_quantum_Qn(rho).value_bits
+                   - genuine_total_In(rho).value_bits / 2) <= 1e-9, p
+
+
 def test_Qn_evals_is_the_sum_over_its_cut_searches(monkeypatch):
     import gencorr.genuine_correlations as gc
 
