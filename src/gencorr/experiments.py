@@ -120,9 +120,12 @@ def _evaluate(rhos, measures, cfg):
     search that raises flags only its row.  Without searches, each state can
     go once its row is done.  Then, row by row, one _total_Ins call takes
     the genuine_total_In of every state the row's columns read, with one
-    eigenvalue call per matrix side for the row's spectra; if it raises, it
-    memoizes no spectrum or report, and each column evaluates on its own.  A
-    measure that raises is NaN with a "name: error" flag.
+    eigenvalue call per matrix side for the row's spectra and the cut
+    marginals as plain arrays, so the row's states are rho and the
+    reductions its columns read (on an I/F row: rho and its two triples);
+    if it raises, it memoizes no spectrum or report, and each column
+    evaluates on its own.  A measure that raises is NaN with a "name:
+    error" flag.
     """
     ks = sorted({_MEASURES[m][0] for m in measures} - {None}, reverse=True)
     if ks:

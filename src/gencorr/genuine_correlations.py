@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 from .classical_search import SearchConfig, _optimum, closest_classical_states
 from .entropy import _entropies, _spectra_errstate, shannon
-from .linalg import (DensityMatrix, _check_subset, _integer, _ptrace_plan, _reduction,
-                     partial_trace)
+from . import linalg
+from .linalg import DensityMatrix, _check_subset, _checked, _integer, _ptrace_plan, partial_trace
 
 __all__ = [
     "Bipartition",
@@ -124,10 +124,9 @@ def _cuts(n: int, symmetries: tuple) -> tuple[Bipartition, ...]:
 @functools.lru_cache(maxsize=64)
 def _cut_plans(dims: tuple[int, ...], symmetries: tuple) -> tuple:
     """The cuts of a dims state, one per class of symmetries, and the
-    partial-trace plans of each cut's two cells, in cut order."""
+    partial-trace plans of their cells: each cut's two, in cut order."""
     cuts = _cuts(len(dims), symmetries)
-    return cuts, tuple((_ptrace_plan(dims, cut.mask), _ptrace_plan(dims, cut.complement))
-                       for cut in cuts)
+    return cuts, tuple(_ptrace_plan(dims, cell) for cut in cuts for cell in cut.cells())
 
 
 @functools.lru_cache(maxsize=64)
@@ -158,7 +157,8 @@ def genuine_total_In(rho: DensityMatrix) -> CorrelationReport:
     a repeat call, such as the I3 column and a one-sided triple column on
     the same triple, returns the same report and the same float.  This is
     the one-state call of _total_Ins, which a sweep row calls on all the
-    states its columns read.
+    states its columns read; it memoizes rho's spectrum and entropy, and no
+    cut marginal.
     """
     rep = rho._memo.get("I_n")
     return rep if rep is not None else _total_Ins([rho])[0]
@@ -167,12 +167,16 @@ def genuine_total_In(rho: DensityMatrix) -> CorrelationReport:
 def _total_Ins(rhos) -> list[CorrelationReport]:
     """genuine_total_In of each state, in order.
 
-    The states without a memoized report take all their spectra in one
+    The cells of each state without a memoized report are read by the
+    partial-trace plans of _cut_plans, made once per (dims, symmetries).  A
+    cell that the state's memo already holds as a reduction (on a sweep
+    row, the triple (0, 1, 2), itself a state of the batch) is that state;
+    every other cell is a raw marginal, with no DensityMatrix and no memo
+    entry.  The states and the raw marginals take all their spectra in one
     entropy._entropies call, under one errstate (see
-    entropy._spectra_errstate), so each matrix side costs one eigenvalue
-    call for the whole batch.  The cells' reductions are read by the
-    partial-trace plans of _cut_plans, made once per (dims, symmetries).
-    If the call raises, no report and no spectrum is memoized.
+    entropy._spectra_errstate): one eigenvalue call and one hermitize per
+    matrix side for the whole batch.  If the call raises, no report and no
+    spectrum is memoized.
     """
     if any(rho.n < 2 for rho in rhos):
         raise ValueError("genuine total correlation needs at least two subsystems")
@@ -181,7 +185,11 @@ def _total_Ins(rhos) -> list[CorrelationReport]:
         for rho in dict.fromkeys(rhos):  # each state once
             if "I_n" not in rho._memo:
                 cuts, plans = _cut_plans(rho.dims, rho.symmetries)
-                jobs.append((rho, cuts, [_reduction(rho, plan) for cut in plans for plan in cut]))
+                mat, cells = _checked(rho).mat, []
+                for plan in plans:
+                    red = rho._memo.get(plan.keep)
+                    cells.append(linalg._ptrace_arr(mat, plan) if red is None else red)
+                jobs.append((rho, cuts, cells))
         # each job's entropies in order: the state's, then the two cells of each cut
         entropies = iter(_entropies([s for rho, _, cells in jobs for s in (rho, *cells)]))
         for rho, cuts, _ in jobs:

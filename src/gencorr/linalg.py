@@ -81,8 +81,14 @@ def _check_finite(arr: np.ndarray, what: str) -> None:
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
-    """Hermitian part (M + M†)/2; cheap guard against accumulated drift."""
-    return (m + m.conj().T) / 2
+    """Hermitian part (M + M†)/2 of a matrix, or of each matrix of a
+    (..., d, d) stack; cheap guard against accumulated drift.  Elementwise,
+    so a stack gets the bytes of one call per matrix."""
+    h = m + m.conj().swapaxes(-1, -2)
+    if h.dtype.kind not in "fc":  # integers or bools: a float result, not an in-place cast
+        return h / 2
+    h /= 2
+    return h
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,12 +115,16 @@ class DensityMatrix:
     genuine_total_In report ("I_n") and the basis searches the quantifiers
     ran on it (keyed by ("search", cells, SearchConfig)), so a quantifier
     that asks for the same reduction, report or search again gets the same
-    object and the same float.  A state made by dephase also keeps its
-    pinched outcome distribution ("p") and the Shannon entropies of that
-    distribution's marginals that the classical quantifiers asked for
-    (keyed by ("H", kept subsystems)).  The memo never goes stale, as dims
-    and mat never change; it holds at most 2**n - 2 reductions and dies
-    with its state.  Equality and hashing go by identity.
+    object and the same float.  The I_n batch reads its cut marginals as
+    plain arrays and leaves none of them in the memo: it memoizes spectra
+    and entropies only on states (those it was given, and reductions their
+    memos already held) and reports only on the states it was given.  A
+    state made by dephase also keeps its pinched outcome distribution
+    ("p") and the Shannon entropies of that distribution's marginals that
+    the classical quantifiers asked for (keyed by ("H", kept subsystems)).
+    The memo never goes stale, as dims and mat never change; it holds at
+    most 2**n - 2 reductions and dies with its state.  Equality and hashing
+    go by identity.
 
     symmetries is a tuple of subsystem relabelings (permutations, as
     permute_subsystems takes them) that leave mat unchanged; the quantifiers

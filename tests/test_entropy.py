@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+import gencorr.entropy as entropy
 from gencorr import (
     DensityMatrix,
     partial_trace,
@@ -20,7 +21,7 @@ from gencorr.channels import evolve_global, psi_minus, werner_state
 from gencorr.classical_search import closest_classical_state
 from gencorr.entropy import (_eigvalsh, _entropies, _entropy_bits, _entropy_rows,
                              _spectra_errstate)
-from gencorr.genuine_correlations import genuine_total_Ik, genuine_total_In
+from gencorr.genuine_correlations import _total_Ins, genuine_total_Ik, genuine_total_In
 from gencorr.linalg import DEFAULT_TOL
 from gencorr.states import ghz
 from random_states import random_density_matrix
@@ -77,6 +78,39 @@ def test_a_spectrum_lapack_cannot_compute_raises_linalgerror():
                     quantifier(rho)
         states = [rho, *(v for v in rho._memo.values() if isinstance(v, DensityMatrix))]
         assert [sorted({"eig", "S"} & set(state._memo)) for state in states] == [[]] * len(states)
+
+
+@pytest.mark.parametrize("bad_first", [False, True], ids=["good-bad", "bad-good"])
+@pytest.mark.parametrize("bad_mat", [_one_nan_ghz4, _coherence_nan_ghz4])
+def test_a_mixed_batch_memoizes_nothing_when_it_raises(bad_mat, bad_first):
+    """A batch of I_n with one state that has a non-finite entry raises
+    LinAlgError and leaves no spectrum, entropy or report on either state;
+    the good state alone then gets its lone value."""
+    good = evolve_global(0.6, 0.3, "ad")
+    bad = DensityMatrix._derived((2,) * 4, bad_mat())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError):
+            _total_Ins([bad, good] if bad_first else [good, bad])
+    assert [{"eig", "S", "I_n"} & set(state._memo) for state in (good, bad)] == [set(), set()]
+    assert repr(_total_Ins([good])) == repr([genuine_total_In(evolve_global(0.6, 0.3, "ad"))])
+
+
+def test_a_batch_whose_last_side_fails_memoizes_nothing(monkeypatch):
+    """An eigensolver failure on the qubit cells, the last matrix side of a
+    row's batch, raises and leaves no spectrum on the states whose sides
+    (16 and 8) had already succeeded."""
+    def failing(stack, **kwargs):
+        if stack.shape[-1] == 2:
+            raise np.linalg.LinAlgError("failed on the qubit side")
+        return _eigvalsh(stack, **kwargs)
+
+    rho = evolve_global(0.6, 0.3, "ad")
+    states = [rho, partial_trace(rho, (0, 1, 2)), partial_trace(rho, (0, 1, 3))]
+    monkeypatch.setattr(entropy, "_eigvalsh", failing)
+    with pytest.raises(np.linalg.LinAlgError):
+        _total_Ins(states)
+    assert [{"eig", "S", "I_n"} & set(state._memo) for state in states] == [set()] * 3
 
 
 # spectrum entries: exact 0 and 1, entries at, below and just above clip

@@ -1,9 +1,11 @@
 import dataclasses
+import gc as garbage
 import itertools
 import json
 import math
 import pathlib
 import types
+import weakref
 
 import numpy as np
 import pytest
@@ -371,10 +373,11 @@ def test_triple_columns_reuse_the_reductions_of_i3(monkeypatch):
 
 def test_an_entropy_row_does_each_piece_of_work_once(monkeypatch):
     """One I/F row of an evolved state: 23 reductions, its 24 spectra in one
-    eigenvalue call per matrix side (16, 8, 4 and 2) and one non-finite
-    check, of the root (its reductions inherit it), and I3 is the float of
-    one of the triple columns, not a recomputation."""
-    counts = {"ptrace": 0, "eig": 0, "finite": 0}
+    eigenvalue call per matrix side (16, 8, 4 and 2), one non-finite check,
+    of the root (its reductions inherit it), and 3 states (the root and its
+    two triples; the 21 other cut marginals are plain arrays), and I3 is the
+    float of one of the triple columns, not a recomputation."""
+    counts = {"derived": 0, "ptrace": 0, "eig": 0, "finite": 0}
 
     def counting(name, fn):
         def counted(*args, **kwargs):
@@ -382,14 +385,37 @@ def test_an_entropy_row_does_each_piece_of_work_once(monkeypatch):
             return fn(*args, **kwargs)
         return counted
 
+    monkeypatch.setattr(DensityMatrix, "_derived",
+                        staticmethod(counting("derived", DensityMatrix._derived)))
     rho = evolve_global(0.6, 0.3, "ad")  # built first: its set-up checks its inputs
     monkeypatch.setattr(linalg, "_ptrace_arr", counting("ptrace", linalg._ptrace_arr))
     monkeypatch.setattr(entropy, "_eigvalsh", counting("eig", entropy._eigvalsh))
     monkeypatch.setattr(linalg, "_all_finite", counting("finite", linalg._all_finite))
     values, flags = evaluate_measures(rho, ("I4", "I3", "I3_abEa", "I3_aEaEb", "F_W", "F_GHZ"))
     assert flags == []
-    assert counts == {"ptrace": 23, "eig": 4, "finite": 1}
+    assert counts == {"derived": 3, "ptrace": 23, "eig": 4, "finite": 1}
     assert values["I3"] is values["I3_abEa"] or values["I3"] is values["I3_aEaEb"]
+
+
+@pytest.mark.parametrize("measures,p_count", [
+    (I_COLUMNS + ("F_W", "F_GHZ"), 5), (("Q4", "Q3", "C4", "C3"), 3),
+], ids=["entropy", "search"])
+def test_a_sweep_keeps_no_state_once_it_returns(monkeypatch, measures, p_count):
+    """A sweep's retained memory is its rows: every evolved state, with the
+    reductions, spectra and searches in its memo, dies with the call."""
+    refs = []
+
+    def evolving(*args):
+        rho = evolve_global(*args)
+        refs.append(weakref.ref(rho))
+        return rho
+
+    monkeypatch.setattr(experiments, "evolve_global", evolving)
+    spec = SweepSpec("ad", (0.6,), p_count, measures, SearchConfig(starts=1, max_evals=50))
+    rows = run_sweep(spec)
+    garbage.collect()
+    assert len(refs) == p_count and all(ref() is None for ref in refs)
+    assert all(type(row[m]) is float for row in rows for m in measures)
 
 
 def test_a_row_with_a_non_finite_entry_keeps_its_flags():
@@ -452,8 +478,12 @@ def test_ad_golden_columns_mirror_about_p_one_half(series):
     about p = 1/2, and I3_abEa(p) = I3_aEaEb(1 - p).  pd has no such map."""
     rows = read_csv(GOLDEN / f"ad_{series}.csv")
     measures = [key for key in rows[0] if key not in ("channel", "c", "p")]
-    assert _mirror_deviation(rows, measures) <= 1e-12
-    assert _mirror_deviation(read_csv(GOLDEN / f"pd_{series}.csv"), measures) > 1e-3
+    for m in measures:  # at most 1.22e-15 (I4 of ad_total)
+        assert _mirror_deviation(rows, [m]) <= 1e-12, m
+    pd_rows = read_csv(GOLDEN / f"pd_{series}.csv")
+    assert _mirror_deviation(pd_rows, measures) > 1e-3
+    if series == "total":
+        assert _mirror_deviation(pd_rows, ["I4"]) > 1e-3
 
 
 def test_a_fresh_ad_sweep_mirrors_about_p_one_half():

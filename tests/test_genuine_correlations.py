@@ -25,7 +25,9 @@ from gencorr import (
     von_neumann_entropy,
 )
 from gencorr.channels import evolve_global, psi_minus
-from gencorr.genuine_correlations import _one_cell_each, _searches
+from gencorr.classical_search import _optimum
+from gencorr.genuine_correlations import (CorrelationReport, _cuts, _one_cell_each, _searches,
+                                          _total_Ins)
 from gencorr.states import ghz, w4
 from random_states import random_classical_state, random_density_matrix, random_pure_state
 
@@ -148,6 +150,28 @@ def test_In_matches_brute_force_on_random_states(rng):
         assert genuine_total_In(rho).value_bits == pytest.approx(
             brute_force_In(rho), abs=1e-9
         )
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["one-by-one", "row-batch"])
+@pytest.mark.parametrize("kind", ["ad", "pd"])
+def test_In_is_the_lone_path_by_repr_on_evolved_states_and_triples(kind, batched):
+    """genuine_total_In, one state at a time or in one row batch (where the
+    triple (0, 1, 2) is a cell of the state), gives every evolved state and
+    triple the minimum and witness that the cuts' S(rho_A) + S(rho_B) - S(rho),
+    taken through partial_trace and von_neumann_entropy, give, by repr."""
+    for c, p in itertools.product((0.3, 1.0), (0.0, 0.37, 1.0)):
+        rho = evolve_global(c, p, kind)
+        triples = [partial_trace(rho, t) for t in itertools.combinations(range(4), 3)]
+        if batched:
+            reports = _total_Ins([rho, *triples])
+        else:
+            reports = [genuine_total_In(state) for state in (rho, *triples)]
+        for state, rep in zip((rho, *triples), reports):
+            cuts = _cuts(state.n, state.symmetries)
+            values = [von_neumann_entropy(partial_trace(state, cut.mask))
+                      + von_neumann_entropy(partial_trace(state, cut.complement))
+                      - von_neumann_entropy(state) for cut in cuts]
+            assert repr(rep) == repr(CorrelationReport(*_optimum(min, values, cuts)))
 
 
 def test_In_requires_two_subsystems(rng):

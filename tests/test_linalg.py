@@ -95,6 +95,18 @@ def test_partial_trace_factors_product(rng):
     assert np.allclose(partial_trace(prod, (1,)).mat, b.mat, atol=1e-12)
 
 
+def test_hermitize_of_a_stack_is_that_of_each_matrix(rng):
+    """One call on a (k, d, d) stack gives each matrix the bytes of its own
+    call, and those are the bytes of (M + M†)/2; an integer matrix gets a
+    float result."""
+    stack = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
+    whole = linalg.hermitize(stack)
+    for m, h in zip(stack, whole):
+        assert h.tobytes() == linalg.hermitize(m).tobytes() == ((m + m.conj().T) / 2).tobytes()
+    ints = np.array([[1, 2], [0, 1]])
+    assert linalg.hermitize(ints).tolist() == [[1.0, 1.0], [1.0, 1.0]]
+
+
 def test_partial_trace_rejects_bad_subsets(rng):
     rho = random_density_matrix((2, 2), rng)
     with pytest.raises(ValueError):
@@ -108,10 +120,13 @@ def test_partial_trace_rejects_bad_subsets(rng):
 @pytest.mark.parametrize("keep", [(0, 0), (5,), (), "eig", ("H", (0,)), [1, 1]])
 def test_a_warm_memo_still_rejects_bad_subsets(keep):
     """chi of a classical report holds "p" and ("H", ...) keys, and here also
-    its spectrum, its entropy and its reductions: no other key is a subset."""
+    its spectrum and its entropy (from genuine_total_In, which leaves no cut
+    marginal in the memo) and two reductions: no other key is a subset."""
     rho = evolve_global(0.6, 0.3, "ad")
     chi = genuine_classical_Cn(rho, SearchConfig(starts=1)).chi
     genuine_total_In(chi)
+    partial_trace(chi, (0,))
+    partial_trace(chi, (1, 2, 3))
     assert {"p", "eig", "S", ("H", (0,)), (0,), (1, 2, 3)} <= set(chi._memo)
     with pytest.raises(ValueError):
         partial_trace(chi, keep)
