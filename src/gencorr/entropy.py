@@ -103,20 +103,19 @@ def _entropy_rows(w: np.ndarray) -> np.ndarray:
 
 def _entropies(items) -> list[float]:
     """The entropy of each item, in order, for a caller that holds
-    _spectra_errstate(): _entropy of each state, and of each raw matrix (a
-    cut marginal that no state holds) the entropy of its Hermitian part.
+    _spectra_errstate(): _entropy of each state, and the entropy of each
+    plain Hermitian matrix (a cut marginal that no state holds).
 
-    The states with no spectrum yet and the raw matrices take theirs in one
-    eigenvalue call per matrix side, the states first; each side's raw
-    matrices are hermitized in one call, and each state's spectrum is a
-    read-only row of its side's stack.  Spectra of fewer than 8 entries get
-    their entropies in one _entropy_rows pass, longer ones one _entropy_bits
-    call each.  Every state is checked as _spectrum checks it (a raw matrix
-    is the caller's to check), and the states' "eig" and "S" memos are set
-    only once every side has its spectra, so a call that raises memoizes
-    none.  A raw matrix gets no state and no memo entry.
+    The states with no spectrum yet and the matrices take theirs in one
+    eigenvalue call per matrix side, the states first; each state's
+    spectrum is a read-only row of its side's stack.  Spectra of fewer
+    than 8 entries get their entropies in one _entropy_rows pass, longer
+    ones one _entropy_bits call each.  Every state is checked as _spectrum
+    checks it (a matrix is the caller's to check), and the states' "eig"
+    and "S" memos are set only once every side has its spectra, so a call
+    that raises memoizes none.  A matrix gets no state and no memo entry.
     """
-    sides: dict[int, tuple[dict, list]] = {}  # side -> (states, each once; raw matrices)
+    sides: dict[int, tuple[dict, list]] = {}  # side -> (states, each once; matrices)
     for item in items:
         if type(item) is np.ndarray:
             sides.setdefault(len(item), ({}, []))[1].append(item)
@@ -124,15 +123,12 @@ def _entropies(items) -> list[float]:
             sides.setdefault(item.dim, ({}, []))[0][item] = None
     found, raw = [], {}
     for side, (group, mats) in sides.items():
-        k = len(group)
         stack = np.array([_checked(rho).mat for rho in group] + mats)
-        if mats:
-            stack[k:] = hermitize(stack[k:])
         w = _eigvalsh(stack, signature="D->d")
         w.setflags(write=False)
         s = _entropy_rows(w).tolist() if side < 8 else [_entropy_bits(row) for row in w]
         found.append((group, w, s))
-        raw[side] = iter(s[k:])  # the raw matrices' entropies, in the order given
+        raw[side] = iter(s[len(group):])  # the matrices' entropies, in the order given
     for group, w, s in found:
         for rho, w_row, s_row in zip(group, w, s):
             rho._memo.setdefault("eig", w_row)

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 from .classical_search import SearchConfig, _optimum, closest_classical_states
 from .entropy import _entropies, _spectra_errstate, shannon
 from . import linalg
-from .linalg import DensityMatrix, _check_subset, _checked, _integer, _ptrace_plan, partial_trace
+from .linalg import (DensityMatrix, _check_subset, _checked, _integer, _ptrace_plan, hermitize,
+                     partial_trace)
 
 __all__ = [
     "Bipartition",
@@ -171,12 +172,12 @@ def _total_Ins(rhos) -> list[CorrelationReport]:
     partial-trace plans of _cut_plans, made once per (dims, symmetries).  A
     cell that the state's memo already holds as a reduction (on a sweep
     row, the triple (0, 1, 2), itself a state of the batch) is that state;
-    every other cell is a raw marginal, with no DensityMatrix and no memo
-    entry.  The states and the raw marginals take all their spectra in one
-    entropy._entropies call, under one errstate (see
-    entropy._spectra_errstate): one eigenvalue call and one hermitize per
-    matrix side for the whole batch.  If the call raises, no report and no
-    spectrum is memoized.
+    every other cell is a plain hermitized marginal, as partial_trace would
+    compute it, with no DensityMatrix and no memo entry.  The states and
+    the marginals take all their spectra in one entropy._entropies call,
+    under one errstate (see entropy._spectra_errstate): one eigenvalue call
+    per matrix side for the whole batch.  If the call raises, no report and
+    no spectrum is memoized.
     """
     if any(rho.n < 2 for rho in rhos):
         raise ValueError("genuine total correlation needs at least two subsystems")
@@ -188,7 +189,7 @@ def _total_Ins(rhos) -> list[CorrelationReport]:
                 mat, cells = _checked(rho).mat, []
                 for plan in plans:
                     red = rho._memo.get(plan.keep)
-                    cells.append(linalg._ptrace_arr(mat, plan) if red is None else red)
+                    cells.append(hermitize(linalg._ptrace_arr(mat, plan)) if red is None else red)
                 jobs.append((rho, cuts, cells))
         # each job's entropies in order: the state's, then the two cells of each cut
         entropies = iter(_entropies([s for rho, _, cells in jobs for s in (rho, *cells)]))

@@ -85,8 +85,6 @@ def hermitize(m: np.ndarray) -> np.ndarray:
     (..., d, d) stack; cheap guard against accumulated drift.  Elementwise,
     so a stack gets the bytes of one call per matrix."""
     h = m + m.conj().swapaxes(-1, -2)
-    if h.dtype.kind not in "fc":  # integers or bools: a float result, not an in-place cast
-        return h / 2
     h /= 2
     return h
 
