@@ -56,7 +56,9 @@ def main() -> None:
     ap.add_argument("--grid-i", type=int, default=101, help="p points for total series")
     ap.add_argument("--grid-q", type=int, default=41, help="p points for Q/C series")
     ap.add_argument("--starts", type=int, default=SearchConfig().starts,
-                    help="basis-search starts, each run to its own stop")
+                    help="basis-search starts, each run to its own stop; start 0 "
+                         "is the computational basis, starts 1..2^m-1 of m qubit "
+                         "cells are the Z/X product bases, later starts are Haar draws")
     ap.add_argument("--seed", type=int, default=SearchConfig().rng_seed)
     ap.add_argument("--skip-search", action="store_true",
                     help="only the entropy-based sweeps (no basis searches)")

@@ -65,6 +65,10 @@ _TIE = 1e-12  # values this close to the optimum tie, and the first item wins
 # called directly: np.linalg enters an errstate on every call, and a search
 # enters one per run (see _LaneSearch.run).
 _eigh, _inv = _umath_linalg.eigh_lo, _umath_linalg.inv
+# The qubit Hadamard basis: bit j of start k < 2**m puts cell j of a search
+# whose m cells are all qubits in it (see _LaneSearch._open).
+_HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+_HADAMARD.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -72,7 +76,9 @@ class SearchConfig:
     """Starts, evaluation cap and seeding for the closest-classical-state search.
 
     starts is the number of descent starts of each search, each run to its
-    own stop; max_evals caps the objective evaluations of each start,
+    own stop: start 0 is the computational basis, and when all m cells are
+    qubits, starts 1..2**m-1 are the Z/X product bases; later starts are
+    Haar draws.  max_evals caps the objective evaluations of each start,
     line-search trials included.  The default starts is measured (see
     closest_classical_state).
     """
@@ -296,6 +302,8 @@ class _LaneSearch:
         self.mats, self.cdims, self.max_evals = mats, cdims, max_evals
         self.mass_caps, self.rng_seed = mass_caps, rng_seed
         self.draws = {}  # start k -> its cell unitaries, which every job shares
+        # starts below this are computational or Z/X product bases (see _open)
+        self.products = 2 ** len(cdims) if set(cdims) == {2} else 1
         # (d, count) per run of equal consecutive cell dimensions
         self.runs = [(d, len(list(run))) for d, run in itertools.groupby(cdims)]
         self.nvec = 2 * sum(d * d for d in cdims)  # real length of the generator vector
@@ -373,15 +381,19 @@ class _LaneSearch:
     def _open(self, new) -> dict:
         """Lane rows for the new (job, start) pairs, at their first iterate.
 
-        Start 0 is the computational basis (exact for classical inputs);
-        start k draws Haar unitaries from a generator seeded rng_seed + k,
-        once for all the jobs.
+        Start 0 is the computational basis (exact for classical inputs).  When
+        all m cells are qubits, starts 1..2**m-1 are the Z/X product bases:
+        bit j of k puts cell j in the Hadamard basis, else in the
+        computational one.  Every later start, and every start but 0 of a
+        partition with a larger cell, draws Haar unitaries from a generator
+        seeded rng_seed + k.  Each start's unitaries serve all the jobs.
         """
         per_start = []
         for _, k in new:
             if k not in self.draws:
-                if k == 0:
-                    self.draws[k] = [np.eye(d, dtype=complex) for d in self.cdims]
+                if k < self.products:
+                    self.draws[k] = [_HADAMARD if k >> j & 1 else np.eye(d, dtype=complex)
+                                     for j, d in enumerate(self.cdims)]
                 else:
                     rng = np.random.default_rng(self.rng_seed + k)
                     self.draws[k] = [random_unitary(d, rng) for d in self.cdims]
@@ -528,9 +540,12 @@ def closest_classical_state(
     by Armijo-backtracked L-BFGS descents on the cell unitaries (Huang, Absil
     & Gallivan, SIAM J. Optim. 28, 470 (2018)); steepest descent crawls where
     outcomes of a rank-deficient rho vanish.  Start 0 is the computational
-    basis; start k draws its unitaries from a generator seeded with
-    rng_seed + k.  A start stops at |G| < GRAD_TOL, at max_evals evaluations,
-    or when the line search stalls.
+    basis.  When all m cells are qubits, starts 1..2**m-1 are the Z/X
+    product bases: bit j of k puts cell j in the Hadamard basis.  Every
+    later start, and every start but 0 of a partition with a larger cell,
+    draws its unitaries from a generator seeded with rng_seed + k.  A start
+    stops at |G| < GRAD_TOL, at max_evals evaluations, or when the line
+    search stalls.
 
     Starts 0..starts-1 each run to their own stop, and the first start
     within 1e-12 of the best wins, as for the quantifiers' witnesses, so
@@ -538,14 +553,18 @@ def closest_classical_state(
     that of running the starts one after another, bit for bit, however many
     of them ran together in lanes, and beside whichever other searches (see
     closest_classical_states).  Some inputs need many starts: on a random
-    rank-4 four-qubit state the qubit-cell minimum of 16 starts first
-    appears at start 13, and 12 starts end 6.25e-3 bits above it.  The
-    paper's evolved states need fewer.  On the 9840 searches of the 41-point
-    series of both channels at c in {0.2, 0.4, 0.6, 0.8, 1} (qubit cells,
-    every 2|2 and 1|3 cut, and the qubit cells and 1|2 cuts of each
-    three-qubit reduction), 4 starts end up to 1.35e-2 bits above the
-    16-start minimum, 8 up to 3.4e-4, and 12 to 14 at most 6.8e-11, where
-    2|2 starts stall.  The default is 14 starts.
+    rank-4 four-qubit state (seed 12) the qubit-cell minimum of 24 starts
+    first appears at start 15, the all-Hadamard product, and 14 starts end
+    3.56e-3 bits above it; on four qubit cells the default runs no Haar
+    start.  The paper's evolved states need fewer.  On the 41-point series
+    of both channels at c in {0.2, 0.4, 0.6, 0.8, 1}, the 7790 cut searches
+    (every 2|2 and 1|3 cut, and the 1|2 cuts of each three-qubit reduction)
+    end, at 4 starts, up to 1.35e-2 bits above the 16-start minimum, at 8
+    up to 3.4e-4, and at 12 to 14 at most 6.8e-11, where 2|2 starts stall.
+    Of the 2050 qubit-cell searches (the four qubits and the qubits of each
+    three-qubit reduction), 4 starts end up to 4.58e-3 above the 16-start
+    minimum, and 8 or more within the 1e-12 tie of it (at most 2.0e-13).
+    The default is 14 starts.
 
     A start returns its last iterate with at most mass_cap = clip * (rho's
     least eigenvalue above clip) of probability at or below 2*clip, clip =

@@ -122,8 +122,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_search_flags(p):
         p.add_argument("--starts", type=int, default=_DEFAULT_SEARCH.starts,
-                       help="basis-search starts, each run to its own stop "
-                            "(default %(default)s)")
+                       help="basis-search starts, each run to its own stop; "
+                            "start 0 is the computational basis, starts 1..2^m-1 "
+                            "of m qubit cells are the Z/X product bases, later "
+                            "starts are Haar draws (default %(default)s)")
         p.add_argument("--max-evals", dest="max_evals", type=int,
                        default=_DEFAULT_SEARCH.max_evals,
                        help="objective evaluations per start (default %(default)s)")

@@ -11,6 +11,7 @@ from gencorr import (
     all_bipartitions,
     closest_classical_state,
     dephase,
+    partial_trace,
     quantumness_in_basis,
     random_unitary,
     relative_entropy,
@@ -296,7 +297,7 @@ QUBIT_CELLS, TWO_TWO, ONE_THREE = [(0,), (1,), (2,), (3,)], [(0, 2), (1, 3)], [(
         (evolve_global(0.6, 0.3, "pd"), [QUBIT_CELLS, TWO_TWO, ONE_THREE]),
         (evolve_global(0.8, 0.5, "ad"), [QUBIT_CELLS, TWO_TWO, ONE_THREE]),
         (evolve_global(1.0, 0.9, "ad"), [QUBIT_CELLS, TWO_TWO, ONE_THREE]),
-        # on these two, 12 and 4 starts miss the 16-start minimum by 6.25e-3
+        # on these two, 1 and 4 starts miss the 16-start minimum by 6.25e-3
         # and 3.9e-3
         (random_density_matrix((2, 2, 2, 2), np.random.default_rng(11), rank=4), [QUBIT_CELLS]),
         (random_density_matrix((2, 2, 2, 2), np.random.default_rng(37), rank=4), [TWO_TWO]),
@@ -305,7 +306,7 @@ QUBIT_CELLS, TWO_TWO, ONE_THREE = [(0,), (1,), (2,), (3,)], [(0, 2), (1, 3)], [(
 )
 def test_default_budget_reaches_the_sixteen_start_value(rho, shapes):
     # the default starts are the first of the 16, so q can only be higher;
-    # random-11 reaches the 16-start minimum at start 13
+    # random-11 reaches the 16-start minimum at start 1, the Hadamard on qubit 0
     for cells in shapes:
         q = closest_classical_state(rho, cells, SearchConfig()).q
         assert q <= closest_classical_state(rho, cells, SearchConfig(starts=16)).q + 1e-9
@@ -438,7 +439,8 @@ def test_batched_searches_need_one_partition_per_state():
 
 def test_a_lane_search_draws_each_starts_unitaries_once(monkeypatch):
     # start k's unitaries depend only on rng_seed + k and the cell
-    # dimensions, so every job of a lane search shares them
+    # dimensions, so every job of a lane search shares them; starts below
+    # 2**m of m qubit cells are Z/X products and draw nothing
     drawn = []
     draw = cs.random_unitary
     monkeypatch.setattr(cs, "random_unitary", lambda d, rng: drawn.append(d) or draw(d, rng))
@@ -446,7 +448,44 @@ def test_a_lane_search_draws_each_starts_unitaries_once(monkeypatch):
             evolve_global(1.0, 0.9, "ad")]
     cs.closest_classical_states(rhos, [[(0,), (1,), (2,), (3,)]] * len(rhos),
                                 SearchConfig(starts=3, max_evals=100))
-    assert drawn == [2] * 8  # starts 1 and 2, one draw per qubit cell
+    assert drawn == []
+    triples = [partial_trace(rho, (0, 1, 2)) for rho in rhos]
+    cs.closest_classical_states(triples, [[(0,), (1,), (2,)]] * len(triples),
+                                SearchConfig(starts=10, max_evals=100))
+    assert drawn == [2] * 6  # starts 8 and 9, one draw per qubit cell
+    drawn.clear()
+    cs.closest_classical_states(rhos, [[(0, 2), (1, 3)]] * len(rhos),
+                                SearchConfig(starts=3, max_evals=100))
+    assert drawn == [4, 4] * 2  # starts 1 and 2, one draw per cell
+
+
+HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+
+
+@pytest.mark.parametrize("c", [0.2, 0.6, 1.0])
+@pytest.mark.parametrize("p", [0.1, 0.37, 0.8])
+def test_every_z_x_start_is_stationary_under_amplitude_damping(c, p):
+    # on amplitude-damped states every Z/X product basis is already
+    # stationary, so each of the 16 starts stops after one evaluation
+    res = closest_classical_state(evolve_global(c, p, "ad"), QUBIT_CELLS, SearchConfig(starts=16))
+    assert res.evals == 16
+
+
+def test_a_z_x_start_reaches_the_q3_optimum_start_0_misses():
+    # on triple (0, 1, 2) of the ad c = 1, p = 0.025 state, start 5 (Hadamard
+    # on cells 0 and 2, qubits a and b) wins, 4.58e-3 below start 0
+    triple = partial_trace(evolve_global(1.0, 0.025, "ad"), (0, 1, 2))
+    cells = [(0,), (1,), (2,)]
+    res = closest_classical_state(triple, cells, SearchConfig(starts=8))
+    assert res.q == pytest.approx(1.0671368789749802, rel=0, abs=1e-12)
+    first = closest_classical_state(triple, cells, SearchConfig(starts=1))
+    assert first.q - res.q == pytest.approx(4.58e-3, abs=5e-6)
+    assert [u.tobytes() for u in res.basis.unitaries] == [
+        u.tobytes() for u in (HADAMARD, I2, HADAMARD)]
+    # its mirror under the amplitude-damping duality p <-> 1 - p
+    mirror = partial_trace(evolve_global(1.0, 0.975, "ad"), (0, 1, 3))
+    assert closest_classical_state(mirror, cells, SearchConfig(starts=8)).q == pytest.approx(
+        res.q, rel=0, abs=1e-12)
 
 
 def test_search_config_validation():

@@ -8,12 +8,20 @@ Unlike the golden CSVs (qubit cells at the default starts), these pin the
 2|2 and 1|3 paths, the qubit cells and 1|2 cuts of three-qubit reductions
 (the Q3 and Q_k paths), the evaluation counts and the stationarity residual.
 
+The pins are bytes of one platform: numpy's bundled OpenBLAS picks its
+kernels for the CPU, and another core may round differently.  So the file
+records the numpy version and OpenBLAS core it was written on, and a failing
+check names that platform and the one it ran on.
+
 Run this file as a script to rewrite the pins.
 """
 
+import ctypes
 import hashlib
 import json
 import pathlib
+
+import numpy as np
 
 from gencorr import SearchConfig, closest_classical_state, evolve_global, partial_trace
 from gencorr.classical_search import closest_classical_states
@@ -62,22 +70,42 @@ def _pin(state, cells, res) -> dict:
     return pin
 
 
+def _platform() -> dict:
+    """The numpy version and the OpenBLAS core of numpy's bundled library
+    ("unknown" where no bundled library reports one)."""
+    core = "unknown"
+    numpy_dir = pathlib.Path(np.__file__).resolve().parent
+    for lib in sorted([*numpy_dir.parent.glob("numpy.libs/*openblas*"),
+                       *numpy_dir.glob(".dylibs/*openblas*")]):
+        corename = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.restype = ctypes.c_char_p
+            core = corename().decode()
+    return {"numpy": np.__version__, "openblas_core": core}
+
+
+def _check(pins: list[dict]) -> None:
+    stored = json.loads(PINS.read_text())
+    assert pins == stored["pins"], (
+        f"pins written on {stored['platform']}, checked on {_platform()}")
+
+
 def _lone() -> list[dict]:
     return [_pin(state, cells, closest_classical_state(_rho(state), cells, CFG))
             for state, cells in CASES]
 
 
 def test_lone_searches_match_their_pins():
-    assert _lone() == json.loads(PINS.read_text())
+    _check(_lone())
 
 
 def test_one_batch_of_every_search_matches_the_pins():
     rhos = {state: _rho(state) for state in STATES + REDUCED}
     results = closest_classical_states([rhos[s] for s, _ in CASES], [c for _, c in CASES], CFG)
-    pins = [_pin(state, cells, res) for (state, cells), res in zip(CASES, results)]
-    assert pins == json.loads(PINS.read_text())
+    _check([_pin(state, cells, res) for (state, cells), res in zip(CASES, results)])
 
 
 if __name__ == "__main__":
-    PINS.write_text("[\n" + ",\n".join(json.dumps(pin) for pin in _lone()) + "\n]\n")
+    PINS.write_text(f'{{"platform": {json.dumps(_platform())},\n"pins": [\n'
+                    + ",\n".join(json.dumps(pin) for pin in _lone()) + "\n]}\n")
     print(f"wrote {len(CASES)} pins to {PINS}")
