@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .entropy import _linalg_error, _spectra_errstate, _spectrum, _sum, shannon, von_neumann_entropy
+from .entropy import _entropies, _linalg_error, _sum, shannon, von_neumann_entropy
 from .linalg import (
     _check_finite,
     _indices,
@@ -588,22 +588,25 @@ def closest_classical_states(
     together as lanes, up to 128 in all, so they share the fixed cost of
     each step.  Each result is bit for bit that of a lone
     closest_classical_state call.
+
+    One entropy._entropies call first memoizes each state's spectrum (for
+    its mass_cap) and entropy (for its q), or raises LinAlgError.
     """
     rhos, partitions = list(rhos), list(partitions)
     if len(rhos) != len(partitions):
         raise ValueError(f"{len(rhos)} states but {len(partitions)} partitions")
+    _entropies(rhos)
     clip = DEFAULT_TOL.clip
     cells, mats, caps = [], [], []
     jobs_by_cdims: dict[tuple[int, ...], list[int]] = {}
-    with _spectra_errstate():
-        for j, (rho, partition) in enumerate(zip(rhos, partitions)):
-            job_cells = tuple(_indices(cell) for cell in partition)
-            jobs_by_cdims.setdefault(_cell_dims(rho.dims, job_cells), []).append(j)
-            cells.append(job_cells)
-            order = [i for cell in job_cells for i in cell]
-            mats.append(permute_subsystems(rho.mat, rho.dims, order))
-            w = _spectrum(rho)
-            caps.append(clip * w[w > clip].min())
+    for j, (rho, partition) in enumerate(zip(rhos, partitions)):
+        job_cells = tuple(_indices(cell) for cell in partition)
+        jobs_by_cdims.setdefault(_cell_dims(rho.dims, job_cells), []).append(j)
+        cells.append(job_cells)
+        order = [i for cell in job_cells for i in cell]
+        mats.append(permute_subsystems(rho.mat, rho.dims, order))
+        w = rho._memo["eig"]
+        caps.append(clip * w[w > clip].min())
 
     results = [None] * len(rhos)
     for cdims, jobs in jobs_by_cdims.items():

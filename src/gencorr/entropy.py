@@ -2,6 +2,11 @@
 
 All logarithms are base 2.  A relative entropy between states with
 incompatible supports returns math.inf.
+
+Every spectrum of a state comes from _entropies, which batches the spectra
+of many states and matrices into one eigenvalue call per matrix side and
+memoizes each state's spectrum ("eig") with its entropy ("S").
+relative_entropy, a test oracle, takes its own.
 """
 
 from __future__ import annotations
@@ -33,8 +38,8 @@ def _linalg_error(err, flag):
 
 
 def _spectra_errstate() -> np.errstate:
-    """The errstate that np.linalg enters around an eigenvalue call.  A
-    quantifier that takes many spectra enters it once around all of them."""
+    """The errstate that np.linalg enters around an eigenvalue call;
+    _entropies enters it once around all the spectra of a call."""
     return np.errstate(call=_linalg_error, invalid="call", over="ignore",
                        divide="ignore", under="ignore")
 
@@ -62,32 +67,6 @@ def _entropy_bits(w: np.ndarray) -> float:
     return float(-_sum(w * np.log2(w)))
 
 
-def _spectrum(rho: DensityMatrix) -> np.ndarray:
-    """The eigenvalues of rho, ascending (read-only).  Computed once per state.
-
-    The caller holds _spectra_errstate(), under which a LAPACK failure
-    raises LinAlgError, as np.linalg.eigvalsh does.  A state with a
-    non-finite entry raises it too, before LAPACK sees it (for some such
-    matrices LAPACK reports no error, and _entropy_bits would read a NaN
-    spectrum as 0).  That check is linalg._checked, made once per state: a
-    reduction by partial_trace, or an earlier spectrum, has already made it.
-    """
-    w = rho._memo.get("eig")
-    if w is None:
-        w = _eigvalsh(_checked(rho).mat, signature="D->d")
-        w.setflags(write=False)
-        w = rho._memo.setdefault("eig", w)
-    return w
-
-
-def _entropy(rho: DensityMatrix) -> float:
-    """von_neumann_entropy for a caller that holds _spectra_errstate()."""
-    s = rho._memo.get("S")
-    if s is None:
-        s = rho._memo.setdefault("S", _entropy_bits(_spectrum(rho)))
-    return s
-
-
 def _entropy_rows(w: np.ndarray) -> np.ndarray:
     """_entropy_bits of each row of a (k, d) stack with d < 8, in one pass.
 
@@ -102,48 +81,47 @@ def _entropy_rows(w: np.ndarray) -> np.ndarray:
 
 
 def _entropies(items) -> list[float]:
-    """The entropy of each item, in order, for a caller that holds
-    _spectra_errstate(): _entropy of each state, and the entropy of each
-    plain Hermitian matrix (a cut marginal that no state holds).
+    """The entropy of each item, in order: of each state, and of each plain
+    Hermitian matrix (a cut marginal that no state holds).
 
-    The states with no spectrum yet and the matrices take theirs in one
-    eigenvalue call per matrix side, the states first; each state's
-    spectrum is a read-only row of its side's stack.  Spectra of fewer
-    than 8 entries get their entropies in one _entropy_rows pass, longer
-    ones one _entropy_bits call each.  Every state is checked as _spectrum
-    checks it (a matrix is the caller's to check), and the states' "eig"
-    and "S" memos are set only once every side has its spectra, so a call
-    that raises memoizes none.  A matrix gets no state and no memo entry.
+    The one place a spectrum is taken.  The states without a memoized "S"
+    and the matrices take theirs in one eigenvalue call per matrix side, the
+    states first, under _spectra_errstate().  Spectra of fewer than 8
+    entries get their entropies in one _entropy_rows pass, longer ones one
+    _entropy_bits call each.  Each state is checked by linalg._checked
+    before its spectrum is taken (LAPACK reports no error for some matrices
+    with a NaN entry, and _entropy_bits would read a NaN spectrum as 0); a
+    matrix is the caller's to check.  Each state's spectrum ("eig", a
+    read-only row of its side's stack) and entropy ("S") are memoized
+    together, once every side has its spectra, so a call that raises
+    memoizes none.
     """
     sides: dict[int, tuple[dict, list]] = {}  # side -> (states, each once; matrices)
     for item in items:
         if type(item) is np.ndarray:
             sides.setdefault(len(item), ({}, []))[1].append(item)
-        elif "eig" not in item._memo:
+        elif "S" not in item._memo:
             sides.setdefault(item.dim, ({}, []))[0][item] = None
     found, raw = [], {}
-    for side, (group, mats) in sides.items():
-        stack = np.array([_checked(rho).mat for rho in group] + mats)
-        w = _eigvalsh(stack, signature="D->d")
-        w.setflags(write=False)
-        s = _entropy_rows(w).tolist() if side < 8 else [_entropy_bits(row) for row in w]
-        found.append((group, w, s))
-        raw[side] = iter(s[len(group):])  # the matrices' entropies, in the order given
+    with _spectra_errstate():
+        for side, (group, mats) in sides.items():
+            stack = np.array([_checked(rho).mat for rho in group] + mats)
+            w = _eigvalsh(stack, signature="D->d")
+            w.setflags(write=False)
+            s = _entropy_rows(w).tolist() if side < 8 else [_entropy_bits(row) for row in w]
+            found.append((group, w, s))
+            raw[side] = iter(s[len(group):])  # the matrices' entropies, in the order given
     for group, w, s in found:
         for rho, w_row, s_row in zip(group, w, s):
             rho._memo.setdefault("eig", w_row)
             rho._memo.setdefault("S", s_row)
-    return [next(raw[len(item)]) if type(item) is np.ndarray else _entropy(item)
+    return [next(raw[len(item)]) if type(item) is np.ndarray else item._memo["S"]
             for item in items]
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """-tr(rho log2 rho); between 0 and log2(dim).  Computed once per state."""
-    s = rho._memo.get("S")
-    if s is None:
-        with _spectra_errstate():
-            s = _entropy(rho)
-    return s
+    return rho._memo["S"] if "S" in rho._memo else _entropies([rho])[0]
 
 
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -182,6 +160,5 @@ def total_correlation(rho: DensityMatrix) -> float:
     """
     if rho.n < 2:
         raise ValueError("total correlation needs at least two subsystems")
-    with _spectra_errstate():
-        s_marg = sum(_entropy(partial_trace(rho, [i])) for i in range(rho.n))
-        return s_marg - _entropy(rho)
+    s = _entropies([rho, *(partial_trace(rho, [i]) for i in range(rho.n))])
+    return sum(s[1:]) - s[0]

@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .classical_search import SearchConfig, _optimum, closest_classical_states
-from .entropy import _entropies, _spectra_errstate, shannon
+from .entropy import _entropies, shannon
 from . import linalg
 from .linalg import (DensityMatrix, _check_subset, _checked, _integer, _ptrace_plan, hermitize,
                      partial_trace)
@@ -144,7 +144,7 @@ def max_over_subsets(rho: DensityMatrix, k: int, quantifier):
     evaluated once.  The witness, a tuple of subsystem indices, is chosen by
     _optimum; evals adds up over the reductions.
     """
-    _check_k(rho.n, k)
+    k = _check_k(rho.n, k)
     subs = _subsets(rho.n, k, rho.symmetries)
     reps = [quantifier(partial_trace(rho, sub)) for sub in subs]
     value, witness = _optimum(max, [rep.value_bits for rep in reps], subs)
@@ -174,29 +174,28 @@ def _total_Ins(rhos) -> list[CorrelationReport]:
     row, the triple (0, 1, 2), itself a state of the batch) is that state;
     every other cell is a plain hermitized marginal, as partial_trace would
     compute it, with no DensityMatrix and no memo entry.  The states and
-    the marginals take all their spectra in one entropy._entropies call,
-    under one errstate (see entropy._spectra_errstate): one eigenvalue call
-    per matrix side for the whole batch.  If the call raises, no report and
-    no spectrum is memoized.
+    the marginals take all their spectra in one entropy._entropies call:
+    one eigenvalue call per matrix side for the whole batch.  A state is
+    checked for non-finite entries before its first partial trace.  If a
+    call raises, no report and no spectrum is memoized.
     """
     if any(rho.n < 2 for rho in rhos):
         raise ValueError("genuine total correlation needs at least two subsystems")
-    with _spectra_errstate():
-        jobs = []
-        for rho in dict.fromkeys(rhos):  # each state once
-            if "I_n" not in rho._memo:
-                cuts, plans = _cut_plans(rho.dims, rho.symmetries)
-                mat, cells = _checked(rho).mat, []
-                for plan in plans:
-                    red = rho._memo.get(plan.keep)
-                    cells.append(hermitize(linalg._ptrace_arr(mat, plan)) if red is None else red)
-                jobs.append((rho, cuts, cells))
-        # each job's entropies in order: the state's, then the two cells of each cut
-        entropies = iter(_entropies([s for rho, _, cells in jobs for s in (rho, *cells)]))
-        for rho, cuts, _ in jobs:
-            s_full = next(entropies)
-            values = [next(entropies) + next(entropies) - s_full for _ in cuts]
-            rho._memo.setdefault("I_n", CorrelationReport(*_optimum(min, values, cuts)))
+    jobs = []
+    for rho in dict.fromkeys(rhos):  # each state once
+        if "I_n" not in rho._memo:
+            cuts, plans = _cut_plans(rho.dims, rho.symmetries)
+            mat, cells = _checked(rho).mat, []
+            for plan in plans:
+                red = rho._memo.get(plan.keep)
+                cells.append(hermitize(linalg._ptrace_arr(mat, plan)) if red is None else red)
+            jobs.append((rho, cuts, cells))
+    # each job's entropies in order: the state's, then the two cells of each cut
+    entropies = iter(_entropies([s for rho, _, cells in jobs for s in (rho, *cells)]))
+    for rho, cuts, _ in jobs:
+        s_full = next(entropies)
+        values = [next(entropies) + next(entropies) - s_full for _ in cuts]
+        rho._memo.setdefault("I_n", CorrelationReport(*_optimum(min, values, cuts)))
     return [rho._memo["I_n"] for rho in rhos]
 
 
@@ -205,9 +204,13 @@ def genuine_total_Ik(rho: DensityMatrix, k: int) -> CorrelationReport:
     return max_over_subsets(rho, k, genuine_total_In)
 
 
-def _check_k(n: int, k: int) -> None:
+def _check_k(n: int, k) -> int:
+    """k as an int, by the index rule of partial_trace (see linalg._integer);
+    ValueError unless 2 <= k <= n."""
+    k = _integer(k, "k")
     if not 2 <= k <= n:
         raise ValueError(f"k must satisfy 2 <= k <= {n}, got {k}")
+    return k
 
 
 def genuine_quantum_Qn(
@@ -325,7 +328,7 @@ def genuine_classical_Ck(
     the marginal of chi's outcome distribution on those subsystems.  The
     witness and the symmetries are those of max_over_subsets.
     """
-    _check_k(rho.n, k)
+    k = _check_k(rho.n, k)
     q_rep = multipartite_quantum_Q(rho, cfg)
     inner = rho.symmetries if k == rho.n else ()
     subs = _subsets(rho.n, k, rho.symmetries)

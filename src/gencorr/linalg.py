@@ -108,8 +108,8 @@ class DensityMatrix:
     The backing array is immutable after construction.  Each state also
     carries a private memo of its partial traces (keyed by the sorted kept
     subsystems, which partial_trace checks before it reads the memo), its
-    spectrum ("eig", read-only; a row of a stack when a sweep row took its
-    spectra in one batch), its von Neumann entropy ("S"), its
+    spectrum ("eig", a read-only row of the stack entropy._entropies took it
+    in) together with its von Neumann entropy ("S"), its
     genuine_total_In report ("I_n") and the basis searches the quantifiers
     ran on it (keyed by ("search", cells, SearchConfig)), so a quantifier
     that asks for the same reduction, report or search again gets the same
@@ -389,6 +389,20 @@ def state_to_json(state: DensityMatrix | PureState) -> str:
     return json.dumps({"dims": list(state.dims), "re": re, "im": im})
 
 
+def _json_numbers(obj: dict, key: str) -> np.ndarray:
+    """obj[key] as a float array; ValueError, naming key, unless every entry
+    is a JSON number that a float can hold (a string or a bool, which numpy
+    would parse, is not)."""
+    def numbers(x) -> bool:
+        return all(map(numbers, x)) if isinstance(x, list) else type(x) in (int, float)
+    try:
+        if numbers(obj[key]):
+            return np.asarray(obj[key], dtype=float)
+    except OverflowError:  # an int beyond the float range
+        pass
+    raise ValueError(f"every entry of {key} must be a number in the float range")
+
+
 def state_from_json(text: str) -> DensityMatrix | PureState:
     """Parse the state_to_json schema: a 2-D array is a density matrix, a
     1-D array a state vector.  Malformed input raises ValueError."""
@@ -401,7 +415,7 @@ def state_from_json(text: str) -> DensityMatrix | PureState:
     dims = obj["dims"]
     if not isinstance(dims, list) or any(type(d) is not int for d in dims):
         raise ValueError(f"dims must be a list of integers, got {dims!r}")
-    re, im = np.asarray(obj["re"], dtype=float), np.asarray(obj["im"], dtype=float)
+    re, im = _json_numbers(obj, "re"), _json_numbers(obj, "im")
     if re.shape != im.shape:
         raise ValueError(f"re and im must have one shape, got {re.shape} and {im.shape}")
     arr = re + 1j * im

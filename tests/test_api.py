@@ -162,16 +162,40 @@ def test_the_tie_rule_is_defined_once():
     assert defining == ["classical_search"]
 
 
+def _calls_by_function(tree: ast.AST, names) -> set[tuple[str | None, str]]:
+    """(the innermost def around it, or None at module level; the callee) of
+    each call in tree to a bare name or attribute in names."""
+    found = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                callee = getattr(child.func, "id", getattr(child.func, "attr", None))
+                if callee in names:
+                    found.add((owner, callee))
+            defines = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if defines else owner)
+
+    visit(tree, None)
+    return found
+
+
 def test_the_kronecker_product_and_the_spectra_errstate_are_defined_once():
     """kron_all is the only Kronecker product, and the errstate that np.linalg
-    enters around an eigenvalue call is written in entropy alone: the
-    quantifiers that take many spectra enter it through entropy's helper."""
+    enters around an eigenvalue call is written in entropy alone.  Every
+    spectrum of a state comes from entropy._entropies: it is the only caller
+    of the eigenvalue kernel _eigvalsh and the only code that enters the
+    errstate."""
     sources = {p.stem: p.read_text(encoding="utf-8")
                for p in pathlib.Path(gencorr.__file__).parent.glob("*.py")}
     assert [name for name, text in sources.items() if re.search(r"\bnp\.kron\(", text)] == []
     settings = re.compile(r'np\.errstate\([^)]*under="ignore"')
     written = {name: len(settings.findall(text)) for name, text in sources.items()}
     assert {name: count for name, count in written.items() if count} == {"entropy": 1}
+    callers = {(name, *call) for name, text in sources.items()
+               for call in _calls_by_function(ast.parse(text), {"_eigvalsh", "_spectra_errstate"})}
+    assert callers == {("entropy", "_entropies", "_eigvalsh"),
+                       ("entropy", "_entropies", "_spectra_errstate")}
 
 
 def test_the_channel_list_is_defined_once():

@@ -53,10 +53,10 @@ def _coherence_nan_ghz4() -> np.ndarray:
 def test_a_spectrum_lapack_cannot_compute_raises_linalgerror():
     """A failed eigensolver, or a matrix with a NaN entry, raises LinAlgError,
     with no RuntimeWarning on the way, and memoizes no spectrum or entropy of
-    the state or of any reduction it took, whether the spectrum was asked for
-    alone or under a quantifier's one errstate around all its spectra.  A
-    quantifier that reads only reductions (genuine_total_Ik) raises too: the
-    state is checked before its first reduction."""
+    the state or of any reduction it took, whether the quantifier asks
+    _entropies for one spectrum or for a batch of them.  A quantifier that
+    reads only reductions (genuine_total_Ik) raises too: the state is
+    checked before its first reduction."""
     # LAPACK returns [nan, nan] for the 2x2 NaN matrix without an error
     qubit = DensityMatrix._derived((2,), np.full((2, 2), np.nan, dtype=complex))
     cases = [(von_neumann_entropy, qubit)]
@@ -143,11 +143,26 @@ def test_batched_spectra_are_the_bytes_of_one_by_one_calls(kind, c, p):
     states = [rho, *(partial_trace(rho, s) for s in subsets)]
     with _spectra_errstate():
         alone = [_eigvalsh(state.mat, signature="D->d") for state in states]
-        entropies = _entropies(states)
+    entropies = _entropies(states)
     for state, w, s in zip(states, alone, entropies):
         assert state._memo["eig"].tobytes() == w.tobytes()
         assert not state._memo["eig"].flags.writeable
         assert repr(state._memo["S"]) == repr(s) == repr(_entropy_bits(w))
+
+
+@pytest.mark.parametrize("quantifier", [von_neumann_entropy, total_correlation])
+def test_a_quantifier_memoizes_each_spectrum_with_its_entropy(quantifier):
+    """Every state that von_neumann_entropy or total_correlation touches (the
+    state, and the one-qubit marginals of total_correlation) keeps its
+    spectrum ("eig") with the entropy ("S") of it, and the value is read off
+    those spectra."""
+    rho = evolve_global(0.6, 0.3, "ad")
+    value = quantifier(rho)
+    marginals = [v for v in rho._memo.values() if isinstance(v, DensityMatrix)]
+    assert len(marginals) == (4 if quantifier is total_correlation else 0)
+    s = [_entropy_bits(state._memo["eig"]) for state in (rho, *marginals)]
+    assert [repr(state._memo["S"]) for state in (rho, *marginals)] == list(map(repr, s))
+    assert repr(value) == repr(sum(s[1:]) - s[0] if marginals else s[0])
 
 
 @pytest.mark.parametrize("probs", [

@@ -40,10 +40,12 @@ from gencorr.experiments import (
     write_csv,
     write_manifest,
 )
+from pin_platform import written_on
 
 FAST = SearchConfig(starts=4, max_evals=400, rng_seed=0)
 I_COLUMNS = ("I4", "I3", "I3_abEa", "I3_aEaEb")
 GOLDEN = pathlib.Path(__file__).resolve().parent / "data"
+GOLDEN_PLATFORM = json.loads((GOLDEN / "golden_platform.json").read_text())
 
 
 def synthetic_rows(fn, n=101, channel="xx", c=0.0, measure="y"):
@@ -397,6 +399,26 @@ def test_an_entropy_row_does_each_piece_of_work_once(monkeypatch):
     assert values["I3"] is values["I3_abEa"] or values["I3"] is values["I3_aEaEb"]
 
 
+def test_a_search_row_takes_its_spectra_in_one_call_per_matrix_side(monkeypatch):
+    """One Q/C row of an evolved state: its three searched states (the root
+    and its two triples) take their spectra in the search batch's one
+    _entropies call, one eigenvalue call per matrix side (16 and 8), and
+    every later entropy of them is memoized."""
+    calls = []
+
+    def counting(stack, **kwargs):
+        calls.append(stack.shape)
+        return eigvalsh(stack, **kwargs)
+
+    eigvalsh = entropy._eigvalsh
+    monkeypatch.setattr(entropy, "_eigvalsh", counting)
+    rho = evolve_global(0.6, 0.3, "ad")
+    cfg = SearchConfig(starts=1, max_evals=40)
+    _, flags = evaluate_measures(rho, ("Q4", "Q3", "C4", "C3"), cfg)
+    assert flags == []
+    assert calls == [(1, 16, 16), (2, 8, 8)]
+
+
 @pytest.mark.parametrize("measures,p_count", [
     (I_COLUMNS + ("F_W", "F_GHZ"), 5), (("Q4", "Q3", "C4", "C3"), 3),
 ], ids=["entropy", "search"])
@@ -446,15 +468,18 @@ def test_sweep_columns_reproduce_their_golden_csvs(kind, series, measures, grid,
     re-written when C_n and C_k came to be read off the search's outcome
     distribution instead of the dense chi: 13 of their 40 cells moved, by at
     most 6.7e-15, as Shannon and eigvalsh entropies round differently.  Each
-    CSV's write_manifest sidecar is pinned beside it."""
+    CSV's write_manifest sidecar is pinned beside it.  The files are bytes
+    of the platform in golden_platform.json (see pin_platform)."""
     spec = SweepSpec(kind, (0.4, 1.0), grid, measures)
     rows = run_sweep(spec)
     path = tmp_path / "out.csv"
     write_csv(rows, measures, path)
-    assert path.read_bytes() == (GOLDEN / f"{kind}_{series}.csv").read_bytes()
+    message = written_on(GOLDEN_PLATFORM)
+    assert path.read_bytes() == (GOLDEN / f"{kind}_{series}.csv").read_bytes(), message
     manifest = tmp_path / "out.manifest.json"
     write_manifest(spec, rows, manifest)
-    assert manifest.read_bytes() == (GOLDEN / f"{kind}_{series}.manifest.json").read_bytes()
+    golden_manifest = GOLDEN / f"{kind}_{series}.manifest.json"
+    assert manifest.read_bytes() == golden_manifest.read_bytes(), message
 
 
 def _mirror_deviation(rows, measures) -> float:

@@ -27,7 +27,7 @@ from gencorr import (
 from gencorr.channels import evolve_global, psi_minus
 from gencorr.classical_search import _optimum
 from gencorr.genuine_correlations import (CorrelationReport, _cuts, _one_cell_each, _searches,
-                                          _total_Ins)
+                                          _subsets, _total_Ins)
 from gencorr.states import ghz, w4
 from random_states import random_classical_state, random_density_matrix, random_pure_state
 
@@ -206,6 +206,22 @@ def test_Ik_range_validation(rng):
         genuine_total_Ik(rho, 1)
     with pytest.raises(ValueError):
         genuine_total_Ik(rho, 3)
+
+
+def test_an_integral_float_k_is_that_integer_on_a_cold_cache():
+    """k follows the index rule of partial_trace, whatever _subsets has cached."""
+    _subsets.cache_clear()
+    got = genuine_total_Ik(evolve_global(0.6, 0.3, "ad"), 3.0)
+    assert got == genuine_total_Ik(evolve_global(0.6, 0.3, "ad"), 3)
+
+
+@pytest.mark.parametrize("k", [2.5, "3", True], ids=["fraction", "text", "bool"])
+def test_a_k_that_is_not_an_integer_raises_before_any_search(k, search_cells):
+    rho = evolve_global(0.6, 0.3, "ad")
+    for quantifier in (genuine_total_Ik, genuine_quantum_Qk, genuine_classical_Ck):
+        with pytest.raises(ValueError, match="is not an integer"):
+            quantifier(rho, k)
+    assert search_cells == []
 
 
 def test_In_with_symmetry_pruning_matches_full_enumeration():

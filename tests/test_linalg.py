@@ -404,6 +404,20 @@ def test_state_json_rejects_re_and_im_of_different_shapes(re, im):
         state_from_json(text)
 
 
+@pytest.mark.parametrize("key,re,im", [
+    ("re", [["1", "0"], ["0", "0"]], [[0, 0], [0, 0]]),
+    ("re", [[True, False], [False, False]], [[0, 0], [0, 0]]),
+    ("im", [1.0, 0.0], [0.0, "0"]),
+    ("re", [10**400, 0], [0, 0]),
+], ids=["string", "bool", "vector", "beyond-float"])
+def test_state_json_rejects_entries_that_are_not_numbers(key, re, im):
+    """numpy would read the first three as |0><0| or |0>, and raise
+    OverflowError on the last."""
+    text = json.dumps({"dims": [2], "re": re, "im": im})
+    with pytest.raises(ValueError, match=f"every entry of {key} must be a number"):
+        state_from_json(text)
+
+
 def test_pure_state_json_roundtrip_exact():
     psi = psi_minus()
     back = state_from_json(state_to_json(psi))

@@ -7,7 +7,8 @@ the sha256 of every partial trace (checked for sorted, reversed and list
 keeps), and for a (2, 3, 2) state the repr of
 quantumness_in_basis and the sha256 of dephase for two partitions whose
 cells are out of subsystem order, plus one digest per space over both
-functions on every two-cell split of every permutation.
+functions on every two-cell split of every permutation.  The pins are bytes
+of one platform, which the file records (see pin_platform).
 
 Run this file as a script to rewrite the pins.
 """
@@ -23,6 +24,7 @@ import pytest
 
 from gencorr import LocalBasisSet, dephase, partial_trace, permute_subsystems, quantumness_in_basis
 from gencorr.linalg import random_unitary
+from pin_platform import running_platform, written_on
 from random_states import random_density_matrix
 
 PINS = pathlib.Path(__file__).resolve().parent / "data" / "reorder_pins.json"
@@ -97,22 +99,29 @@ def test_permute_subsystems_equals_the_index_map_byte_for_byte(dims):
         assert got.tobytes() == expected.tobytes(), perm
 
 
+def _stored() -> tuple[dict, str]:
+    """The stored pins, and the message of a failed check of them."""
+    pins = json.loads(PINS.read_text())
+    return pins, written_on(pins.pop("platform"))
+
+
 def test_partial_traces_and_pinches_match_their_pins():
-    assert _pins() == json.loads(PINS.read_text())
+    pins, message = _stored()
+    assert _pins() == pins, message
 
 
 def test_unsorted_and_list_keeps_match_the_partial_trace_pins():
     """Each reduction, asked for first as a reversed list and then as a
     reversed tuple of a fresh state, has the bytes of its sorted-tuple pin."""
-    pins = json.loads(PINS.read_text())["partial_traces"]
+    pins, message = _stored()
     for dims in SPACES:
         for spell in (lambda keep: list(reversed(keep)), lambda keep: tuple(reversed(keep))):
             rho = _state(dims)
             got = {str(keep): _sha256(partial_trace(rho, spell(keep)).mat)
                    for k in range(1, len(dims)) for keep in itertools.combinations(range(len(dims)), k)}
-            assert got == pins[str(dims)], dims
+            assert got == pins["partial_traces"][str(dims)], (dims, message)
 
 
 if __name__ == "__main__":
-    PINS.write_text(json.dumps(_pins(), indent=1) + "\n")
+    PINS.write_text(json.dumps({"platform": running_platform(), **_pins()}, indent=1) + "\n")
     print(f"wrote the reordering pins to {PINS}")

@@ -8,23 +8,19 @@ Unlike the golden CSVs (qubit cells at the default starts), these pin the
 2|2 and 1|3 paths, the qubit cells and 1|2 cuts of three-qubit reductions
 (the Q3 and Q_k paths), the evaluation counts and the stationarity residual.
 
-The pins are bytes of one platform: numpy's bundled OpenBLAS picks its
-kernels for the CPU, and another core may round differently.  So the file
-records the numpy version and OpenBLAS core it was written on, and a failing
-check names that platform and the one it ran on.
+The pins are bytes of one platform, which the file records (see
+pin_platform).
 
 Run this file as a script to rewrite the pins.
 """
 
-import ctypes
 import hashlib
 import json
 import pathlib
 
-import numpy as np
-
 from gencorr import SearchConfig, closest_classical_state, evolve_global, partial_trace
 from gencorr.classical_search import closest_classical_states
+from pin_platform import running_platform, written_on
 
 PINS = pathlib.Path(__file__).resolve().parent / "data" / "search_pins.json"
 CFG = SearchConfig(starts=3)
@@ -70,24 +66,9 @@ def _pin(state, cells, res) -> dict:
     return pin
 
 
-def _platform() -> dict:
-    """The numpy version and the OpenBLAS core of numpy's bundled library
-    ("unknown" where no bundled library reports one)."""
-    core = "unknown"
-    numpy_dir = pathlib.Path(np.__file__).resolve().parent
-    for lib in sorted([*numpy_dir.parent.glob("numpy.libs/*openblas*"),
-                       *numpy_dir.glob(".dylibs/*openblas*")]):
-        corename = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_corename64_", None)
-        if corename is not None:
-            corename.restype = ctypes.c_char_p
-            core = corename().decode()
-    return {"numpy": np.__version__, "openblas_core": core}
-
-
 def _check(pins: list[dict]) -> None:
     stored = json.loads(PINS.read_text())
-    assert pins == stored["pins"], (
-        f"pins written on {stored['platform']}, checked on {_platform()}")
+    assert pins == stored["pins"], written_on(stored["platform"])
 
 
 def _lone() -> list[dict]:
@@ -106,6 +87,6 @@ def test_one_batch_of_every_search_matches_the_pins():
 
 
 if __name__ == "__main__":
-    PINS.write_text(f'{{"platform": {json.dumps(_platform())},\n"pins": [\n'
+    PINS.write_text(f'{{"platform": {json.dumps(running_platform())},\n"pins": [\n'
                     + ",\n".join(json.dumps(pin) for pin in _lone()) + "\n]}\n")
     print(f"wrote {len(CASES)} pins to {PINS}")
