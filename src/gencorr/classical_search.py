@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .entropy import _entropies, _linalg_error, _sum, shannon, von_neumann_entropy
+from .entropy import _entropies, _entropy_bits, _linalg_error, _sum, shannon, von_neumann_entropy
 from .linalg import (
     _check_finite,
     _indices,
@@ -106,6 +106,10 @@ class LocalBasisSet:
 
     Column j of each unitary is the j-th basis vector of that cell; equal by identity only.
     The unitaries are read-only copies, so the caller's arrays stay writable.
+    LocalBasisSet(cells, unitaries) checks its outside input: integer
+    indices, nonempty cells that partition the subsystems, and finite,
+    square, unitary matrices.  The basis a search returns is derived and
+    skips the checks (see _derived).
     """
 
     cells: tuple[tuple[int, ...], ...]
@@ -129,9 +133,24 @@ class LocalBasisSet:
         object.__setattr__(self, "cells", cells)
         object.__setattr__(self, "unitaries", unitaries)
 
+    @classmethod
+    def _derived(cls, cells, unitaries) -> "LocalBasisSet":
+        """Unchecked basis for cells, tuples of ints that partition the
+        subsystems, and fresh complex unitaries that nothing else holds, one
+        per cell: a search's result.  The unitaries become read-only."""
+        basis = object.__new__(cls)
+        for u in unitaries:
+            u.setflags(write=False)
+        object.__setattr__(basis, "cells", tuple(cells))
+        object.__setattr__(basis, "unitaries", tuple(unitaries))
+        return basis
+
 
 def _check_partition(cells, m: int) -> None:
-    """ValueError unless the cells partition the subsystems 0..m-1."""
+    """ValueError unless the cells are nonempty and partition the subsystems 0..m-1."""
+    if () in cells:
+        raise ValueError(f"cell {cells.index(())} of {cells} is empty, "
+                         f"so the cells do not partition 0..{m - 1}")
     if sorted(i for cell in cells for i in cell) != list(range(m)):
         raise ValueError(f"cells {cells} do not partition 0..{m - 1}")
 
@@ -188,6 +207,12 @@ class SearchResult(NamedTuple):
     otherwise (see closest_classical_state), as is typical where outcomes of
     a rank-deficient rho vanish.  No field depends on how many starts ran
     side by side as lanes.
+
+    chi, basis and q are derived data and skip the checks of outside input:
+    the basis is built by LocalBasisSet._derived, and q takes the Shannon
+    entropy of the search's own outcome distribution without shannon's
+    checks.  Each cell unitary moves by unitary factors only, so the basis
+    is unitary to rounding.
     """
 
     chi: DensityMatrix
@@ -568,9 +593,9 @@ def closest_classical_state(
 
     A start returns its last iterate with at most mass_cap = clip * (rho's
     least eigenvalue above clip) of probability at or below 2*clip, clip =
-    DEFAULT_TOL.clip.  Past that point `shannon` drops outcomes that the
-    support test of `relative_entropy` still sees, so S(rho||chi) would be
-    inf; rejecting such steps would stall the descent.
+    DEFAULT_TOL.clip.  Past that point the Shannon entropy drops outcomes
+    that the support test of `relative_entropy` still sees, so S(rho||chi)
+    would be inf; rejecting such steps would stall the descent.
 
     This is closest_classical_states with one search.
     """
@@ -631,11 +656,13 @@ def _optimum(pick, values: list, items):
 
 def _result(rho: DensityMatrix, cells, outcomes) -> SearchResult:
     """The SearchResult of one job from the outcomes of its starts: the
-    first start that _optimum picks, with its own q."""
+    first start that _optimum picks, with its own q.  The outcomes are the
+    search's own, so the entropies of their distributions and the basis
+    skip the checks of outside input (see SearchResult)."""
     s_rho = von_neumann_entropy(rho)
-    qs = [shannon(p) - s_rho for p, *_ in outcomes]
+    qs = [_entropy_bits(p) - s_rho for p, *_ in outcomes]
     _, k = _optimum(min, qs, range(len(qs)))
     _, us, gnorm, _ = outcomes[k]
-    basis = LocalBasisSet(cells, us)
+    basis = LocalBasisSet._derived(cells, us)
     evals = sum(o[3] for o in outcomes)
     return SearchResult(dephase(rho, basis), basis, qs[k], evals, float(gnorm))

@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .classical_search import SearchConfig, _optimum, closest_classical_states
-from .entropy import _entropies, shannon
+from .entropy import _entropies, _entropy_bits
 from . import linalg
 from .linalg import (DensityMatrix, _check_subset, _checked, _integer, _ptrace_plan, hermitize,
                      partial_trace)
@@ -280,14 +280,15 @@ def _outcome_entropy(chi: DensityMatrix, keep: tuple[int, ...]) -> float:
     chi is a closest fully-classical state, so its memo holds the pinched
     outcome distribution p with one axis per subsystem (see dephase), and
     chi's reduction on keep has the marginal of p as its spectrum.  Computed
-    once per chi and keep.
+    once per chi and keep.  p is the search's own distribution, derived
+    data, so its marginals skip shannon's checks of outside input.
     """
     key = ("H", keep)
     h = chi._memo.get(key)
     if h is None:
         p = chi._memo["p"]
         marginal = p.sum(axis=tuple(i for i in range(p.ndim) if i not in keep))
-        h = chi._memo.setdefault(key, shannon(marginal))
+        h = chi._memo.setdefault(key, _entropy_bits(marginal))
     return h
 
 

@@ -98,12 +98,13 @@ class DensityMatrix:
     DEFAULT_TOL, Hermiticity, unit trace and an eigvalsh PSD check.  Every
     state built from outside data goes through it, including state_from_json,
     werner_state and appendix_golden_state.  Derived states are valid by
-    construction and skip the checks: the outputs of partial_trace, dephase,
-    evolve_global and PureState.to_density.  A derived state's entries are
-    checked for finiteness once, when a spectrum or a reduction is first
-    taken of it (see _checked); the private flag _finite records the check,
-    and a validated state or a reduction that partial_trace makes starts
-    with it set.
+    construction and skip the checks: the outputs of partial_trace, dephase
+    (among them the chi of every basis search, whose result basis skips
+    LocalBasisSet's checks too), evolve_global and PureState.to_density.
+    A derived state's entries are checked for finiteness once, when a
+    spectrum or a reduction is first taken of it (see _checked); the
+    private flag _finite records the check, and a validated state or a
+    reduction that partial_trace makes starts with it set.
 
     The backing array is immutable after construction.  Each state also
     carries a private memo of its partial traces (keyed by the sorted kept

@@ -18,9 +18,14 @@ from gencorr import (
     von_neumann_entropy,
 )
 from gencorr.channels import evolve_global, psi_minus, werner_state
+import gencorr
 import gencorr.classical_search as cs
+import gencorr.entropy as entropy
+import gencorr.experiments as experiments
+import gencorr.genuine_correlations as gc
 from gencorr.classical_search import GRAD_TOL, _gradient
 from gencorr.entropy import shannon
+from gencorr.experiments import evaluate_measures
 from random_states import random_classical_state, random_density_matrix
 
 I2 = np.eye(2, dtype=complex)
@@ -91,13 +96,24 @@ def test_local_basis_set_rejects_non_unitary():
         LocalBasisSet([(0,)], [np.array([[1.0, 0.0], [1.0, 1.0]])])
 
 
-@pytest.mark.parametrize("cells", [[(0,), (0,)], [(1,), (2,)], [(0,), (-1,)]],
-                         ids=["repeated", "shifted", "negative"])
-def test_local_basis_set_rejects_cells_that_do_not_partition(cells):
-    # before, these were accepted and failed only later, inside dephase
+@pytest.mark.parametrize("cells,dims", [([(0,), (0,)], (2, 2)), ([(1,), (2,)], (2, 2)),
+                                        ([(0,), (-1,)], (2, 2)), ([(), (0, 1)], (1, 4))],
+                         ids=["repeated", "shifted", "negative", "empty"])
+def test_local_basis_set_rejects_cells_that_do_not_partition(cells, dims):
+    # before, these were accepted and failed only later, inside dephase; an
+    # empty cell was accepted everywhere, as a cell of dimension 1
     with pytest.raises(ValueError, match="do not partition 0..1$"):
-        LocalBasisSet(cells, [np.eye(2), np.eye(2)])
+        LocalBasisSet(cells, [np.eye(d) for d in dims])
     assert LocalBasisSet([(1,), (0,)], [np.eye(2), np.eye(2)]).cells == ((1,), (0,))
+
+
+def test_a_search_refuses_an_empty_cell_by_name():
+    # before, the empty cell had dimension 1 and a (1, 1) unitary, and it
+    # made a four-qubit search no longer "all qubit cells": its start 1 was
+    # a Haar draw, not the Z/X product, and it took 43 evaluations, not 18
+    with pytest.raises(ValueError, match=r"cell 4 of .* is empty"):
+        closest_classical_state(evolve_global(0.6, 0.3, "pd"), [(0,), (1,), (2,), (3,), ()],
+                                SearchConfig(starts=2))
 
 
 @pytest.mark.parametrize("cell", [(0.5,), ("0",), (None,), (False,), (np.False_,)],
@@ -411,10 +427,12 @@ def test_the_first_start_within_the_tie_of_the_best_wins(monkeypatch):
     rho = werner_state(0.5)
     x = 0.75
     values = [x, x - 0.9e-12, x - 1.8e-12]
-    monkeypatch.setattr(cs, "shannon", lambda p: values[int(p[0])])
+    monkeypatch.setattr(cs, "_entropy_bits", lambda p: values[int(p[0])])
     hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
     unitaries = [[I2, I2], [hadamard, I2], [I2, hadamard]]
-    outcomes = [(np.array([k]), us, 0.5 + k, 10 + k) for k, us in enumerate(unitaries)]
+    # fresh complex unitaries per start, as the search's own outcomes hold
+    outcomes = [(np.array([k]), [np.array(u, dtype=complex) for u in us], 0.5 + k, 10 + k)
+                for k, us in enumerate(unitaries)]
     res = cs._result(rho, [(0,), (1,)], outcomes)
     assert res.q == values[1] - von_neumann_entropy(rho)
     assert [u.tobytes() for u in res.basis.unitaries] == [
@@ -428,6 +446,51 @@ def test_the_first_start_within_the_tie_of_the_best_wins(monkeypatch):
     best, item = cs._optimum(min, [nan, 0.5, 0.3], "abc")
     assert math.isnan(best) and item == "a"
     assert cs._optimum(max, [0.5, math.inf, math.inf], "abc") == (math.inf, "b")
+
+
+def _unitarity_deviation(basis) -> float:
+    """max |U†U - I| over the cell unitaries of a basis."""
+    return max(np.abs(u.conj().T @ u - np.eye(len(u))).max() for u in basis.unitaries)
+
+
+def test_a_search_that_ends_at_max_evals_returns_a_unitary_basis():
+    # the result basis skips LocalBasisSet's unitarity check, so this holds
+    # by construction: each step multiplies a cell unitary by unitary factors
+    res = closest_classical_state(evolve_global(0.8, 0.25, "pd"), [(0, 2), (1, 3)],
+                                  SearchConfig(starts=1, max_evals=30))
+    assert res.evals == 30 and res.grad_norm > GRAD_TOL
+    assert _unitarity_deviation(res.basis) <= 1e-12
+    assert res.basis.cells == ((0, 2), (1, 3))
+    assert not any(u.flags.writeable for u in res.basis.unitaries)
+
+
+def test_a_q_c_row_does_not_recheck_its_searches_output(monkeypatch):
+    """A Q/C row's searches build their result bases unchecked, and the
+    search and the C columns take the Shannon entropies of the searches'
+    own outcome distributions without shannon's checks: the row makes no
+    LocalBasisSet.__init__ call and no shannon call.  The public
+    LocalBasisSet(...), shannon and quantumness_in_basis keep their checks
+    (see the rejection tests above)."""
+    calls = []
+    init = cs.LocalBasisSet.__init__
+
+    def counting_init(self, *args):
+        calls.append("LocalBasisSet")
+        init(self, *args)
+
+    def counting(f):
+        return lambda *args: calls.append("shannon") or f(*args)
+
+    monkeypatch.setattr(cs.LocalBasisSet, "__init__", counting_init)
+    for module in (gencorr, entropy, cs, gc, experiments):
+        if hasattr(module, "shannon"):
+            monkeypatch.setattr(module, "shannon", counting(module.shannon))
+    values, flags = evaluate_measures(evolve_global(0.6, 0.3, "pd"), ("Q4", "Q3", "C4", "C3"),
+                                      SearchConfig(starts=2))
+    assert not flags and all(math.isfinite(v) for v in values.values())
+    assert calls == []
+    cs.quantumness_in_basis(PLUS, computational_basis((2,)))  # the counters count
+    assert calls == ["LocalBasisSet", "shannon"]
 
 
 def test_batched_searches_need_one_partition_per_state():
