@@ -21,6 +21,7 @@ import time
 
 from gencorr import SearchConfig, SweepSpec, detect_sudden_change, run_sweep
 from gencorr.channels import CHANNELS
+from gencorr.cli import _floats
 from gencorr.experiments import write_csv, write_manifest
 
 TOTAL_MEASURES = ("I4", "I3", "I3_abEa", "I3_aEaEb")
@@ -52,7 +53,8 @@ def run_series(kind, c_values, grid, groups, cfg, outdir) -> list[dict]:
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--outdir", default="results")
-    ap.add_argument("--c", default="0.2,0.4,0.6,0.8,1.0")
+    ap.add_argument("--c", type=_floats, default="0.2,0.4,0.6,0.8,1.0",
+                    help="comma-separated c values, read as the CLI's --c (empty entries skipped)")
     ap.add_argument("--grid-i", type=int, default=101, help="p points for total series")
     ap.add_argument("--grid-q", type=int, default=41, help="p points for Q/C series")
     ap.add_argument("--starts", type=int, default=SearchConfig().starts,
@@ -66,20 +68,19 @@ def main() -> None:
 
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    c_values = tuple(float(s) for s in args.c.split(","))
     cfg = SearchConfig(starts=args.starts, rng_seed=args.seed)
 
     start = time.perf_counter()
     total_rows = {}
     for kind in CHANNELS:
         total_rows[kind] = run_series(
-            kind, c_values, args.grid_i,
+            kind, args.c, args.grid_i,
             (("total", TOTAL_MEASURES), ("fidelity", FIDELITY_MEASURES)),
             cfg, outdir,
         )
         if not args.skip_search:
             run_series(
-                kind, c_values, args.grid_q,
+                kind, args.c, args.grid_q,
                 (("quantum", QUANTUM_MEASURES), ("classical", CLASSICAL_MEASURES)),
                 cfg, outdir,
             )

@@ -66,7 +66,7 @@ _TIE = 1e-12  # values this close to the optimum tie, and the first item wins
 # enters one per run (see _LaneSearch.run).
 _eigh, _inv = _umath_linalg.eigh_lo, _umath_linalg.inv
 # The qubit Hadamard basis: bit j of start k < 2**m puts cell j of a search
-# whose m cells are all qubits in it (see _LaneSearch._open).
+# whose m cells are all qubits in it (see _start_bases).
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 _HADAMARD.setflags(write=False)
 
@@ -76,11 +76,9 @@ class SearchConfig:
     """Starts, evaluation cap and seeding for the closest-classical-state search.
 
     starts is the number of descent starts of each search, each run to its
-    own stop: start 0 is the computational basis, and when all m cells are
-    qubits, starts 1..2**m-1 are the Z/X product bases; later starts are
-    Haar draws.  max_evals caps the objective evaluations of each start,
-    line-search trials included.  The default starts is measured (see
-    closest_classical_state).
+    own stop from the bases that _start_bases gives start k.  max_evals
+    caps the objective evaluations of each start, line-search trials
+    included.  The default starts is measured (see closest_classical_state).
     """
 
     starts: int = 14
@@ -305,6 +303,21 @@ def _concat(a: dict, b: dict) -> dict:
     }
 
 
+def _start_bases(cdims, k: int, rng_seed: int) -> list[np.ndarray]:
+    """The cell unitaries of start k of a search with cell dimensions cdims.
+
+    Start 0 is the computational basis (exact for classical inputs).  When
+    all m cells are qubits, starts 1..2**m-1 are the Z/X product bases: bit
+    j of k puts cell j in the Hadamard basis, else in the computational one.
+    Every later start, and every start but 0 of a partition with a larger
+    cell, draws Haar unitaries from a generator seeded rng_seed + k.
+    """
+    if k == 0 or (set(cdims) == {2} and k < 2 ** len(cdims)):
+        return [_HADAMARD if k >> j & 1 else np.eye(d, dtype=complex) for j, d in enumerate(cdims)]
+    rng = np.random.default_rng(rng_seed + k)
+    return [random_unitary(d, rng) for d in cdims]
+
+
 class _LaneSearch:
     """Starts 0..starts-1 of several searches, advanced in lockstep as stacked lanes.
 
@@ -320,39 +333,44 @@ class _LaneSearch:
     beside any others of any job.
 
     The (job, start) pairs open lanes in that order, up to _WIDTH in flight;
-    a lane goes when its start stops, and the next pair takes its place.
+    a lane goes when its start stops (see _finish), and the next pair takes
+    its place.  bases holds the cell unitaries of each start, which every
+    job shares (see _start_bases); they are stacked per run once, here.
     """
 
-    def __init__(self, mats, cdims, max_evals, mass_caps, rng_seed):
-        self.mats, self.cdims, self.max_evals = mats, cdims, max_evals
-        self.mass_caps, self.rng_seed = mass_caps, rng_seed
-        self.draws = {}  # start k -> its cell unitaries, which every job shares
-        # starts below this are computational or Z/X product bases (see _open)
-        self.products = 2 ** len(cdims) if set(cdims) == {2} else 1
+    def __init__(self, mats, cdims, max_evals, mass_caps, bases):
+        self.mats, self.cdims, self.max_evals, self.mass_caps = mats, cdims, max_evals, mass_caps
         # (d, count) per run of equal consecutive cell dimensions
         self.runs = [(d, len(list(run))) for d, run in itertools.groupby(cdims)]
+        ends = itertools.accumulate(c for _, c in self.runs)
+        self.bases = [np.array([us[e - c:e] for us in bases]) for (_, c), e in zip(self.runs, ends)]
         self.nvec = 2 * sum(d * d for d in cdims)  # real length of the generator vector
 
     def _cells(self, stacks) -> list[np.ndarray]:
         """Each cell's view (m, ...) of per-run stacks (m, count, ...), in cell order."""
         return [a[:, j] for a, (_, c) in zip(stacks, self.runs) for j in range(c)]
 
-    def _finish(self, lanes, stopped, out, evals) -> None:
+    def _finish(self, lanes, stopped, out) -> dict | None:
         """Record the (p, unitaries, |G|, evals) of each stopped lane's best
-        iterate in out[job][start], as copies, so that the lanes can go."""
+        iterate in out[job][start], as copies; the lanes that go on, or None."""
+        if not np.count_nonzero(stopped):
+            return lanes
         cells = self._cells(lanes["bu"])
         for i in stopped.nonzero()[0].tolist():
             us = [u[i].copy() for u in cells]
             out[lanes["job"][i]][lanes["ids"][i]] = (
-                lanes["bp"][i].copy(), us, lanes["bg"][i], int(evals[i])
+                lanes["bp"][i].copy(), us, lanes["bg"][i], int(lanes["evals"][i])
             )
+        keep = (~stopped).nonzero()[0]
+        return _take(lanes, keep) if keep.size else None
 
-    def run(self, starts: int) -> list[list[tuple]]:
-        """Per job, (p, unitaries, |G|, evals) of starts 0..starts-1, in start order.
+    def run(self) -> list[list[tuple]]:
+        """Per job, (p, unitaries, |G|, evals) of each start, in start order.
 
         One errstate serves every step: a LAPACK failure in eigh or inv, or
         any other invalid value, raises LinAlgError, as np.linalg does.
         """
+        starts = len(self.bases[0])
         queue = itertools.product(range(len(self.mats)), range(starts))
         out = [[None] * starts for _ in self.mats]
         lanes = None
@@ -395,39 +413,14 @@ class _LaneSearch:
                 bu=[np.where(take[:, None, None, None], u, b) for u, b in zip(lanes["u"], lanes["bu"])],
                 bg=np.where(take, gn, lanes["bg"]),
             )
-        if np.count_nonzero(stopped):
-            self._finish(lanes, stopped, out, evals)
-            keep = (~stopped).nonzero()[0]
-            if not keep.size:
-                return None
-            lanes = _take(lanes, keep)
-        return self._prepare(lanes)
+        lanes = self._finish(lanes, stopped, out)
+        return None if lanes is None else self._prepare(lanes)
 
     def _open(self, new) -> dict:
-        """Lane rows for the new (job, start) pairs, at their first iterate.
-
-        Start 0 is the computational basis (exact for classical inputs).  When
-        all m cells are qubits, starts 1..2**m-1 are the Z/X product bases:
-        bit j of k puts cell j in the Hadamard basis, else in the
-        computational one.  Every later start, and every start but 0 of a
-        partition with a larger cell, draws Haar unitaries from a generator
-        seeded rng_seed + k.  Each start's unitaries serve all the jobs.
-        """
-        per_start = []
-        for _, k in new:
-            if k not in self.draws:
-                if k < self.products:
-                    self.draws[k] = [_HADAMARD if k >> j & 1 else np.eye(d, dtype=complex)
-                                     for j, d in enumerate(self.cdims)]
-                else:
-                    rng = np.random.default_rng(self.rng_seed + k)
-                    self.draws[k] = [random_unitary(d, rng) for d in self.cdims]
-            per_start.append(self.draws[k])
-        u, at = [], 0
-        for _, c in self.runs:
-            u.append(np.array([us[at:at + c] for us in per_start]))
-            at += c
-        job = np.array([j for j, _ in new])
+        """Lane rows for the new (job, start) pairs, at their first iterate,
+        from the stacked bases of their starts."""
+        job, ids = np.array([j for j, _ in new]), np.array([k for _, k in new])
+        u = [stack[ids] for stack in self.bases]
         mat = self.mats[job]
         b = kron_all(self._cells(u))
         sigma = b.conj().swapaxes(1, 2) @ mat @ b
@@ -435,7 +428,7 @@ class _LaneSearch:
         h, logp = _entropy_terms(p)
         n = len(new)
         return {
-            "job": job, "ids": np.array([k for _, k in new]), "mat": mat, "cap": self.mass_caps[job],
+            "job": job, "ids": ids, "mat": mat, "cap": self.mass_caps[job],
             "u": u, "sigma": sigma, "p": p, "logp": logp,
             "h": h, "evals": np.ones(n, dtype=int), "g": np.zeros((n, self.nvec)),
             "step": np.zeros((n, self.nvec)), "pairs": np.zeros((n, 2 * _MEMORY, self.nvec)),
@@ -450,13 +443,14 @@ class _LaneSearch:
         """
         k, r, ws, slope = lanes.pop("k"), lanes.pop("r"), lanes.pop("ws"), lanes.pop("slope")
         h = lanes["h"]
-        evals = lanes["evals"] + 1
+        evals = lanes["evals"] = lanes["evals"] + 1
         x = k * np.exp(-1j * ws)[:, None, :]
         xr = x @ r
         pt = _diag_rows(x, xr)
         ht, logp = _entropy_terms(pt)
         ok = ht >= h + _ARMIJO * slope  # False where Armijo fails (or NaN)
-        eta = None  # every lane took the full step eta = 1
+        # the accepted trials, in place; eta None: every lane took the full step eta = 1
+        lanes.update(x=x, xr=xr, p=pt, ht=ht, logp=logp, eta=None)
         if np.count_nonzero(ok) < len(ok):
             m, pend = len(h), (~ok).nonzero()[0]
             eta, stopped = np.ones(m), np.zeros(m, dtype=bool)
@@ -477,22 +471,18 @@ class _LaneSearch:
                 x[acc], xr[acc], pt[acc] = xt[ok], xrt[ok], ptt[ok]
                 ht[acc], logp[acc] = htt[ok], logpt[ok]
                 pend = pend[~ok]
-            if np.count_nonzero(stopped):
-                self._finish(lanes, stopped, out, evals)
-                keep = (~stopped).nonzero()[0]
-                if not keep.size:
-                    return None
-                lanes = _take(lanes, keep)
-                eta, evals, x, xr = eta[keep], evals[keep], x[keep], xr[keep]
-                pt, ht, logp = pt[keep], ht[keep], logp[keep]
-        d = lanes.pop("d")
+            lanes["eta"] = eta
+            lanes = self._finish(lanes, stopped, out)
+            if lanes is None:
+                return None
+        d, eta, x = lanes.pop("d"), lanes.pop("eta"), lanes.pop("x")
         lanes["u"] = [
             (uv * np.exp(1j * w if eta is None else 1j * eta[:, None, None] * w)[:, :, None, :])
             @ v.conj().swapaxes(2, 3)
             for uv, v, w in zip(lanes.pop("uv"), lanes.pop("v"), lanes.pop("w"))
         ]
         lanes.update(
-            sigma=xr @ x.conj().swapaxes(1, 2), p=pt, logp=logp, h=ht, evals=evals,
+            sigma=lanes.pop("xr") @ x.conj().swapaxes(1, 2), h=lanes.pop("ht"),
             step=d if eta is None else eta[:, None] * d,
         )
         return lanes
@@ -564,13 +554,11 @@ def closest_classical_state(
     q = S(rho||chi) is minimized over one unitary per cell, of any dimension,
     by Armijo-backtracked L-BFGS descents on the cell unitaries (Huang, Absil
     & Gallivan, SIAM J. Optim. 28, 470 (2018)); steepest descent crawls where
-    outcomes of a rank-deficient rho vanish.  Start 0 is the computational
-    basis.  When all m cells are qubits, starts 1..2**m-1 are the Z/X
-    product bases: bit j of k puts cell j in the Hadamard basis.  Every
-    later start, and every start but 0 of a partition with a larger cell,
-    draws its unitaries from a generator seeded with rng_seed + k.  A start
-    stops at |G| < GRAD_TOL, at max_evals evaluations, or when the line
-    search stalls.
+    outcomes of a rank-deficient rho vanish.  Start k begins at the bases
+    of _start_bases, the one start rule: the computational basis at k = 0,
+    the Z/X product bases for k < 2**m on m qubit cells, and otherwise Haar
+    draws seeded rng_seed + k.  A start stops at |G| < GRAD_TOL, at
+    max_evals evaluations, or when the line search stalls.
 
     Starts 0..starts-1 each run to their own stop, and the first start
     within 1e-12 of the best wins, as for the quantifiers' witnesses, so
@@ -611,7 +599,8 @@ def closest_classical_states(
     equal cell dimensions run in one lane search, one per distinct list of
     cell dimensions in order of first appearance: their starts advance
     together as lanes, up to 128 in all, so they share the fixed cost of
-    each step.  Each result is bit for bit that of a lone
+    each step, and the bases of their starts, built once per lane search
+    by _start_bases.  Each result is bit for bit that of a lone
     closest_classical_state call.
 
     One entropy._entropies call first memoizes each state's spectrum (for
@@ -635,11 +624,10 @@ def closest_classical_states(
 
     results = [None] * len(rhos)
     for cdims, jobs in jobs_by_cdims.items():
-        search = _LaneSearch(
-            np.array([mats[j] for j in jobs]), cdims, cfg.max_evals,
-            np.array([caps[j] for j in jobs]), cfg.rng_seed,
-        )
-        for j, outcomes in zip(jobs, search.run(cfg.starts)):
+        bases = [_start_bases(cdims, k, cfg.rng_seed) for k in range(cfg.starts)]
+        search = _LaneSearch(np.array([mats[j] for j in jobs]), cdims, cfg.max_evals,
+                             np.array([caps[j] for j in jobs]), bases)
+        for j, outcomes in zip(jobs, search.run()):
             results[j] = _result(rhos[j], cells[j], outcomes)
     return results
 

@@ -95,8 +95,7 @@ def _cmd_state_info(args) -> int:
     cfg = _search_config(args)
     state = load_state(args.file)
     rho = state if isinstance(state, DensityMatrix) else state.to_density()
-    measures = _names(args.measures) if args.measures else ("I4", "I3")
-    values, flags = evaluate_measures(rho, measures, cfg)
+    values, flags = evaluate_measures(rho, args.measures, cfg)
     doc = {"dims": list(rho.dims), "measures": values}
     if flags:
         doc["flags"] = flags
@@ -150,7 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("state-info", help="measures of a serialized state")
     p.add_argument("file")
-    p.add_argument("--measures", default=None)
+    p.add_argument("--measures", type=_names, default=("I4", "I3"),
+                   help=f"comma-separated from {','.join(SUPPORTED_MEASURES)}")
     add_search_flags(p)
     p.set_defaults(func=_cmd_state_info)
 

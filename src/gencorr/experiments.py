@@ -69,32 +69,37 @@ _W4 = w4()
 _GHZ_LIMIT = upsilon_pd(1.0)
 
 
-def _triples(rho: DensityMatrix) -> list[DensityMatrix]:
-    """The 3-subsystem reductions of rho, one per class of its symmetries."""
-    return [partial_trace(rho, sub) for sub in _subsets(rho.n, 3, rho.symmetries)]
+def _reductions(k: int):
+    """rho -> its k-subsystem reductions, one per class of its symmetries (rho itself at k = n)."""
+    return lambda rho: [partial_trace(rho, sub) for sub in _subsets(rho.n, k, rho.symmetries)]
 
 
-# column -> (k of the k-subsystem reductions whose qubit-cell searches it
-# reads, or None; the states whose genuine_total_In it reads, or None; its
-# value for (rho, cfg)).  Each quantifier reads rho's symmetries off rho.
-# Q4, C4 and C3 read one four-party search, memoized on rho.  The lambdas
-# look the library functions (fidelity included) up when a row is
-# evaluated, so a patched module binding (a test double, a tracer) sees
-# every call.
+def _qubit_searches(k: int):
+    """rho -> the qubit-cell search of each of its k-subsystem reductions, as jobs of _searches."""
+    return lambda rho: [(red, _one_cell_each(k)) for red in _reductions(k)(rho)]
+
+
+# column -> (the (state, cells) searches it reads, as a function of rho in
+# the form _searches takes, or None; the states whose genuine_total_In it
+# reads, or None; its value for (rho, cfg)).  Each quantifier reads rho's
+# symmetries off rho.  Q4, C4 and C3 read one four-party search, memoized
+# on rho.  The lambdas look the library functions (fidelity included) up
+# when a row is evaluated, so a patched module binding (a test double, a
+# tracer) sees every call.
 _MEASURES = {
     "I4": (None, lambda rho: (rho,), lambda rho, _: genuine_total_In(rho).value_bits),
-    "I3": (None, _triples, lambda rho, _: genuine_total_Ik(rho, 3).value_bits),
+    "I3": (None, _reductions(3), lambda rho, _: genuine_total_Ik(rho, 3).value_bits),
     "I3_abEa": (None, lambda rho: (partial_trace(rho, (0, 1, 2)),),
                 lambda rho, _: genuine_total_In(partial_trace(rho, (0, 1, 2))).value_bits),
     "I3_aEaEb": (None, lambda rho: (partial_trace(rho, (0, 1, 3)),),
                  lambda rho, _: genuine_total_In(partial_trace(rho, (0, 1, 3))).value_bits),
     # Q4 is the fully multipartite Q (one basis per subsystem), Q3 its max over triples
-    "Q4": (4, None, lambda rho, cfg: multipartite_quantum_Q(rho, cfg).value_bits),
-    "Q3": (3, None, lambda rho, cfg: max_over_subsets(
+    "Q4": (_qubit_searches(4), None, lambda rho, cfg: multipartite_quantum_Q(rho, cfg).value_bits),
+    "Q3": (_qubit_searches(3), None, lambda rho, cfg: max_over_subsets(
         rho, 3, lambda red: multipartite_quantum_Q(red, cfg)
     ).value_bits),
-    "C4": (4, None, lambda rho, cfg: genuine_classical_Cn(rho, cfg).value_bits),
-    "C3": (4, None, lambda rho, cfg: genuine_classical_Ck(rho, 3, cfg).value_bits),
+    "C4": (_qubit_searches(4), None, lambda rho, cfg: genuine_classical_Cn(rho, cfg).value_bits),
+    "C3": (_qubit_searches(4), None, lambda rho, cfg: genuine_classical_Ck(rho, 3, cfg).value_bits),
     "F_W": (None, None, lambda rho, _: fidelity(_W4, rho)),
     "F_GHZ": (None, None, lambda rho, _: fidelity(_GHZ_LIMIT, rho)),
 }
@@ -102,6 +107,8 @@ SUPPORTED_MEASURES = tuple(_MEASURES)
 
 
 def _check_measures(measures: tuple[str, ...]) -> None:
+    if not measures:
+        raise ValueError(f"at least one measure is needed; choose from {SUPPORTED_MEASURES}")
     bad = [m for m in measures if m not in _MEASURES]
     if bad:
         raise ValueError(f"unsupported measures {bad}; choose from {SUPPORTED_MEASURES}")
@@ -113,27 +120,24 @@ def _check_measures(measures: tuple[str, ...]) -> None:
 def _evaluate(rhos, measures, cfg):
     """Values and failure flags of the named measures for each state, in order.
 
-    First, one batched search runs the qubit-cell searches of every
-    k-subsystem reduction the measures read, over all the states (one per
-    class of the state's symmetries), and memoizes the results.  If that call
-    raises, nothing is memoized and each row runs its own searches, so a
-    search that raises flags only its row.  Without searches, each state can
-    go once its row is done.  Then, row by row, one _total_Ins call takes
-    the genuine_total_In of every state the row's columns read, with one
-    eigenvalue call per matrix side for the row's spectra and the cut
-    marginals as plain arrays, so the row's states are rho and the
-    reductions its columns read (on an I/F row: rho and its two triples);
-    if it raises, it memoizes no spectrum or report, and each column
-    evaluates on its own.  A measure that raises is NaN with a "name:
-    error" flag.
+    First, one batched search (_searches) runs the searches that the
+    measures declare, over all the states, as given, and memoizes the
+    results.  If that call raises, nothing is memoized and each row runs
+    its own searches, so a search that raises flags only its row.  Without
+    searches, each state can go once its row is done.  Then, row by row,
+    one _total_Ins call takes the genuine_total_In of every state the row's
+    columns read, with one eigenvalue call per matrix side for the row's
+    spectra and the cut marginals as plain arrays, so the row's states are
+    rho and the reductions its columns read (on an I/F row: rho and its two
+    triples); if it raises, it memoizes no spectrum or report, and each
+    column evaluates on its own.  A measure that raises is NaN with a
+    "name: error" flag.
     """
-    ks = sorted({_MEASURES[m][0] for m in measures} - {None}, reverse=True)
-    if ks:
+    searches = [_MEASURES[m][0] for m in measures if _MEASURES[m][0]]
+    if searches:
         rhos = list(rhos)
-        reds = [partial_trace(rho, sub)
-                for k in ks for rho in rhos for sub in _subsets(rho.n, k, rho.symmetries)]
         try:
-            _searches([(red, _one_cell_each(red.n)) for red in reds], cfg)
+            _searches([job for rho in rhos for search in searches for job in search(rho)], cfg)
         except Exception:  # noqa: BLE001 - each row then runs its own searches
             pass
     reads = [_MEASURES[m][1] for m in measures if _MEASURES[m][1]]
@@ -202,8 +206,6 @@ class SweepSpec:
             raise ValueError(f"channel must be 'ad' or 'pd', got {self.channel!r}")
         object.__setattr__(self, "measures", tuple(self.measures))
         _check_measures(self.measures)
-        if not self.measures:
-            raise ValueError("a sweep needs at least one measure")
         if self.p_count is not None:
             if not isinstance(self.p_count, numbers.Integral) or isinstance(self.p_count, bool):
                 raise ValueError(f"p_count must be an integer, got {self.p_count!r}")

@@ -146,6 +146,20 @@ def test_state_info_cli(tmp_path, capsys):
     assert set(doc["measures"]) == {"I4", "F_GHZ"}
 
 
+def test_state_info_and_sweep_refuse_empty_measures(tmp_path, capsys):
+    # before, state-info --measures "" evaluated the default I4 and I3
+    path = tmp_path / "state.json"
+    save_state(evolve_global(0.9, 0.4, "pd"), path)
+    assert main(["state-info", str(path)]) == 0
+    assert set(json.loads(capsys.readouterr().out)["measures"]) == {"I4", "I3"}
+    for argv in (["state-info", str(path)], ["sweep", "--output", str(tmp_path / "s.csv")]):
+        assert main([*argv, "--measures", " , "]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("gencorr: error: at least one measure is needed")
+    assert not (tmp_path / "s.csv").exists()
+
+
 def test_state_info_rejects_a_nan_entry(tmp_path, capsys):
     # json reads the NaN token, and a NaN passes every tolerance check
     path = tmp_path / "state.json"

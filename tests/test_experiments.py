@@ -70,6 +70,14 @@ def test_sweep_spec_rejects_unknown_measure():
         SweepSpec(channel="ad", c_values=(1, 0.2, 0.5, 1.0, 0.2))
 
 
+def test_evaluate_measures_refuses_no_measures():
+    # as SweepSpec(measures=()) does; before, an empty list returned no values
+    with pytest.raises(ValueError, match="at least one measure is needed"):
+        evaluate_measures(evolve_global(0.6, 0.3, "ad"), ())
+    with pytest.raises(ValueError, match="at least one measure is needed"):
+        SweepSpec(channel="ad", measures=())
+
+
 def test_sweep_spec_rejects_bad_channel():
     with pytest.raises(ValueError):
         SweepSpec(channel="xy")
@@ -258,11 +266,17 @@ def test_a_raising_search_flags_only_its_row(monkeypatch):
     assert [rows[0], rows[2]] == [clean[0], clean[2]]
 
 
-def test_a_series_runs_one_batched_search(search_batches):
-    spec = SweepSpec(channel="pd", c_values=(0.6,), p_count=3, measures=("Q4", "Q3", "C4", "C3"),
+@pytest.mark.parametrize("measures,jobs", [
+    (("Q4",), 3), (("Q3",), 3 * 2), (("C4",), 3), (("C3",), 3),
+    (("Q4", "Q3", "C4", "C3"), 3 + 3 * 2), (("C3", "Q3"), 3 + 3 * 2),
+], ids=["Q4", "Q3", "C4", "C3", "Q4-Q3-C4-C3", "C3-Q3"])
+def test_a_series_runs_one_batched_search(measures, jobs, search_batches):
+    # the states and their two triple classes; a column whose declaration
+    # misses a search its value reads would run a second call from its rows
+    spec = SweepSpec(channel="pd", c_values=(0.6,), p_count=3, measures=measures,
                      search=SearchConfig(starts=1, max_evals=40))
     rows = run_sweep(spec)
-    assert search_batches == [3 + 3 * 2]  # the states and their two triple classes
+    assert search_batches == [jobs]
     assert all("_flags" not in row for row in rows)
 
 

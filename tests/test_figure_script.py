@@ -54,6 +54,20 @@ def test_figure_script_times_each_sweep_on_stdout_only(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+def test_figure_script_reads_c_as_the_cli_does(tmp_path):
+    # an empty entry is skipped, as by gencorr sweep --c; before, "0.6,"
+    # ended in a ValueError traceback
+    paths = [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_figure_sweeps.py"),
+         "--outdir", str(tmp_path), "--c", "0.6,", "--grid-i", "11", "--skip-search"],
+        env=env, check=True, capture_output=True, text=True, timeout=300,
+    )
+    manifest = json.loads((tmp_path / "ad_total.manifest.json").read_text())
+    assert manifest["spec"]["c_values"] == [0.6]
+
+
 def test_figure_script_has_no_workers_flag(tmp_path):
     paths = [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))

@@ -379,6 +379,19 @@ def test_Qn_never_exceeds_per_subsystem_Q(rng):
     assert qn <= q + 1e-4
 
 
+@pytest.mark.parametrize("kind", ["ad", "pd"])
+def test_Qn_is_bounded_by_In_and_by_Q4_on_a_mixed_evolved_state(kind):
+    """Dephasing each cell of a cut in the eigenbasis of its own marginal
+    keeps both marginals, so that cut-classical state lies T - C <= T =
+    I_cut away, and a product of qubit bases is a basis of every cut: so
+    Q_n <= I_n and Q_n <= Q4, within the 1e-12 tie, at the default search
+    (ad: 0.365148 < 0.643220 and 1.246439; pd: 0.365148 < 0.528037 and 1.181221)."""
+    rho = evolve_global(0.6, 0.3, kind)
+    qn = genuine_quantum_Qn(rho).value_bits
+    assert qn <= genuine_total_In(rho).value_bits + 1e-12
+    assert qn <= multipartite_quantum_Q(rho).value_bits + 1e-12
+
+
 def test_Cn_of_product_state(rng):
     a = random_classical_state((2,), rng)
     b = random_classical_state((2,), rng)
